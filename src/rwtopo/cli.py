@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -27,25 +28,26 @@ from .experiments import (
     ConfigError,
     ExperimentConfig,
     InvariantViolation,
+    _draw_starts,
+    _start_pool,
     coverage_validation,
     crossing_rate,
     emit_reports,
     run_experiment,
+    score_pairs,
 )
 from .generators import from_spec
 from .graph import (
     UNREACHABLE,
     DegreeMoments,
     Graph,
-    bfs_distances,
     degree_moments,
-    giant_component,
     load_edge_list,
     stats_report,
     write_edge_list,
 )
-from .rwsp import naive_vs_rwsp, run_rwsp, rwsp_path_length
-from .walker import run_walk
+from .rwsp import run_rwsp
+from .walker import naive_route, run_walk
 
 
 class _Parser(argparse.ArgumentParser):
@@ -136,51 +138,45 @@ def _cmd_rwsp(args) -> int:
         starts = [int(s) for s in args.starts.split(",")]
         if len(starts) != args.h:
             raise ConfigError(f"--starts must list exactly h={args.h} nodes")
+        seed = args.seed
     elif args.random_starts:
-        _, mapping = giant_component(g)
-        members = np.flatnonzero(mapping >= 0)
-        if members.size < args.h:
-            raise ConfigError("giant component smaller than h")
-        rng = np.random.default_rng((args.seed, 0xBEEF))
-        starts = [int(s) for s in rng.choice(members, size=args.h, replace=False)]
+        # Run 0 of `eval --seed SEED` at the same h: same starts, same walks.
+        cfg = ExperimentConfig(seed=args.seed, h=args.h, beta=args.beta, runs=1)
+        starts = _draw_starts(cfg, _start_pool(g, cfg), 0)
+        seed = (args.seed, 0)
     else:
         raise ConfigError("rwsp needs --starts or --random-starts")
     budget = max(1, int(args.beta * g.n))
-    run = run_rwsp(g, starts, budget, args.seed)
+    run = run_rwsp(g, starts, budget, seed)
+    states = run.states
 
     pairs = []
-    for i in range(args.h):
-        true_dist = bfs_distances(g, starts[i])
-        for j in range(args.h):
-            if j == i:
-                continue
-            met = j in run.direct_peers[i]
-            spl = rwsp_path_length(run, i, j)
-            naive_len = naive_vs_rwsp(run, i, j)[0] if met else None
-            dt = int(true_dist[starts[j]])
-            pairs.append(
-                {
-                    "i": i,
-                    "j": j,
-                    "true_spl": None if dt == UNREACHABLE else dt,
-                    "rwsp_spl": None if spl == UNREACHABLE else int(spl),
-                    "naive_spl": naive_len,
-                    "met": met,
-                    "linked": j in run.states[i].known_peers,
-                    "advertise_hops": run.pair_advertise_hops.get((i, j), 0)
-                    + run.pair_advertise_hops.get((j, i), 0),
-                    "transfer_hops": run.pair_transfer_hops.get((i, j), 0)
-                    + run.pair_transfer_hops.get((j, i), 0),
-                }
-            )
+    for i, j, dt, spl in score_pairs(g, run):
+        # the walks share a node exactly when the walkers met directly
+        naive = naive_route(states[i].trace, states[i].breadcrumbs, states[j].trace, states[j].breadcrumbs)
+        pairs.append(
+            {
+                "i": i,
+                "j": j,
+                "true_spl": None if dt == UNREACHABLE else dt,
+                "rwsp_spl": None if spl == UNREACHABLE else spl,
+                "naive_spl": None if naive is None else len(naive) - 1,
+                "met": j in run.direct_peers[i],
+                "linked": j in states[i].known_peers,
+                "advertise_hops": run.pair_advertise_hops.get((i, j), 0)
+                + run.pair_advertise_hops.get((j, i), 0),
+                "transfer_hops": run.pair_transfer_hops.get((i, j), 0)
+                + run.pair_transfer_hops.get((j, i), 0),
+            }
+        )
     walkers = [
         {
             "walker": i,
             "start": starts[i],
-            "unique_nodes": run.states[i].trace.unique_nodes,
-            "covered_edges": run.states[i].trace.covered_edge_count,
-            "known_peers": sorted(run.states[i].known_peers),
-            "contact_points": sorted(run.states[i].contact_points),
+            "unique_nodes": states[i].trace.unique_nodes,
+            "covered_edges": states[i].trace.covered_edge_count,
+            "known_peers": sorted(states[i].known_peers),
+            "contact_points": sorted(states[i].contact_points),
             "advertise_hops": run.costs[i].advertise_hops,
             "transfer_hops": run.costs[i].transfer_hops,
         }
@@ -268,20 +264,11 @@ def _cmd_eval(args) -> int:
     result = run_experiment(g, cfg)
     if "coverage_taus" in settings:
         taus = [float(t) for t in str(settings["coverage_taus"]).split(",") if t.strip()]
-        result.coverage = coverage_validation(g, cfg, taus)
+        result = replace(result, coverage=coverage_validation(g, cfg, taus))
     if settings.get("crossing"):
-        cross_cfg = cfg if cfg.h == 2 else ExperimentConfig(
-            seed=cfg.seed,
-            h=2,
-            beta=cfg.beta,
-            runs=cfg.runs,
-            rescale_budget=cfg.rescale_budget,
-            workers=1,
-            graph_source=cfg.graph_source,
-        )
-        result.crossing = crossing_rate(
-            g, cross_cfg, c=settings.get("c", 1.0), delta=settings.get("delta")
-        )
+        cross_cfg = cfg if cfg.h == 2 else replace(cfg, h=2, fixed_starts=None, workers=1)
+        crossing = crossing_rate(g, cross_cfg, c=settings.get("c", 1.0), delta=settings.get("delta"))
+        result = replace(result, crossing=crossing)
     written = emit_reports(result, fmt=args.format, destination=args.out)
     summary = result.summary
     print(

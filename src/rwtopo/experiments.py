@@ -27,10 +27,11 @@ from .coverage import (
     expected_edge_fraction,
 )
 from .graph import Graph, UNREACHABLE, bfs_distances, degree_moments, giant_component
-from .rwsp import routing_tree, run_rwsp
-from .walker import crossing_time, run_walk, walker_seed
+from .rwsp import ProtocolRun, routing_tree, run_rwsp
+from .walker import _as_seed_tuple, crossing_time, run_walk, walker_seed
 
-# Stream tag for start-node sampling; must not collide with walker ids.
+# Stream tag for start-node sampling; must not collide with walker ids, so h
+# may not exceed it.
 _START_STREAM = 0xBEEF
 
 
@@ -64,6 +65,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.h < 2:
             raise ConfigError("h must be at least 2")
+        if self.h > _START_STREAM:
+            raise ConfigError(
+                f"h must be at most {_START_STREAM}: walker {_START_STREAM} would replay the start-drawing stream"
+            )
         if not 0 < self.beta < 1:
             raise ConfigError("beta must lie in (0, 1)")
         if self.runs < 1:
@@ -239,10 +244,10 @@ class ExperimentResult:
     wall_time_s: float = 0.0
 
 
-def _seed_tuple(seed) -> tuple[int, ...]:
-    if isinstance(seed, (int, np.integer)):
-        return (int(seed),)
-    return tuple(int(s) for s in seed)
+def _run_seed(cfg: ExperimentConfig, run_index: int) -> tuple[int, ...]:
+    """Seed of one run: walker i draws from ``(*run seed, i)``, starts from
+    ``(*run seed, _START_STREAM)``."""
+    return _as_seed_tuple(cfg.seed) + (run_index,)
 
 
 def _start_pool(g: Graph, cfg: ExperimentConfig) -> np.ndarray:
@@ -264,31 +269,37 @@ def _start_pool(g: Graph, cfg: ExperimentConfig) -> np.ndarray:
 def _draw_starts(cfg: ExperimentConfig, members: np.ndarray, run_index: int) -> list[int]:
     if cfg.fixed_starts is not None:
         return list(cfg.fixed_starts)
-    rng = np.random.default_rng(_seed_tuple(cfg.seed) + (run_index, _START_STREAM))
+    rng = np.random.default_rng(_run_seed(cfg, run_index) + (_START_STREAM,))
     return [int(s) for s in rng.choice(members, size=cfg.h, replace=False)]
+
+
+def score_pairs(g: Graph, run: ProtocolRun):
+    """Yield ``(i, j, d_true, d_discovered)`` for every ordered walker pair.
+
+    One true-distance BFS and one routing tree per walker; ``d_discovered``
+    is UNREACHABLE unless j is a known peer of i.
+    """
+    for i, start in enumerate(run.starts):
+        true_dist = bfs_distances(g, start)
+        tree = routing_tree(run.unions[i], start)
+        for j, target in enumerate(run.starts):
+            if j == i:
+                continue
+            known = j in run.states[i].known_peers
+            yield i, j, int(true_dist[target]), int(tree.depth[target]) if known else UNREACHABLE
 
 
 def _one_run_records(g: Graph, cfg: ExperimentConfig, budget: int, members: np.ndarray, run_index: int):
     """Ordered-pair (d_true, d_discovered) records for one protocol run."""
     starts = _draw_starts(cfg, members, run_index)
-    run = run_rwsp(g, starts, budget, seed=_seed_tuple(cfg.seed) + (run_index,))
+    run = run_rwsp(g, starts, budget, seed=_run_seed(cfg, run_index))
     records = []
-    for i in range(cfg.h):
-        true_dist = bfs_distances(g, starts[i])
-        tree = routing_tree(run.unions[i], starts[i])
-        for j in range(cfg.h):
-            if j == i:
-                continue
-            dt = int(true_dist[starts[j]])
-            if j in run.states[i].known_peers:
-                dd = int(tree.depth[starts[j]])
-            else:
-                dd = UNREACHABLE
-            if dd != UNREACHABLE and (dt == UNREACHABLE or dd < dt):
-                raise InvariantViolation(
-                    f"run {run_index}: discovered {dd} hops vs true {dt} for pair ({i},{j})"
-                )
-            records.append((dt, dd))
+    for i, j, dt, dd in score_pairs(g, run):
+        if dd != UNREACHABLE and (dt == UNREACHABLE or dd < dt):
+            raise InvariantViolation(
+                f"run {run_index}: discovered {dd} hops vs true {dt} for pair ({i},{j})"
+            )
+        records.append((dt, dd))
     return records
 
 
@@ -363,11 +374,12 @@ def coverage_validation(g: Graph, cfg: ExperimentConfig, taus) -> list[CoverageV
         if cfg.fixed_starts is not None:
             start = cfg.fixed_starts[0]
         else:
-            rng = np.random.default_rng(_seed_tuple(cfg.seed) + (r, _START_STREAM))
+            rng = np.random.default_rng(_run_seed(cfg, r) + (_START_STREAM,))
             start = int(rng.choice(members))
-        trace, _ = run_walk(g, start, budget, seed=_seed_tuple(cfg.seed) + (r,))
+        trace, _ = run_walk(g, start, budget, seed=_run_seed(cfg, r))
+        edges = trace.edge_count_per_step
         for k, t in enumerate(steps_at):
-            samples[r, k] = 0.0 if t == 0 else trace.edge_count_per_step[t - 1] / two_m
+            samples[r, k] = 0.0 if t == 0 else edges[t - 1] / two_m
     rows = []
     for k, tau in enumerate(taus):
         col = samples[:, k]
@@ -408,12 +420,13 @@ def crossing_rate(
     gamma_sum = 0.0
     for r in range(cfg.runs):
         starts = _draw_starts(cfg, members, r)
-        trace_i, _ = run_walk(g, starts[0], budget, walker_seed(_seed_tuple(cfg.seed) + (r,), 0))
-        trace_j, _ = run_walk(g, starts[1], budget, walker_seed(_seed_tuple(cfg.seed) + (r,), 1))
-        if crossing_time(trace_j, trace_i.visited) is None:
+        trace_i, _ = run_walk(g, starts[0], budget, walker_seed(_run_seed(cfg, r), 0))
+        trace_j, _ = run_walk(g, starts[1], budget, walker_seed(_run_seed(cfg, r), 1))
+        visited_i = trace_i.visited
+        if crossing_time(trace_j, visited_i) is None:
             never += 1
         gamma_sum += trace_i.covered_edge_count / (2.0 * g.m)
-        in_set = trace_i.visited[trace_j.steps]
+        in_set = visited_i[trace_j.steps]
         if budget > delta:
             before = in_set[:-delta]
             after = in_set[delta:]

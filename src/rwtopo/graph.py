@@ -97,6 +97,18 @@ class Graph:
     def incident_edge_ids(self, v: int) -> np.ndarray:
         return self.adj_edge_ids[self.indptr[v] : self.indptr[v + 1]]
 
+    def arcs(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Positions in ``adj``/``adj_edge_ids`` of the arcs leaving ``nodes``.
+
+        Arcs come grouped by node in the order of ``nodes``; the second
+        array holds each node's degree, so ``np.repeat(x, counts)`` aligns a
+        per-node value ``x`` with the arcs.
+        """
+        starts = self.indptr[nodes]
+        counts = self.indptr[nodes + 1] - starts
+        base = np.cumsum(counts) - counts
+        return np.repeat(starts - base, counts) + np.arange(int(counts.sum())), counts
+
     def has_edge(self, u: int, v: int) -> bool:
         nbrs = self.neighbors(u)
         i = int(np.searchsorted(nbrs, v))
@@ -239,13 +251,7 @@ def bfs_tree(g: Graph, source: int, edge_mask: np.ndarray | None = None):
     frontier = np.array([source], dtype=np.int64)
     depth = 0
     while frontier.size:
-        starts = g.indptr[frontier]
-        counts = g.indptr[frontier + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            break
-        base = np.cumsum(counts) - counts
-        arc_idx = np.repeat(starts - base, counts) + np.arange(total)
+        arc_idx, counts = g.arcs(frontier)
         nbrs = g.adj[arc_idx]
         srcs = np.repeat(frontier, counts)
         if edge_mask is not None:
@@ -283,14 +289,7 @@ def component_labels(g: Graph) -> tuple[np.ndarray, list[int]]:
         frontier = np.array([seed], dtype=np.int64)
         size = 1
         while frontier.size:
-            starts = g.indptr[frontier]
-            counts = g.indptr[frontier + 1] - starts
-            total = int(counts.sum())
-            if total == 0:
-                break
-            base = np.cumsum(counts) - counts
-            arc_idx = np.repeat(starts - base, counts) + np.arange(total)
-            nbrs = g.adj[arc_idx]
+            nbrs = g.adj[g.arcs(frontier)[0]]
             nbrs = np.unique(nbrs[labels[nbrs] < 0])
             labels[nbrs] = comp
             size += int(nbrs.size)

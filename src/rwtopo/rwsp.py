@@ -14,6 +14,12 @@ Same-round collisions are resolved in walker-id order: if two walkers reach
 a fresh node in the same round, the lower id registers first and only the
 higher id sees a breadcrumb.  All scheduling is deterministic given
 (graph, starts, budget, seed).
+
+The simulation replays only first visits, in (round, walker id) order.  That
+is exact: a walker revisiting a node meets nobody new there, because whoever
+registered the node between its two visits already found it at the
+registration.  So every first meeting of a pair lands on the later walker's
+first visit of the meeting node.
 """
 
 from __future__ import annotations
@@ -22,15 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph, UNREACHABLE, bfs_tree
-from .walker import (
-    BreadcrumbTable,
-    WalkTrace,
-    naive_route,
-    retrace_to_start,
-    run_walk,
-    walker_seed,
-)
+from .graph import Graph, UNREACHABLE, bfs_tree, component_labels
+from .walker import BreadcrumbTable, WalkTrace, naive_route, run_walk, walker_seed
 
 
 @dataclass(frozen=True)
@@ -72,14 +71,6 @@ class WalkerState:
     trace: WalkTrace
     breadcrumbs: BreadcrumbTable
 
-    @property
-    def discovered_nodes(self) -> np.ndarray:
-        return self.trace.visited
-
-    @property
-    def discovered_edges(self) -> np.ndarray:
-        return self.trace.covered_edges
-
 
 @dataclass(frozen=True)
 class UnionSubgraph:
@@ -114,7 +105,7 @@ class RoutingTree:
         return path[::-1]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProtocolRun:
     """Everything produced by one run_rwsp invocation."""
 
@@ -160,124 +151,86 @@ def run_rwsp(g: Graph, starts, budget: int, seed) -> ProtocolRun:
         if g.degree(s) < 1:
             raise ValueError(f"start node {s} is isolated")
 
-    traces: list[WalkTrace] = []
-    crumbs: list[BreadcrumbTable] = []
-    for i in range(h):
-        tr, bc = run_walk(g, starts[i], budget, walker_seed(seed, i), walker_id=i)
-        traces.append(tr)
-        crumbs.append(bc)
+    walks = [run_walk(g, s, budget, walker_seed(seed, i), walker_id=i) for i, s in enumerate(starts)]
+    traces = [tr for tr, _ in walks]
 
-    # Round at which each walker first visits each node (0 = never): the
-    # simulation-level breadcrumb registry used for meeting detection.
-    first_visit = np.zeros((h, g.n), dtype=np.int64)
-    for i in range(h):
-        uniq, first = np.unique(traces[i].steps, return_index=True)
-        first_visit[i, uniq] = first + 1
+    # First visits of all walkers as (step index, walker, node), replayed in
+    # (round, walker id) order.
+    index = np.concatenate([tr.first_visits[1] for tr in traces])
+    walker = np.repeat(np.arange(h), [tr.unique_nodes for tr in traces])
+    node = np.concatenate([tr.visited_nodes() for tr in traces])
+    order = np.lexsort((walker, index))
+    events = zip(index[order].tolist(), walker[order].tolist(), node[order].tolist())
 
+    steps = [tr.steps.tolist() for tr in traces]
+    depth: list[dict[int, int]] = [{} for _ in range(h)]  # node -> breadcrumb hops to start
+    registry: dict[int, list[int]] = {}  # node -> walkers with a breadcrumb there
     known: list[set[int]] = [set() for _ in range(h)]
     contacts: list[dict[int, int]] = [{} for _ in range(h)]  # node -> round learned
     meetings: list[list[MeetingEvent]] = [[] for _ in range(h)]
     pair_adv: dict[tuple[int, int], int] = {}
-    for t in range(1, budget + 1):
-        for i in range(h):
-            v = int(traces[i].steps[t - 1])
-            new = [
-                j
-                for j in range(h)
-                if j != i
-                and j not in known[i]
-                and first_visit[j, v]
-                and (first_visit[j, v] < t or (first_visit[j, v] == t and j < i))
-            ]
-            if not new:
-                continue
-            meetings[i].append(MeetingEvent(t=t, finder=i, found=frozenset(new), at=v))
-            known[i].update(new)
-            contacts[i].setdefault(v, t)
-            for j in new:
-                hops = len(retrace_to_start(crumbs[j], v)) - 1
-                pair_adv[(i, j)] = pair_adv.get((i, j), 0) + hops
-                known[j].add(i)
-                contacts[j].setdefault(v, t)
+    advertise = [0] * h
+    for k, i, v in events:
+        depth[i][v] = depth[i][steps[i][k - 1]] + 1 if k else 0
+        here = registry.setdefault(v, [])
+        new = sorted(j for j in here if j not in known[i])  # hop dicts fill in peer-id order
+        here.append(i)
+        if not new:
+            continue
+        t = k + 1
+        meetings[i].append(MeetingEvent(t=t, finder=i, found=frozenset(new), at=v))
+        known[i].update(new)
+        contacts[i].setdefault(v, t)
+        for j in new:
+            pair_adv[(i, j)] = depth[j][v]
+            advertise[i] += depth[j][v]
+            known[j].add(i)
+            contacts[j].setdefault(v, t)
 
     direct_peers = [frozenset(known[i]) for i in range(h)]
 
     # Subgraph hand-off to every directly met peer, routed start -> contact
     # node (sender's breadcrumbs) -> peer start (receiver's breadcrumbs).
-    # All sends are computed from the end-of-walk contact sets; receptions
-    # are applied afterwards so the schedule cannot influence the routes.
-    end_of_walk_contacts = [list(contacts[i]) for i in range(h)]
+    # The contact is the earliest learned one the peer has visited; a
+    # reception is recorded after all meeting contacts, so it is never chosen.
     pair_tr: dict[tuple[int, int], int] = {}
-    receptions: list[tuple[int, int]] = []
+    transfer = [0] * h
     for i in range(h):
         for j in sorted(direct_peers[i]):
-            contact = next(
-                v for v in end_of_walk_contacts[i] if traces[j].visited[v]
-            )  # earliest learned contact the peer has visited
-            hops = (len(retrace_to_start(crumbs[i], contact)) - 1) + (
-                len(retrace_to_start(crumbs[j], contact)) - 1
-            )
-            pair_tr[(i, j)] = hops
-            receptions.append((j, contact))
-    for j, v in receptions:
-        contacts[j].setdefault(v, budget + 1)  # (sender, v) reception
+            contact = next(v for v in contacts[i] if v in depth[j])
+            pair_tr[(i, j)] = depth[i][contact] + depth[j][contact]
+            transfer[i] += pair_tr[(i, j)]
+            contacts[j].setdefault(contact, budget + 1)
 
     # Transitive closure of peer knowledge: meeting-connected groups share
     # everything, so indirectly linked walkers also exchange subgraphs.
-    group_of = list(range(h))
-
-    def find(x: int) -> int:
-        while group_of[x] != x:
-            group_of[x] = group_of[group_of[x]]
-            x = group_of[x]
-        return x
-
-    for i in range(h):
-        for j in direct_peers[i]:
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                group_of[max(ri, rj)] = min(ri, rj)
-
+    labels = component_labels(Graph(h, [(i, j) for i in range(h) for j in direct_peers[i]]))[0].tolist()
     groups: dict[int, list[int]] = {}
-    for i in range(h):
-        groups.setdefault(find(i), []).append(i)
+    for i, label in enumerate(labels):
+        groups.setdefault(label, []).append(i)
 
-    node_masks: dict[int, np.ndarray] = {}
-    edge_masks: dict[int, np.ndarray] = {}
-    for root, members in groups.items():
+    masks: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    for label, members in groups.items():
         nm = np.zeros(g.n, dtype=bool)
         em = np.zeros(g.m, dtype=bool)
         for i in members:
-            nm |= traces[i].visited
-            em |= traces[i].covered_edges
-        node_masks[root] = nm
-        edge_masks[root] = em
+            nm[traces[i].visited_nodes()] = True
+            em[traces[i].covered_edge_ids()] = True
+        masks[label] = (nm, em)
 
-    states: list[WalkerState] = []
-    unions: list[UnionSubgraph] = []
-    costs: list[MessagingCost] = []
-    for i in range(h):
-        root = find(i)
-        peers = frozenset(j for j in groups[root] if j != i)
-        states.append(
-            WalkerState(
-                walker_id=i,
-                start=starts[i],
-                known_peers=peers,
-                contact_points=frozenset(contacts[i]),
-                trace=traces[i],
-                breadcrumbs=crumbs[i],
-            )
+    states = [
+        WalkerState(
+            walker_id=i,
+            start=starts[i],
+            known_peers=frozenset(groups[labels[i]]) - {i},
+            contact_points=frozenset(contacts[i]),
+            trace=traces[i],
+            breadcrumbs=walks[i][1],
         )
-        unions.append(
-            UnionSubgraph(owner=i, graph=g, node_mask=node_masks[root], edge_mask=edge_masks[root])
-        )
-        costs.append(
-            MessagingCost(
-                advertise_hops=sum(v for (a, _), v in pair_adv.items() if a == i),
-                transfer_hops=sum(v for (a, _), v in pair_tr.items() if a == i),
-            )
-        )
+        for i in range(h)
+    ]
+    unions = [UnionSubgraph(i, g, *masks[label]) for i, label in enumerate(labels)]
+    costs = [MessagingCost(advertise_hops=a, transfer_hops=t) for a, t in zip(advertise, transfer)]
 
     return ProtocolRun(
         graph=g,

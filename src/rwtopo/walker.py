@@ -2,12 +2,14 @@
 
 A walk of budget ``B`` is the node sequence ``X(1..B)`` with ``X(1)`` the
 start node and each subsequent entry a uniformly random neighbor of the
-previous one.  Alongside the raw sequence the walker keeps
+previous one.  The walker stores only that sequence; everything else is
+derived from its first-visit table (the index of each node's first
+appearance):
 
 * its visited set (``X`` without repeats),
 * the covered-edge set: every edge incident to a visited node (neighbor
   lists are readable at no extra cost, so covering a node covers all its
-  edges), and
+  edges), first covered at the earliest first visit of either endpoint, and
 * a breadcrumb per node, installed at the first visit only and pointing to
   the node the walker arrived from.  Breadcrumb chains therefore form a tree
   rooted at the start, and retracing them can never loop.
@@ -19,6 +21,7 @@ just the start node.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,12 +43,21 @@ def walker_seed(seed, walker_id: int) -> tuple[int, ...]:
     return _as_seed_tuple(seed) + (int(walker_id),)
 
 
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    # Cached tables are handed out by reference; keep callers from editing them.
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 @dataclass(frozen=True)
 class WalkTrace:
-    """Full bookkeeping of one finished walk.
+    """One finished walk: its step sequence and the views derived from it.
 
-    ``visited`` and ``covered_edges`` are dense boolean arrays indexed by
-    node id / edge id.  ``edge_count_per_step[t-1]`` and
+    Only ``steps`` is stored.  The two compact tables below (at most
+    ``budget`` entries each) are cached on first use; every other view is
+    built on access, including the dense ``visited`` and ``covered_edges``
+    masks indexed by node id / edge id.  ``edge_count_per_step[t-1]`` and
     ``node_count_per_step[t-1]`` give the covered-edge and visited-node
     counts after step ``t``, which is what coverage-curve measurements read.
     """
@@ -54,30 +66,83 @@ class WalkTrace:
     start: int
     budget: int
     steps: np.ndarray
-    visited: np.ndarray
-    covered_edges: np.ndarray
-    edge_count_per_step: np.ndarray
-    node_count_per_step: np.ndarray
+    graph: Graph
+
+    @cached_property
+    def first_visits(self) -> tuple[np.ndarray, np.ndarray]:
+        """(nodes, index): visited node ids ascending, and the 0-based step
+        index of each one's first visit."""
+        return _read_only(*np.unique(self.steps, return_index=True))
+
+    @cached_property
+    def _covered(self) -> tuple[np.ndarray, np.ndarray]:
+        """(edge ids ascending, 0-based step index at which each is first covered)."""
+        nodes, first = self.first_visits
+        order = np.argsort(first)
+        arc_idx, counts = self.graph.arcs(nodes[order])
+        # Arcs are grouped in first-visit order, so an edge's first arc
+        # carries the earlier first visit of its two endpoints.
+        eids, at = np.unique(self.graph.adj_edge_ids[arc_idx], return_index=True)
+        return _read_only(eids, np.repeat(first[order], counts)[at])
+
+    @property
+    def node_count_per_step(self) -> np.ndarray:
+        return np.cumsum(np.bincount(self.first_visits[1], minlength=self.budget))
+
+    @property
+    def edge_count_per_step(self) -> np.ndarray:
+        return np.cumsum(np.bincount(self._covered[1], minlength=self.budget))
 
     @property
     def unique_nodes(self) -> int:
-        return int(self.node_count_per_step[-1])
+        return int(self.first_visits[0].size)
 
     @property
     def covered_edge_count(self) -> int:
-        return int(self.edge_count_per_step[-1])
+        return int(self._covered[0].size)
 
     def visited_nodes(self) -> np.ndarray:
-        return np.flatnonzero(self.visited)
+        """Visited node ids, ascending."""
+        return self.first_visits[0]
+
+    def covered_edge_ids(self) -> np.ndarray:
+        """Covered edge ids, ascending."""
+        return self._covered[0]
+
+    @property
+    def visited(self) -> np.ndarray:
+        """Dense node membership mask (built on access)."""
+        mask = np.zeros(self.graph.n, dtype=bool)
+        mask[self.visited_nodes()] = True
+        return mask
+
+    @property
+    def covered_edges(self) -> np.ndarray:
+        """Dense edge membership mask (built on access)."""
+        mask = np.zeros(self.graph.m, dtype=bool)
+        mask[self.covered_edge_ids()] = True
+        return mask
 
 
 @dataclass(frozen=True)
 class BreadcrumbTable:
-    """First-visit predecessors of one walk (-1 for the start node)."""
+    """First-visit predecessors of one walk, derived from its trace."""
 
-    start: int
-    predecessor: np.ndarray
-    visited: np.ndarray
+    trace: WalkTrace
+
+    @property
+    def visited(self) -> np.ndarray:
+        return self.trace.visited
+
+    @property
+    def predecessor(self) -> np.ndarray:
+        """Dense node-indexed breadcrumbs (built on access): the node visited
+        just before each node's first visit, -1 for the start and unvisited
+        nodes."""
+        nodes, first = self.trace.first_visits
+        pred = np.full(self.trace.graph.n, -1, dtype=np.int64)
+        pred[nodes] = np.where(first > 0, self.trace.steps[first - 1], -1)
+        return pred
 
 
 def run_walk(g: Graph, start: int, budget: int, seed, walker_id: int = 0):
@@ -108,46 +173,24 @@ def run_walk(g: Graph, start: int, budget: int, seed, walker_id: int = 0):
     rng = np.random.default_rng(_as_seed_tuple(seed))
     uniform = rng.random(budget - 1)
 
-    steps = np.empty(budget, dtype=np.int64)
-    visited = np.zeros(g.n, dtype=bool)
-    pred = np.full(g.n, -1, dtype=np.int64)
-    covered = np.zeros(g.m, dtype=bool)
-    edge_counts = np.empty(budget, dtype=np.int64)
-    node_counts = np.empty(budget, dtype=np.int64)
-
-    indptr, adj, adj_eids = g.indptr, g.adj, g.adj_edge_ids
+    indptr, adj = g.indptr, g.adj
     cur = int(start)
-    n_edges = 0
-    n_nodes = 0
-    for t in range(budget):
-        steps[t] = cur
-        if not visited[cur]:
-            visited[cur] = True
-            n_nodes += 1
-            if t > 0:
-                pred[cur] = steps[t - 1]
-            eids = adj_eids[indptr[cur] : indptr[cur + 1]]
-            n_edges += int(eids.size) - int(np.count_nonzero(covered[eids]))
-            covered[eids] = True
-        edge_counts[t] = n_edges
-        node_counts[t] = n_nodes
-        if t < budget - 1:
-            lo = indptr[cur]
-            deg = int(indptr[cur + 1] - lo)
-            # min() guards the (measure-zero) float edge case u*deg == deg.
-            cur = int(adj[lo + min(int(uniform[t] * deg), deg - 1)])
+    steps = [cur]
+    for u in uniform.tolist():
+        lo = int(indptr[cur])
+        deg = int(indptr[cur + 1]) - lo
+        # min() guards the (measure-zero) float edge case u*deg == deg.
+        cur = int(adj[lo + min(int(u * deg), deg - 1)])
+        steps.append(cur)
 
     trace = WalkTrace(
         walker_id=walker_id,
         start=int(start),
         budget=int(budget),
-        steps=steps,
-        visited=visited,
-        covered_edges=covered,
-        edge_count_per_step=edge_counts,
-        node_count_per_step=node_counts,
+        steps=np.array(steps, dtype=np.int64),
+        graph=g,
     )
-    return trace, BreadcrumbTable(start=int(start), predecessor=pred, visited=visited)
+    return trace, BreadcrumbTable(trace)
 
 
 def retrace_to_start(bc: BreadcrumbTable, node: int) -> list[int]:
@@ -157,16 +200,14 @@ def retrace_to_start(bc: BreadcrumbTable, node: int) -> list[int]:
     beginning at ``node`` and ending at the start; retracing from the start
     itself yields the single-node path.
     """
-    if not 0 <= node < bc.visited.size or not bc.visited[node]:
+    nodes, first = bc.trace.first_visits
+    k = int(np.searchsorted(nodes, node))
+    if k == nodes.size or nodes[k] != node:
         raise ValueError(f"node {node} was not visited by this walker")
     path = [int(node)]
-    limit = int(bc.visited.size)
-    cur = int(node)
-    while cur != bc.start:
-        cur = int(bc.predecessor[cur])
-        if cur < 0 or len(path) > limit:
-            raise RuntimeError("corrupt breadcrumb table")
-        path.append(cur)
+    while first[k]:  # the breadcrumb is the step before the first visit
+        path.append(int(bc.trace.steps[first[k] - 1]))
+        k = int(np.searchsorted(nodes, path[-1]))
     return path
 
 
@@ -180,7 +221,7 @@ def naive_route(trace_i: WalkTrace, bc_i: BreadcrumbTable, trace_j: WalkTrace, b
     paths, so the route is valid in the graph but typically far from
     shortest: it inherits the walks' wandering.
     """
-    hits = trace_j.visited[trace_i.steps]
+    hits = np.isin(trace_i.steps, trace_j.visited_nodes())
     if not hits.any():
         return None
     meet = int(trace_i.steps[int(np.argmax(hits))])

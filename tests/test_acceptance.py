@@ -8,9 +8,9 @@ uniformly random edge, while a real neighbor-stepping walk revisits nodes
 (an immediate backtrack alone has probability 1/<k>, about 0.24 on the
 prescribed low-degree graph), so measured coverage runs 30-45% below the
 curve and the derived gamma_bar overestimates the attractor strength at
-c=1.  See notes/decisions.md in the repository history for the full
-analysis; the implementation itself is verified by brute-force oracles in
-the unit suites.
+c=1.  See the C1/C3 analysis in README.md ("Tests and acceptance suite");
+the implementation itself is verified by brute-force oracles in the unit
+suites.
 """
 
 import math

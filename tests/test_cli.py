@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from rwtopo import cli, load_edge_list
-from rwtopo.experiments import InvariantViolation
+from rwtopo import UNREACHABLE, ExperimentConfig, cli, load_edge_list
+from rwtopo.experiments import InvariantViolation, _one_run_records, _start_pool
 
 
 @pytest.fixture
@@ -82,6 +82,21 @@ def test_rwsp_star_meeting_report(tmp_path, capsys):
     assert pair["rwsp_spl"] == 2
     assert pair["naive_spl"] == 2
     assert out["walkers"][0]["known_peers"] == [1]
+
+
+def test_rwsp_random_starts_replays_eval_run_zero(pa_file, capsys):
+    args = ["rwsp", "--graph", str(pa_file), "--h", "5", "--random-starts", "--beta", "0.1", "--seed", "17"]
+    assert cli.main(args) == 0
+    out = json.loads(capsys.readouterr().out)
+    g = load_edge_list(pa_file)
+    cfg = ExperimentConfig(seed=17, h=5, beta=0.1, runs=1)
+    expected = _one_run_records(g, cfg, cfg.budget(g.n), _start_pool(g, cfg), 0)
+    recorded = [
+        tuple(UNREACHABLE if p[key] is None else p[key] for key in ("true_spl", "rwsp_spl"))
+        for p in out["pairs"]
+    ]
+    assert out["budget"] == cfg.budget(g.n)
+    assert recorded == expected
 
 
 def test_rwsp_requires_start_policy(pa_file, capsys):

@@ -34,6 +34,12 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(seed=1, h=3, fixed_starts=(0, 1))
 
+    def test_walker_ids_stay_below_the_start_stream_tag(self):
+        # walker 0xBEEF would be seeded like the start-drawing stream
+        with pytest.raises(ConfigError, match="at most"):
+            ExperimentConfig(seed=1, h=0xBEEF + 1)
+        assert ExperimentConfig(seed=1, h=0xBEEF).h == 0xBEEF
+
     def test_budget_rescaling(self):
         cfg = ExperimentConfig(seed=1, h=4, beta=0.4)
         assert cfg.budget(100) == 40

@@ -5,8 +5,10 @@ from rwtopo import (
     Graph,
     UNREACHABLE,
     bfs_distances,
+    grid_2d,
     naive_vs_rwsp,
     preferential_attachment,
+    retrace_to_start,
     routing_tree,
     run_rwsp,
     run_walk,
@@ -261,3 +263,109 @@ def test_generous_budget_makes_every_pair_mutually_known():
         if all(len(st.known_peers) == 3 for st in run.states):
             fully_linked += 1
     assert fully_linked >= 95
+
+
+def reference_protocol(g: Graph, starts, budget: int, seed) -> dict:
+    """Brute-force RWSP: a per-step scan of all walkers against a dense h x n
+    first-visit matrix, with hops counted by retracing breadcrumbs."""
+    h = len(starts)
+    walks = [run_walk(g, starts[i], budget, walker_seed(seed, i), walker_id=i) for i in range(h)]
+    traces = [tr for tr, _ in walks]
+    crumbs = [bc for _, bc in walks]
+    first_visit = np.zeros((h, g.n), dtype=np.int64)
+    for i in range(h):
+        for t, v in reversed(list(enumerate(traces[i].steps.tolist(), start=1))):
+            first_visit[i, v] = t
+
+    known = [set() for _ in range(h)]
+    contacts = [{} for _ in range(h)]
+    meetings = [[] for _ in range(h)]
+    pair_adv = {}
+    ties = 0
+    for t in range(1, budget + 1):
+        for i in range(h):
+            v = int(traces[i].steps[t - 1])
+            new = [
+                j
+                for j in range(h)
+                if j != i
+                and j not in known[i]
+                and first_visit[j, v]
+                and (first_visit[j, v] < t or (first_visit[j, v] == t and j < i))
+            ]
+            if not new:
+                continue
+            ties += sum(1 for j in new if first_visit[j, v] == t)
+            meetings[i].append((t, i, frozenset(new), v))
+            known[i].update(new)
+            contacts[i].setdefault(v, t)
+            for j in new:
+                pair_adv[(i, j)] = pair_adv.get((i, j), 0) + len(retrace_to_start(crumbs[j], v)) - 1
+                known[j].add(i)
+                contacts[j].setdefault(v, t)
+
+    pair_tr = {}
+    receptions = []
+    for i in range(h):
+        for j in sorted(known[i]):
+            contact = next(v for v in contacts[i] if traces[j].visited[v])
+            pair_tr[(i, j)] = (len(retrace_to_start(crumbs[i], contact)) - 1) + (
+                len(retrace_to_start(crumbs[j], contact)) - 1
+            )
+            receptions.append((j, contact))
+    for j, v in receptions:
+        contacts[j].setdefault(v, budget + 1)
+
+    groups = []
+    for i in range(h):
+        group, todo = {i}, [i]
+        while todo:
+            for j in known[todo.pop()] - group:
+                group.add(j)
+                todo.append(j)
+        groups.append(group)
+    node_masks = [np.any([traces[j].visited for j in grp], axis=0) for grp in groups]
+    edge_masks = [np.any([traces[j].covered_edges for j in grp], axis=0) for grp in groups]
+    return {
+        "meetings": meetings,
+        "direct_peers": [frozenset(k) for k in known],
+        "known_peers": [frozenset(grp - {i}) for i, grp in enumerate(groups)],
+        "contact_points": [frozenset(c) for c in contacts],
+        "pair_advertise_hops": pair_adv,
+        "pair_transfer_hops": pair_tr,
+        "node_masks": node_masks,
+        "edge_masks": edge_masks,
+        "ties": ties,
+    }
+
+
+def _oracle_instances():
+    yield path_graph(3), [0, 2], 2, 1  # both walkers reach node 1 in round 2
+    for k in range(6):
+        g = preferential_attachment(300, 2 + k % 2, seed=(61, k))
+        rng = np.random.default_rng((62, k))
+        h = (2, 4, 8, 16, 24, 32)[k]
+        yield g, [int(s) for s in rng.choice(g.n, size=h, replace=False)], 40 + 10 * k, (63, k)
+    for k in range(4):
+        g = grid_2d(12, 14)
+        rng = np.random.default_rng((64, k))
+        h = (3, 6, 12, 20)[k]
+        yield g, [int(s) for s in rng.choice(g.n, size=h, replace=False)], 30 + 15 * k, (65, k)
+
+
+def test_first_visit_replay_matches_the_per_step_scan():
+    ties = 0
+    for g, starts, budget, seed in _oracle_instances():
+        ref = reference_protocol(g, starts, budget, seed)
+        run = run_rwsp(g, starts, budget, seed)
+        ties += ref["ties"]
+        assert [[(e.t, e.finder, e.found, e.at) for e in m] for m in run.meetings] == ref["meetings"]
+        assert run.direct_peers == ref["direct_peers"]
+        assert [st.known_peers for st in run.states] == ref["known_peers"]
+        assert [st.contact_points for st in run.states] == ref["contact_points"]
+        assert run.pair_advertise_hops == ref["pair_advertise_hops"]
+        assert run.pair_transfer_hops == ref["pair_transfer_hops"]
+        for i, union in enumerate(run.unions):
+            assert (union.node_mask == ref["node_masks"][i]).all()
+            assert (union.edge_mask == ref["edge_masks"][i]).all()
+    assert ties >= 20  # same-round, lower-id-first collisions are exercised

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ from rwtopo import (
     Graph,
     bfs_distances,
     crossing_time,
+    grid_2d,
     naive_route,
     retrace_to_start,
     run_walk,
@@ -132,6 +134,18 @@ class TestRunWalk:
             run_walk(g, 0, 4, seed=s)[0].covered_edge_count for s in range(2000)
         ]
         assert abs(np.mean(sample) - exact) < 0.08
+
+    def test_short_walk_memory_scales_with_budget_not_graph(self):
+        g = grid_2d(400, 400)
+        run_walk(g, 0, 10, seed=1)  # warm-up: first-call allocations of numpy/RNG
+        tracemalloc.start()
+        try:
+            walk = run_walk(g, 0, 10, seed=2)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert walk[0].budget == 10
+        assert retained < 64 * 1024
 
     def test_errors(self):
         lonely = Graph(2, [[0, 1]])
