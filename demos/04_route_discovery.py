@@ -13,12 +13,12 @@ import numpy as np
 
 from rwtopo import (
     ExperimentConfig,
-    bfs_distances,
     emit_reports,
-    naive_vs_rwsp,
+    naive_route,
     preferential_attachment,
     run_experiment,
     run_rwsp,
+    score_pairs,
 )
 
 g = preferential_attachment(5000, 3, seed=424242)
@@ -39,13 +39,12 @@ for state, cost in zip(run.states, run.costs):
     )
 print()
 print("  pair  true  discovered  naive")
-for i in range(4):
-    true = bfs_distances(g, starts[i])
-    for j in range(4):
-        if j <= i or j not in run.direct_peers[i]:
-            continue
-        naive_len, rwsp_len = naive_vs_rwsp(run, i, j)
-        print(f"  {i}-{j}   {int(true[starts[j]]):4d}  {rwsp_len:10d}  {naive_len:5d}")
+for i, j, true_len, rwsp_len in score_pairs(g, run):
+    if j <= i or j not in run.direct_peers[i]:
+        continue
+    a, b = run.states[i], run.states[j]
+    naive_len = len(naive_route(a.trace, a.breadcrumbs, b.trace, b.breadcrumbs)) - 1
+    print(f"  {i}-{j}   {true_len:4d}  {rwsp_len:10d}  {naive_len:5d}")
 
 print()
 print("== 200-run stretch census ==")

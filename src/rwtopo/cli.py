@@ -29,6 +29,7 @@ from .experiments import (
     ExperimentConfig,
     InvariantViolation,
     _draw_starts,
+    _run_seed,
     _start_pool,
     coverage_validation,
     crossing_rate,
@@ -133,20 +134,15 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_rwsp(args) -> int:
-    g = _load_graph(args.graph)
-    if args.starts:
-        starts = [int(s) for s in args.starts.split(",")]
-        if len(starts) != args.h:
-            raise ConfigError(f"--starts must list exactly h={args.h} nodes")
-        seed = args.seed
-    elif args.random_starts:
-        # Run 0 of `eval --seed SEED` at the same h: same starts, same walks.
-        cfg = ExperimentConfig(seed=args.seed, h=args.h, beta=args.beta, runs=1)
-        starts = _draw_starts(cfg, _start_pool(g, cfg), 0)
-        seed = (args.seed, 0)
-    else:
+    if not (args.starts or args.random_starts):
         raise ConfigError("rwsp needs --starts or --random-starts")
-    budget = max(1, int(args.beta * g.n))
+    fixed = tuple(int(s) for s in args.starts.split(",")) if args.starts else None
+    cfg = ExperimentConfig(seed=args.seed, h=args.h, beta=args.beta, runs=1, fixed_starts=fixed)
+    g = _load_graph(args.graph)
+    budget = cfg.budget(g.n)
+    starts = _draw_starts(cfg, _start_pool(g, cfg), 0)
+    # Random starts replay run 0 of `eval --seed SEED` at the same h.
+    seed = args.seed if fixed else _run_seed(cfg, 0)
     run = run_rwsp(g, starts, budget, seed)
     states = run.states
 
@@ -186,6 +182,11 @@ def _cmd_rwsp(args) -> int:
     return 0
 
 
+def _truthy(s: str) -> bool:
+    return s.lower() in ("1", "true", "yes")
+
+
+# eval settings: config-file key (also the flag, with dashes) -> value parser.
 _EVAL_KEYS = {
     "graph": str,
     "synth": str,
@@ -193,11 +194,11 @@ _EVAL_KEYS = {
     "h": int,
     "beta": float,
     "runs": int,
-    "rescale_budget": lambda s: s.lower() in ("1", "true", "yes"),
+    "rescale_budget": _truthy,
     "workers": int,
     "starts": str,
     "coverage_taus": str,
-    "crossing": lambda s: s.lower() in ("1", "true", "yes"),
+    "crossing": _truthy,
     "c": float,
     "delta": int,
 }
@@ -227,15 +228,9 @@ def _cmd_eval(args) -> int:
         settings = _read_eval_config(args.config)
     # Flags override file values; boolean flags can only switch things on.
     for key in _EVAL_KEYS:
-        if key in ("rescale_budget", "crossing"):
-            continue
-        flag = getattr(args, key, None)
+        flag = getattr(args, key)
         if flag is not None:
             settings[key] = flag
-    if args.rescale_budget:
-        settings["rescale_budget"] = True
-    if args.crossing:
-        settings["crossing"] = True
 
     if "graph" in settings and "synth" in settings:
         raise ConfigError("give either graph= or synth=, not both")
@@ -338,19 +333,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int, required=True, help="master seed (mandatory)")
     p.add_argument("-o", "--out", required=True, help="output directory")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--graph")
-    p.add_argument("--synth")
-    p.add_argument("--synth-seed", type=int, dest="synth_seed")
-    p.add_argument("--h", type=int)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--runs", type=int)
-    p.add_argument("--rescale-budget", action="store_true", dest="rescale_budget")
-    p.add_argument("--workers", type=int)
-    p.add_argument("--starts")
-    p.add_argument("--coverage-taus", dest="coverage_taus")
-    p.add_argument("--crossing", action="store_true")
-    p.add_argument("--c", type=float)
-    p.add_argument("--delta", type=int)
+    for key, parse in _EVAL_KEYS.items():
+        flag = "--" + key.replace("_", "-")
+        if parse is _truthy:
+            p.add_argument(flag, action="store_true", default=None, dest=key)
+        else:
+            p.add_argument(flag, type=parse, dest=key)
     p.set_defaults(func=_cmd_eval)
 
     return parser

@@ -15,7 +15,7 @@ import math
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +26,14 @@ from .coverage import (
     crossing_probability_bound,
     expected_edge_fraction,
 )
-from .graph import Graph, UNREACHABLE, bfs_distances, degree_moments, giant_component
+from .graph import (
+    Graph,
+    UNREACHABLE,
+    bfs_distances,
+    degree_moments,
+    giant_component,  # noqa: F401  (not called here; rwbench/tracing.py wraps it by name)
+    giant_members,
+)
 from .rwsp import ProtocolRun, routing_tree, run_rwsp
 from .walker import _as_seed_tuple, crossing_time, run_walk, walker_seed
 
@@ -257,8 +264,7 @@ def _start_pool(g: Graph, cfg: ExperimentConfig) -> np.ndarray:
             if not 0 <= s < g.n or g.degree(s) < 1:
                 raise ConfigError(f"fixed start {s} is invalid or isolated")
         return np.asarray(cfg.fixed_starts, dtype=np.int64)
-    _, mapping = giant_component(g)
-    members = np.flatnonzero(mapping >= 0)
+    members = giant_members(g)
     if members.size < cfg.h:
         raise ConfigError(
             f"giant component has {members.size} nodes; need at least h={cfg.h}"
@@ -490,19 +496,6 @@ def _json_dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _config_dict(cfg: ExperimentConfig) -> dict:
-    return {
-        "seed": cfg.seed,
-        "h": cfg.h,
-        "beta": cfg.beta,
-        "runs": cfg.runs,
-        "rescale_budget": cfg.rescale_budget,
-        "fixed_starts": list(cfg.fixed_starts) if cfg.fixed_starts else None,
-        "workers": cfg.workers,
-        "graph_source": cfg.graph_source,
-    }
-
-
 def emit_reports(result: ExperimentResult, fmt: str = "csv", destination=None) -> list[Path]:
     """Write plot-ready experiment reports into ``destination``.
 
@@ -523,22 +516,9 @@ def emit_reports(result: ExperimentResult, fmt: str = "csv", destination=None) -
 
     crossing_dict = None
     if result.crossing is not None:
-        cr = result.crossing
-        crossing_dict = {
-            "runs": cr.runs,
-            "budget": cr.budget,
-            "non_crossing_rate": cr.non_crossing_rate,
-            "gamma_bar": cr.gamma_bar,
-            "empirical_gamma": cr.empirical_gamma,
-            "c": cr.c,
-            "delta": cr.delta,
-            "exponent": cr.exponent,
-            "bound": cr.bound,
-            "conditional_hit_rate": None
-            if math.isnan(cr.conditional_hit_rate)
-            else cr.conditional_hit_rate,
-            "conditional_samples": cr.conditional_samples,
-        }
+        crossing_dict = asdict(result.crossing)
+        if math.isnan(crossing_dict["conditional_hit_rate"]):
+            crossing_dict["conditional_hit_rate"] = None
 
     written: list[Path] = []
 
@@ -549,7 +529,7 @@ def emit_reports(result: ExperimentResult, fmt: str = "csv", destination=None) -
 
     metadata = {
         "version": f"rwtopo {__version__}",
-        "config": _config_dict(result.config),
+        "config": asdict(result.config),
         "budget": result.budget,
         "graph": {"n": result.graph_n, "m": result.graph_m},
         "summary": result.summary,
@@ -571,17 +551,7 @@ def emit_reports(result: ExperimentResult, fmt: str = "csv", destination=None) -
                 "counts": result.stretch.counts.tolist(),
                 "row_normalized": result.stretch.row_normalized().tolist(),
             },
-            "coverage": None
-            if result.coverage is None
-            else [
-                {
-                    "tau": r.tau,
-                    "empirical_mean": r.empirical_mean,
-                    "empirical_std": r.empirical_std,
-                    "predicted": r.predicted,
-                }
-                for r in result.coverage
-            ],
+            "coverage": None if result.coverage is None else [asdict(r) for r in result.coverage],
             "crossing": crossing_dict,
         }
         put("results.json", _json_dump(payload))

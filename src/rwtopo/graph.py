@@ -1,4 +1,4 @@
-"""Compact undirected graphs with CSR adjacency, edge ids, and BFS oracles.
+"""Compact undirected graphs with CSR adjacency, edge ids, and a BFS distance oracle.
 
 Node ids are dense integers ``0..n-1`` and every undirected edge carries a
 stable id ``0..m-1``, so visited-node sets and covered-edge sets can be flat
@@ -228,99 +228,112 @@ def write_edge_list(g: Graph, dest: Union[str, os.PathLike, IO], use_original_id
 # -- traversal ------------------------------------------------------------------
 
 
-def bfs_tree(g: Graph, source: int, edge_mask: np.ndarray | None = None):
-    """Breadth-first hop distances and predecessors from ``source``.
+def _flood(g: Graph, labels: np.ndarray, source: int, step: int, edge_mask: np.ndarray | None = None) -> None:
+    """Label every unlabelled node reachable from ``source``, level by level.
+
+    ``labels`` holds a negative value for unlabelled nodes and the caller has
+    labelled ``source``; a node first reached at level k gets
+    ``labels[source] + k * step``.  With ``edge_mask`` only edges with a true
+    mask entry are traversed.
+    """
+    frontier = np.array([source], dtype=np.int64)
+    value = labels[source]
+    while True:
+        arc_idx = g.arcs(frontier)[0]
+        if edge_mask is not None:
+            arc_idx = arc_idx[edge_mask[g.adj_edge_ids[arc_idx]]]
+        nbrs = g.adj[arc_idx]
+        nbrs = nbrs[labels[nbrs] < 0]
+        if nbrs.size == 0:
+            return
+        # Deduplicate without sorting: each candidate parks its own negative
+        # code in its node's slot, and exactly one code per node survives,
+        # whichever write numpy applies last.
+        code = -2 - np.arange(nbrs.size)
+        labels[nbrs] = code
+        frontier = nbrs[labels[nbrs] == code]
+        value += step
+        labels[frontier] = value
+
+
+def bfs_distances(g: Graph, source: int, edge_mask: np.ndarray | None = None) -> np.ndarray:
+    """Breadth-first hop distances from ``source`` (UNREACHABLE where no path exists).
 
     When ``edge_mask`` (a boolean array over edge ids) is given, only edges
     with a true mask entry are traversed, i.e. the search runs on a subgraph
     of ``g`` sharing its node ids.
-
-    Returns
-    -------
-    (dist, parent) : pair of int64 arrays of length n
-        ``dist`` holds hop counts with UNREACHABLE for nodes not reached;
-        ``parent`` holds the BFS predecessor (-1 for the source and for
-        unreached nodes).  Parent choice is deterministic: the smallest-id
-        frontier node at the previous level wins ties.
     """
     if not 0 <= source < g.n:
         raise ValueError(f"source {source} out of range")
     dist = np.full(g.n, UNREACHABLE, dtype=np.int64)
-    parent = np.full(g.n, -1, dtype=np.int64)
     dist[source] = 0
-    frontier = np.array([source], dtype=np.int64)
-    depth = 0
-    while frontier.size:
-        arc_idx, counts = g.arcs(frontier)
-        nbrs = g.adj[arc_idx]
-        srcs = np.repeat(frontier, counts)
-        if edge_mask is not None:
-            keep = edge_mask[g.adj_edge_ids[arc_idx]]
-            nbrs = nbrs[keep]
-            srcs = srcs[keep]
-        fresh = dist[nbrs] == UNREACHABLE
-        nbrs = nbrs[fresh]
-        srcs = srcs[fresh]
-        uniq, first = np.unique(nbrs, return_index=True)
-        if uniq.size == 0:
-            break
-        depth += 1
-        dist[uniq] = depth
-        parent[uniq] = srcs[first]
-        frontier = uniq
-    return dist, parent
-
-
-def bfs_distances(g: Graph, source: int, edge_mask: np.ndarray | None = None) -> np.ndarray:
-    """Hop distances from ``source`` (UNREACHABLE where no path exists)."""
-    dist, _ = bfs_tree(g, source, edge_mask)
+    _flood(g, dist, source, 1, edge_mask)
     return dist
 
 
-def component_labels(g: Graph) -> tuple[np.ndarray, list[int]]:
-    """Label connected components in discovery order; returns (labels, sizes)."""
+def bfs_parents(g: Graph, dist: np.ndarray, edge_mask: np.ndarray | None = None) -> np.ndarray:
+    """Breadth-first tree predecessors derived from the distances ``dist``.
+
+    ``dist`` is a :func:`bfs_distances` result for the same ``edge_mask``.
+    Each reached node other than the source gets its smallest-id neighbour
+    one level closer to the source; the source and unreached nodes get -1.
+    """
+    src = np.repeat(np.arange(g.n), g.degrees)
+    level = dist[src]
+    closer = (level > 0) & (dist[g.adj] == level - 1)
+    if edge_mask is not None:
+        closer &= edge_mask[g.adj_edge_ids]
+    # Arcs are sorted by (source, neighbour), so each node's first closer arc
+    # leads to its smallest-id closer neighbour.
+    nodes, first = np.unique(src[closer], return_index=True)
+    parent = np.full(g.n, -1, dtype=np.int64)
+    parent[nodes] = g.adj[closer][first]
+    return parent
+
+
+def component_labels(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Connected components as (labels, sizes).
+
+    Labels are numbered in order of each component's smallest node id;
+    ``sizes[c]`` is the node count of component ``c``.
+    """
     labels = np.full(g.n, -1, dtype=np.int64)
-    sizes: list[int] = []
+    comp = 0
     for seed in range(g.n):
-        if labels[seed] >= 0:
-            continue
-        comp = len(sizes)
-        labels[seed] = comp
-        frontier = np.array([seed], dtype=np.int64)
-        size = 1
-        while frontier.size:
-            nbrs = g.adj[g.arcs(frontier)[0]]
-            nbrs = np.unique(nbrs[labels[nbrs] < 0])
-            labels[nbrs] = comp
-            size += int(nbrs.size)
-            frontier = nbrs
-        sizes.append(size)
-    return labels, sizes
+        if labels[seed] < 0:
+            labels[seed] = comp
+            _flood(g, labels, seed, 0)
+            comp += 1
+    return labels, np.bincount(labels)
+
+
+def giant_members(g: Graph) -> np.ndarray:
+    """Node ids of the largest connected component, ascending.
+
+    Ties on size are broken by the smallest minimum original node id (dense
+    ids double as original ids when the graph was never remapped).
+    """
+    labels, sizes = component_labels(g)
+    originals = g.original_ids if g.original_ids is not None else np.arange(g.n)
+    min_original = np.full(sizes.size, np.iinfo(np.int64).max)
+    np.minimum.at(min_original, labels, originals)
+    largest = np.flatnonzero(sizes == sizes.max())
+    best = largest[np.argmin(min_original[largest])]
+    return np.flatnonzero(labels == best)
 
 
 def giant_component(g: Graph) -> tuple[Graph, np.ndarray]:
-    """Induced subgraph on the largest connected component.
+    """Induced subgraph on the largest connected component (see :func:`giant_members`).
 
-    Ties on size are broken by the smallest minimum original node id (dense
-    ids double as original ids when the graph was never remapped).  Returns
-    the subgraph plus an old-to-new id mapping (-1 for nodes outside it).
+    Returns the subgraph plus an old-to-new id mapping (-1 for nodes outside
+    it).
     """
-    labels, sizes = component_labels(g)
-    best = max(range(len(sizes)), key=lambda c: (sizes[c], -_min_original(g, labels, c)))
-    members = np.flatnonzero(labels == best)
+    members = giant_members(g)
     mapping = np.full(g.n, -1, dtype=np.int64)
     mapping[members] = np.arange(members.size)
-    keep = labels[g.edges[:, 0]] == best
-    sub_edges = mapping[g.edges[keep]]
+    sub_edges = mapping[g.edges[mapping[g.edges[:, 0]] >= 0]]
     originals = g.original_ids[members] if g.original_ids is not None else members
-    return Graph(members.size, sub_edges, original_ids=originals.copy()), mapping
-
-
-def _min_original(g: Graph, labels: np.ndarray, comp: int) -> int:
-    members = np.flatnonzero(labels == comp)
-    if g.original_ids is not None:
-        return int(g.original_ids[members].min())
-    return int(members.min())
+    return Graph(members.size, sub_edges, original_ids=originals), mapping
 
 
 def path_stretch(d_sub, d_true) -> float:
@@ -352,5 +365,5 @@ def stats_report(g: Graph) -> dict:
         "mean_degree": mom.mean_degree,
         "second_moment": mom.second_moment,
         "q": mom.q,
-        "giant_component_fraction": max(sizes) / g.n,
+        "giant_component_fraction": int(sizes.max()) / g.n,
     }

@@ -25,11 +25,12 @@ first visit of the meeting node.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .graph import Graph, UNREACHABLE, bfs_tree, component_labels
-from .walker import BreadcrumbTable, WalkTrace, naive_route, run_walk, walker_seed
+from .graph import Graph, UNREACHABLE, bfs_distances, bfs_parents, component_labels
+from .walker import BreadcrumbTable, WalkTrace, run_walk, walker_seed
 
 
 @dataclass(frozen=True)
@@ -90,11 +91,20 @@ class UnionSubgraph:
 
 @dataclass(frozen=True)
 class RoutingTree:
-    """Breadth-first shortest-path tree of a union subgraph."""
+    """Breadth-first shortest-path tree of a union subgraph.
+
+    Only the depths are searched for; ``parent`` is derived from them on
+    first access (each node's smallest-id union neighbour one level closer
+    to the root).
+    """
 
     root: int
-    parent: np.ndarray
     depth: np.ndarray
+    union: UnionSubgraph
+
+    @cached_property
+    def parent(self) -> np.ndarray:
+        return bfs_parents(self.union.graph, self.depth, self.union.edge_mask)
 
     def path_from_root(self, node: int) -> list[int]:
         if self.depth[node] == UNREACHABLE:
@@ -145,11 +155,6 @@ def run_rwsp(g: Graph, starts, budget: int, seed) -> ProtocolRun:
         raise ValueError("need at least two walkers")
     if len(set(starts)) != h:
         raise ValueError("start nodes must be distinct")
-    for s in starts:
-        if not 0 <= s < g.n:
-            raise ValueError(f"start node {s} out of range")
-        if g.degree(s) < 1:
-            raise ValueError(f"start node {s} is isolated")
 
     walks = [run_walk(g, s, budget, walker_seed(seed, i), walker_id=i) for i, s in enumerate(starts)]
     traces = [tr for tr, _ in walks]
@@ -255,36 +260,4 @@ def routing_tree(union: UnionSubgraph, root: int) -> RoutingTree:
     """
     if not 0 <= root < union.graph.n or not union.node_mask[root]:
         raise ValueError(f"root {root} is not part of the union subgraph")
-    dist, parent = bfs_tree(union.graph, root, edge_mask=union.edge_mask)
-    return RoutingTree(root=int(root), parent=parent, depth=dist)
-
-
-def rwsp_path_length(run: ProtocolRun, i: int, j: int) -> int:
-    """Discovered route length (hops) from walker i's start to walker j's.
-
-    UNREACHABLE when the walkers never became peers or j's start is not
-    reachable inside G*(i).
-    """
-    if i == j:
-        raise ValueError("walker pair must be distinct")
-    if j not in run.states[i].known_peers:
-        return UNREACHABLE
-    tree = routing_tree(run.unions[i], run.starts[i])
-    return int(tree.depth[run.starts[j]])
-
-
-def naive_vs_rwsp(run: ProtocolRun, i: int, j: int) -> tuple[int, int]:
-    """Side-by-side (naive breadcrumb route, discovered shortest route) lengths.
-
-    Requires a direct meeting: the naive route only exists when the two
-    walks actually shared a node.
-    """
-    route = naive_route(
-        run.states[i].trace,
-        run.states[i].breadcrumbs,
-        run.states[j].trace,
-        run.states[j].breadcrumbs,
-    )
-    if route is None:
-        raise ValueError(f"walkers {i} and {j} never met")
-    return len(route) - 1, rwsp_path_length(run, i, j)
+    return RoutingTree(root=int(root), depth=bfs_distances(union.graph, root, union.edge_mask), union=union)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from rwtopo import Graph
+from rwtopo import Graph, naive_route, score_pairs
 
 
 def triangle() -> Graph:
@@ -39,3 +39,15 @@ def assert_valid_path(g: Graph, path) -> None:
 
 def degree_multiset(g: Graph) -> list[int]:
     return sorted(int(d) for d in g.degrees)
+
+
+def discovered_lengths(run) -> dict:
+    """(i, j) -> discovered route length for every ordered walker pair of ``run``."""
+    return {(i, j): dd for i, j, _, dd in score_pairs(run.graph, run)}
+
+
+def naive_length(run, i: int, j: int):
+    """Hops of the breadcrumb route between walkers i and j, None if they never met."""
+    a, b = run.states[i], run.states[j]
+    route = naive_route(a.trace, a.breadcrumbs, b.trace, b.breadcrumbs)
+    return None if route is None else len(route) - 1

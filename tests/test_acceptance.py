@@ -33,7 +33,6 @@ from rwtopo import (
     giant_component,
     grid_2d,
     linear_edge_coverage,
-    naive_vs_rwsp,
     node_coverage,
     power_law_degrees,
     powerlaw_edge_coverage,
@@ -42,8 +41,8 @@ from rwtopo import (
     routing_tree,
     run_experiment,
     run_rwsp,
-    rwsp_path_length,
 )
+from helpers import discovered_lengths, naive_length
 
 
 def verdict(cid: str, ok: bool, detail: str) -> None:
@@ -151,6 +150,7 @@ def test_c4_routing_soundness_sweep():
         starts = [int(x) for x in rng.choice(eligible, size=h, replace=False)]
         budget = max(2, int(rng.uniform(0.1, 0.6) * g.n))
         run = run_rwsp(g, starts, budget, seed=(4242, k, 7))
+        found = discovered_lengths(run)
         for i in range(h):
             true_dist = bfs_distances(g, starts[i])
             tree = routing_tree(run.unions[i], starts[i])
@@ -159,13 +159,12 @@ def test_c4_routing_soundness_sweep():
             for j in range(h):
                 if i == j:
                     continue
-                discovered = rwsp_path_length(run, i, j)
+                discovered = found[(i, j)]
                 if discovered != UNREACHABLE:
                     true = int(true_dist[starts[j]])
                     assert true != UNREACHABLE and discovered >= true
                 if j in run.direct_peers[i]:
-                    naive_len, rwsp_len = naive_vs_rwsp(run, i, j)
-                    assert rwsp_len <= naive_len
+                    assert discovered <= naive_length(run, i, j)
             crumbs = run.states[i].breadcrumbs
             for v in run.states[i].trace.visited_nodes():
                 path = retrace_to_start(crumbs, int(v))

@@ -103,6 +103,19 @@ def test_rwsp_requires_start_policy(pa_file, capsys):
     assert cli.main(["rwsp", "--graph", str(pa_file), "--seed", "1"]) == 1
 
 
+@pytest.mark.parametrize(
+    "policy, beta, message",
+    [
+        (["--starts", "0,5"], "-3", "beta must lie in (0, 1)"),
+        (["--random-starts"], "0.001", "yields zero steps"),  # 0.001 * 120 nodes < 1 step
+    ],
+)
+def test_rwsp_validates_beta_like_eval(pa_file, capsys, policy, beta, message):
+    args = ["rwsp", "--graph", str(pa_file), "--h", "2", "--beta", beta, "--seed", "1"]
+    assert cli.main(args + policy) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_eval_config_file_with_flag_overrides(tmp_path, capsys):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text(

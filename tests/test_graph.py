@@ -12,7 +12,7 @@ from rwtopo import (
     EdgeListParseError,
     Graph,
     bfs_distances,
-    bfs_tree,
+    bfs_parents,
     degree_moments,
     giant_component,
     load_edge_list,
@@ -203,7 +203,8 @@ class TestBfs:
 
     def test_tree_parents_realize_distances(self):
         g = load_edge_list(b"0 1\n1 2\n2 3\n3 0\n0 2\n2 4\n4 5\n")
-        dist, parent = bfs_tree(g, 0)
+        dist = bfs_distances(g, 0)
+        parent = bfs_parents(g, dist)
         for v in range(g.n):
             if v == 0 or dist[v] == UNREACHABLE:
                 continue

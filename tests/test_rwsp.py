@@ -6,16 +6,23 @@ from rwtopo import (
     UNREACHABLE,
     bfs_distances,
     grid_2d,
-    naive_vs_rwsp,
     preferential_attachment,
     retrace_to_start,
     routing_tree,
     run_rwsp,
     run_walk,
-    rwsp_path_length,
     walker_seed,
 )
-from helpers import assert_valid_path, cycle, path_graph, star, triangle, two_triangles
+from helpers import (
+    assert_valid_path,
+    cycle,
+    discovered_lengths,
+    naive_length,
+    path_graph,
+    star,
+    triangle,
+    two_triangles,
+)
 
 
 class TestStarMeeting:
@@ -28,8 +35,8 @@ class TestStarMeeting:
         assert 0 in run.states[1].contact_points
         # the whole star is discovered by either walker alone
         assert run.unions[0].edge_mask.all()
-        assert rwsp_path_length(run, 0, 1) == 2
-        assert naive_vs_rwsp(run, 0, 1) == (2, 2)
+        assert discovered_lengths(run)[(0, 1)] == 2
+        assert naive_length(run, 0, 1) == 2
 
     def test_meeting_event_bookkeeping(self):
         g = path_graph(3)  # 0-1-2, walkers from both ends meet at node 1
@@ -56,7 +63,7 @@ class TestDisconnected:
         run = run_rwsp(two_triangles(), [0, 3], 4, seed=7)
         assert run.states[0].known_peers == frozenset()
         assert run.states[1].known_peers == frozenset()
-        assert rwsp_path_length(run, 0, 1) == UNREACHABLE
+        assert discovered_lengths(run)[(0, 1)] == UNREACHABLE
         assert int(run.unions[0].edge_mask.sum()) == 3
         assert int(run.unions[1].edge_mask.sum()) == 3
         assert not (run.unions[0].edge_mask & run.unions[1].edge_mask).any()
@@ -97,12 +104,13 @@ class TestPathLengths:
             rng = np.random.default_rng((9, seed))
             starts = [int(x) for x in rng.choice(60, size=3, replace=False)]
             run = run_rwsp(g, starts, 20, seed=(10, seed))
+            found = discovered_lengths(run)
             for i in range(3):
                 true = bfs_distances(g, starts[i])
                 for j in range(3):
                     if i == j:
                         continue
-                    d = rwsp_path_length(run, i, j)
+                    d = found[(i, j)]
                     if d != UNREACHABLE:
                         assert d >= int(true[starts[j]])
 
@@ -110,10 +118,11 @@ class TestPathLengths:
         for seed in range(15):
             g = preferential_attachment(50, 2, seed=(12, seed))
             run = run_rwsp(g, [0, 10, 20, 30], 25, seed=(13, seed))
+            found = discovered_lengths(run)
             for i in range(4):
                 for j in run.states[i].known_peers:
                     assert i in run.states[j].known_peers
-                    assert rwsp_path_length(run, i, j) == rwsp_path_length(run, j, i)
+                    assert found[(i, j)] == found[(j, i)]
 
     def test_union_subgraphs_identical_within_a_group(self):
         g = preferential_attachment(50, 2, seed=77)
@@ -138,26 +147,24 @@ class TestPathLengths:
             tree = routing_tree(run.unions[0], 0)
             path = tree.path_from_root(30)
             assert_valid_path(g, path)
-            assert len(path) - 1 == rwsp_path_length(run, 0, 1)
+            assert len(path) - 1 == discovered_lengths(run)[(0, 1)]
 
     def test_self_pair_rejected(self):
-        run = run_rwsp(triangle(), [0, 1], 2, seed=0)
-        with pytest.raises(ValueError):
-            rwsp_path_length(run, 1, 1)
+        run = run_rwsp(triangle(), [0, 1, 2], 2, seed=0)
+        assert sorted(discovered_lengths(run)) == [(i, j) for i in range(3) for j in range(3) if i != j]
 
 
 class TestNaiveVsRwsp:
     def test_star_is_optimal_for_both(self):
         run = run_rwsp(star(4), [1, 2], 2, seed=9)
-        assert naive_vs_rwsp(run, 0, 1) == (2, 2)
+        assert (naive_length(run, 0, 1), discovered_lengths(run)[(0, 1)]) == (2, 2)
 
     def test_discovered_route_never_longer_than_naive(self):
         for seed in range(40):
             g = preferential_attachment(50, 2, seed=(31, seed))
             run = run_rwsp(g, [0, 25], 20, seed=(32, seed))
             if 1 in run.direct_peers[0]:
-                naive_len, rwsp_len = naive_vs_rwsp(run, 0, 1)
-                assert rwsp_len <= naive_len
+                assert discovered_lengths(run)[(0, 1)] <= naive_length(run, 0, 1)
 
     def test_cycle_walks_expose_the_naive_drawback(self):
         # wandering walks install detours the union-topology BFS avoids
@@ -171,7 +178,7 @@ class TestNaiveVsRwsp:
             if 1 not in run.direct_peers[0]:
                 continue
             met += 1
-            naive_len, rwsp_len = naive_vs_rwsp(run, 0, 1)
+            naive_len, rwsp_len = naive_length(run, 0, 1), discovered_lengths(run)[(0, 1)]
             assert rwsp_len <= naive_len
             if naive_len > rwsp_len:
                 strictly_better += 1
@@ -180,8 +187,7 @@ class TestNaiveVsRwsp:
 
     def test_requires_a_direct_meeting(self):
         run = run_rwsp(two_triangles(), [0, 3], 4, seed=7)
-        with pytest.raises(ValueError, match="never met"):
-            naive_vs_rwsp(run, 0, 1)
+        assert naive_length(run, 0, 1) is None
 
 
 class TestProtocolDeterminismAndScheduling:
