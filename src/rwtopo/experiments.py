@@ -33,8 +33,10 @@ from .graph import (
     degree_moments,
     giant_component,  # noqa: F401  (not called here; rwbench/tracing.py wraps it by name)
     giant_members,
+    pair_distances,
 )
-from .rwsp import ProtocolRun, routing_tree, run_rwsp
+from .rwsp import ProtocolRun, run_rwsp
+from .rwsp import routing_tree  # noqa: F401  (not called here; rwbench/tracing.py wraps it by name)
 from .walker import _as_seed_tuple, crossing_time, run_walk, walker_seed
 
 # Stream tag for start-node sampling; must not collide with walker ids, so h
@@ -282,17 +284,26 @@ def _draw_starts(cfg: ExperimentConfig, members: np.ndarray, run_index: int) -> 
 def score_pairs(g: Graph, run: ProtocolRun):
     """Yield ``(i, j, d_true, d_discovered)`` for every ordered walker pair.
 
-    One true-distance BFS and one routing tree per walker; ``d_discovered``
-    is UNREACHABLE unless j is a known peer of i.
+    One true-distance BFS per walker.  Every walker of a meeting-connected
+    group routes on the group's shared union G*, so one :func:`pair_distances`
+    search per group of two or more walkers gives the routing-tree depth of
+    every member's start from every other's.  ``d_discovered`` is
+    UNREACHABLE unless j is a known peer of i; walkers without peers are not
+    searched.
     """
+    discovered = np.full((run.h, run.h), UNREACHABLE, dtype=np.int64)
+    for i, state in enumerate(run.states):
+        if state.known_peers and i < min(state.known_peers):  # the group's lowest id searches
+            group = [i, *sorted(state.known_peers)]
+            union = run.unions[i]
+            starts = [run.starts[j] for j in group]
+            discovered[np.ix_(group, group)] = pair_distances(union.graph, starts, union.edge_mask)
     for i, start in enumerate(run.starts):
         true_dist = bfs_distances(g, start)
-        tree = routing_tree(run.unions[i], start)
+        row = discovered[i].tolist()
         for j, target in enumerate(run.starts):
-            if j == i:
-                continue
-            known = j in run.states[i].known_peers
-            yield i, j, int(true_dist[target]), int(tree.depth[target]) if known else UNREACHABLE
+            if j != i:
+                yield i, j, int(true_dist[target]), row[j]
 
 
 def _one_run_records(g: Graph, cfg: ExperimentConfig, budget: int, members: np.ndarray, run_index: int):

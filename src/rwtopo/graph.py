@@ -1,4 +1,4 @@
-"""Compact undirected graphs with CSR adjacency, edge ids, and a BFS distance oracle.
+"""Compact undirected graphs with CSR adjacency, edge ids, and BFS distance oracles.
 
 Node ids are dense integers ``0..n-1`` and every undirected edge carries a
 stable id ``0..m-1``, so visited-node sets and covered-edge sets can be flat
@@ -104,10 +104,7 @@ class Graph:
         array holds each node's degree, so ``np.repeat(x, counts)`` aligns a
         per-node value ``x`` with the arcs.
         """
-        starts = self.indptr[nodes]
-        counts = self.indptr[nodes + 1] - starts
-        base = np.cumsum(counts) - counts
-        return np.repeat(starts - base, counts) + np.arange(int(counts.sum())), counts
+        return _arc_positions(self.indptr, nodes)
 
     def has_edge(self, u: int, v: int) -> bool:
         nbrs = self.neighbors(u)
@@ -116,6 +113,14 @@ class Graph:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Graph(n={self.n}, m={self.m})"
+
+
+def _arc_positions(indptr: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:meth:`Graph.arcs` over any CSR row pointer ``indptr``."""
+    starts = indptr[nodes]
+    counts = indptr[nodes + 1] - starts
+    base = np.cumsum(counts) - counts
+    return np.repeat(starts - base, counts) + np.arange(int(counts.sum())), counts
 
 
 @dataclass(frozen=True)
@@ -271,6 +276,101 @@ def bfs_distances(g: Graph, source: int, edge_mask: np.ndarray | None = None) ->
     return dist
 
 
+def _masked_csr(g: Graph, edge_mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(indptr, adj) of the subgraph of ``g`` with the edges in ``edge_mask``.
+
+    Kept arcs stay in CSR order, so each node's new row start is the number
+    of kept arcs before its old one.
+    """
+    keep = edge_mask[g.adj_edge_ids]
+    kept_before = np.zeros(keep.size + 1, dtype=np.int64)
+    np.cumsum(keep, out=kept_before[1:])
+    return kept_before[g.indptr], g.adj[keep]
+
+
+# A pair_distances level pushes from its frontier when the frontier's arcs are
+# at most this share of the searched subgraph's arcs, and pulls otherwise.  A
+# pushed arc (scatter with np.bitwise_or.at, then deduplication) costs several
+# times a pulled one (gather plus np.bitwise_or.reduceat), but a pull scans
+# every arc of the subgraph: the wide middle levels of a power-law search are
+# cheaper to pull, the many small levels of a path-like one (a grid) to push.
+_PUSH_SHARE = 0.1
+
+
+def pair_distances(g: Graph, nodes, edge_mask: np.ndarray | None = None) -> np.ndarray:
+    """Hop distances among ``nodes`` as a k x k matrix (UNREACHABLE where no path exists).
+
+    Entry ``[a, b]`` is the distance between ``nodes[a]`` and ``nodes[b]``;
+    ``edge_mask`` restricts the search as in :func:`bfs_distances`.  Up to 64
+    sources are searched at once, one bit per source in a ``uint64`` word per
+    node (Then et al., "The More the Merrier", PVLDB 2014).  Each level
+    pushes from the frontier while the frontier's arcs are a small share of
+    the searched arcs, and otherwise pulls into every node with an arc
+    (Beamer et al., SC'12).  A block of sources stops once every one of
+    ``nodes`` has been reached from all of them, or once a level reaches
+    nothing new.
+    """
+    nodes = np.asarray(nodes, dtype=np.int64).reshape(-1)
+    if nodes.size and not (0 <= nodes.min() and nodes.max() < g.n):
+        raise ValueError("node id out of range")
+    indptr, adj = (g.indptr, g.adj) if edge_mask is None else _masked_csr(g, edge_mask)
+    deg = np.diff(indptr)
+    pullers = np.flatnonzero(deg)
+    pull_starts = indptr[pullers]
+    push_limit = _PUSH_SHARE * adj.size
+
+    seen = np.zeros(g.n, dtype=np.uint64)
+    frontier = np.zeros(g.n, dtype=np.uint64)
+    pushed = np.zeros(g.n, dtype=np.uint64)
+    park = np.empty(g.n, dtype=np.int64)
+    gathered = np.empty(adj.size, dtype=np.uint64)
+    pulled = np.empty(pullers.size, dtype=np.uint64)
+    unseen = np.empty(pullers.size, dtype=np.uint64)
+    dist = np.full((nodes.size, nodes.size), UNREACHABLE, dtype=np.int64)
+
+    for lo in range(0, nodes.size, 64):
+        block = nodes[lo : lo + 64]
+        shifts = np.arange(block.size, dtype=np.uint64)
+        bits = np.left_shift(np.uint64(1), shifts)
+        everyone = np.bitwise_or.reduce(bits)
+        np.bitwise_or.at(frontier, block, bits)
+        active = np.unique(block)
+        seen.fill(0)
+        seen[active] = frontier[active]
+        level = 0
+        while True:
+            reached = frontier[nodes]
+            if reached.any():
+                rows, cols = np.nonzero((reached[:, None] >> shifts) & np.uint64(1))
+                dist[rows, lo + cols] = level
+            if active.size == 0 or (seen[nodes] == everyone).all():
+                break
+            level += 1
+            if deg[active].sum() <= push_limit:
+                arcs, counts = _arc_positions(indptr, active)
+                targets = adj[arcs]
+                np.bitwise_or.at(pushed, targets, np.repeat(frontier[active], counts))
+                # Deduplicate the targets without sorting, as in _flood.
+                code = np.arange(targets.size)
+                park[targets] = code
+                touched = targets[park[targets] == code]
+                words = pushed[touched] & ~seen[touched]
+                pushed[touched] = 0
+            else:
+                np.take(frontier, adj, out=gathered)
+                np.bitwise_or.reduceat(gathered, pull_starts, out=pulled)
+                np.take(seen, pullers, out=unseen)
+                np.invert(unseen, out=unseen)
+                touched, words = pullers, np.bitwise_and(pulled, unseen, out=pulled)
+            frontier[active] = 0
+            hit = np.flatnonzero(words)
+            active = touched[hit]
+            frontier[active] = words[hit]
+            seen[active] |= frontier[active]
+        frontier[active] = 0
+    return dist
+
+
 def bfs_parents(g: Graph, dist: np.ndarray, edge_mask: np.ndarray | None = None) -> np.ndarray:
     """Breadth-first tree predecessors derived from the distances ``dist``.
 
@@ -297,13 +397,19 @@ def component_labels(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     Labels are numbered in order of each component's smallest node id;
     ``sizes[c]`` is the node count of component ``c``.
     """
-    labels = np.full(g.n, -1, dtype=np.int64)
-    comp = 0
-    for seed in range(g.n):
+    # Provisional label: the component's smallest member.  Isolated nodes
+    # label themselves; every other component is flooded from its smallest
+    # member, the first unlabelled node in id order.
+    ids = np.arange(g.n)
+    labels = np.where(g.degrees == 0, ids, -1)
+    for seed in np.flatnonzero(labels < 0):
         if labels[seed] < 0:
-            labels[seed] = comp
+            labels[seed] = seed
             _flood(g, labels, seed, 0)
-            comp += 1
+    # Renumber densely: a component's number is the count of smaller members
+    # that are smallest in their own component.
+    number = np.cumsum(labels == ids) - 1
+    labels = number[labels]
     return labels, np.bincount(labels)
 
 

@@ -11,12 +11,19 @@ from rwtopo import (
     InvariantViolation,
     StretchMatrix,
     UNREACHABLE,
+    bfs_distances,
     coverage_validation,
     crossing_rate,
     degree_moments,
     emit_reports,
     expected_edge_fraction,
+    experiments,
+    grid_2d,
+    preferential_attachment,
+    routing_tree,
     run_experiment,
+    run_rwsp,
+    score_pairs,
 )
 from helpers import complete, path_graph, star, two_triangles
 
@@ -320,3 +327,55 @@ class TestEmitReports:
     def test_bad_format_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="format"):
             emit_reports(self._result(), "xml", tmp_path)
+
+
+def tree_scored_pairs(g, run):
+    """Reference scorer: one true-distance search and one routing tree per walker."""
+    for i, start in enumerate(run.starts):
+        true_dist = bfs_distances(g, start)
+        tree = routing_tree(run.unions[i], start)
+        for j, target in enumerate(run.starts):
+            if j == i:
+                continue
+            known = j in run.states[i].known_peers
+            yield i, j, int(true_dist[target]), int(tree.depth[target]) if known else UNREACHABLE
+
+
+@pytest.mark.parametrize("budget", [5, 60])
+@pytest.mark.parametrize("h", [2, 4, 65, 130])
+@pytest.mark.parametrize("kind", ["pa", "grid"])
+def test_score_pairs_matches_one_routing_tree_per_walker(kind, h, budget, monkeypatch):
+    g = preferential_attachment(1500, 2, seed=11) if kind == "pa" else grid_2d(24, 24)
+    starts = np.random.default_rng(h).choice(g.n, size=h, replace=False)
+    run = run_rwsp(g, starts, budget, seed=(3, h))
+    groups = {frozenset(s.known_peers | {s.walker_id}) for s in run.states}
+    searched = [grp for grp in groups if len(grp) > 1]
+    singletons = len(groups) - len(searched)
+    if budget == 5 and h >= 65:  # several groups beside walkers that met nobody
+        assert len(searched) > 1 and singletons > 0
+    if budget == 60 and h >= 65:  # one group wider than a 64-source block
+        assert max(map(len, groups)) > 64
+
+    calls = {"bfs_distances": 0, "pair_distances": 0}
+
+    def counted(name):
+        original = getattr(experiments, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(experiments, name, counted(name))
+    assert list(score_pairs(g, run)) == list(tree_scored_pairs(g, run))
+    assert calls == {"bfs_distances": h, "pair_distances": len(searched)}
+
+
+def test_names_patched_by_the_benchmark_exist():
+    # rwbench swaps these attributes by name, reading vars(owner)[name]; a
+    # missing one makes every traced benchmark run raise KeyError.
+    for name in ("bfs_distances", "routing_tree", "run_rwsp", "run_walk", "giant_component", "_one_run_records"):
+        assert name in vars(experiments), name
+    assert "from_pairs" in vars(experiments.StretchMatrix)

@@ -1,10 +1,13 @@
-"""Differential tests of the BFS kernel against networkx and brute force.
+"""Differential tests of the BFS kernels against networkx and brute force.
 
 Random G(n, p) graphs run from edgeless to dense, so they carry isolated
 nodes, many small components, equal-size largest components and nodes with
 several neighbours one level closer; some have remapped original ids, and
-searches run under random edge masks.
+searches run under random edge masks.  Pair-distance searches also run on
+long path-like graphs and on source sets that cross the 64-source blocks.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rwtopo import UNREACHABLE, Graph, bfs_distances, bfs_parents, component_labels, giant_component
-from rwtopo.graph import giant_members
+from rwtopo import graph as graph_module
+from rwtopo.graph import giant_members, pair_distances
 
 nx = pytest.importorskip("networkx")
 
@@ -27,6 +31,35 @@ def graphs(draw):
     keep = rng.random(u.size) < p
     originals = draw(st.none() | st.lists(st.integers(-10**6, 10**6), min_size=n, max_size=n, unique=True))
     return Graph(n, np.stack([u[keep], v[keep]], axis=1), original_ids=originals)
+
+
+@st.composite
+def mostly_isolated_graphs(draw):
+    """Few random edges on many nodes: mostly isolated nodes and small components."""
+    n = draw(st.integers(1, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return Graph(n, rng.integers(0, n, size=(n // 5, 2)))
+
+
+@st.composite
+def path_like_graphs(draw):
+    """A random Hamiltonian path plus a few chords: long searches that push."""
+    n = draw(st.integers(1, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    order = rng.permutation(n)
+    chords = rng.integers(0, n, size=(draw(st.integers(0, 4)), 2))
+    return Graph(n, np.concatenate([np.stack([order[:-1], order[1:]], axis=1), chords]))
+
+
+@st.composite
+def pair_searches(draw):
+    """A graph, k nodes (k crossing the 64-source blocks) and an optional edge mask."""
+    g = draw(graphs() | path_like_graphs())
+    k = draw(st.sampled_from([1, 2, 63, 64, 65, 130]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    nodes = rng.choice(g.n, size=k, replace=k > g.n)
+    keep = draw(st.none() | st.sampled_from([0.3, 0.6, 0.9]))
+    return g, nodes, None if keep is None else rng.random(g.m) < keep
 
 
 @st.composite
@@ -75,8 +108,38 @@ def test_bfs_parents_pick_the_smallest_closer_neighbour(case):
     assert bfs_parents(g, dist, mask).tolist() == expected
 
 
+@pytest.mark.parametrize("push_share", [0.0, graph_module._PUSH_SHARE, np.inf], ids=["pull", "switch", "push"])
+@settings(max_examples=60, deadline=None)
+@given(case=pair_searches())
+def test_pair_distances_match_one_search_per_source(push_share, case):
+    g, nodes, mask = case
+    expected = [bfs_distances(g, int(s), mask)[nodes].tolist() for s in nodes]
+    with mock.patch.object(graph_module, "_PUSH_SHARE", push_share):
+        assert pair_distances(g, nodes, mask).tolist() == expected
+
+
+def test_pair_distances_across_components_and_isolated_sources():
+    # triangles {0,1,2} and {3,4,5}, a path 6-7-8, isolated nodes 9 and 10
+    g = Graph(11, [[0, 1], [1, 2], [2, 0], [3, 4], [4, 5], [5, 3], [6, 7], [7, 8]])
+    u = UNREACHABLE
+    assert pair_distances(g, [9, 0, 8, 2, 10, 6, 3]).tolist() == [
+        [0, u, u, u, u, u, u],
+        [u, 0, u, 1, u, u, u],
+        [u, u, 0, u, u, 2, u],
+        [u, 1, u, 0, u, u, u],
+        [u, u, u, u, 0, u, u],
+        [u, u, 2, u, u, 0, u],
+        [u, u, u, u, u, u, 0],
+    ]
+    without_7_8 = ~(g.edges == [7, 8]).all(axis=1)
+    assert pair_distances(g, [6, 8], edge_mask=without_7_8).tolist() == [[0, u], [u, 0]]
+    assert pair_distances(g, []).shape == (0, 0)
+    with pytest.raises(ValueError, match="out of range"):
+        pair_distances(g, [0, 11])
+
+
 @settings(max_examples=100, deadline=None)
-@given(graphs())
+@given(graphs() | mostly_isolated_graphs())
 def test_component_labels_match_networkx(g):
     labels, sizes = component_labels(g)
     components = sorted(nx.connected_components(to_nx(g)), key=min)
