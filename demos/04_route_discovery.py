@@ -42,8 +42,7 @@ print("  pair  true  discovered  naive")
 for i, j, true_len, rwsp_len in score_pairs(g, run):
     if j <= i or j not in run.direct_peers[i]:
         continue
-    a, b = run.states[i], run.states[j]
-    naive_len = len(naive_route(a.trace, a.breadcrumbs, b.trace, b.breadcrumbs)) - 1
+    naive_len = len(naive_route(run.states[i].trace, run.states[j].trace)) - 1
     print(f"  {i}-{j}   {true_len:4d}  {rwsp_len:10d}  {naive_len:5d}")
 
 print()

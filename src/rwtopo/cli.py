@@ -41,7 +41,6 @@ from .generators import from_spec
 from .graph import (
     UNREACHABLE,
     DegreeMoments,
-    Graph,
     degree_moments,
     load_edge_list,
     stats_report,
@@ -63,15 +62,11 @@ def _json_out(obj) -> None:
     print(json.dumps(obj, sort_keys=True, indent=2))
 
 
-def _load_graph(path: str) -> Graph:
-    return load_edge_list(path)
-
-
 # -- subcommand handlers -------------------------------------------------------
 
 
 def _cmd_stats(args) -> int:
-    _json_out(stats_report(_load_graph(args.graph)))
+    _json_out(stats_report(load_edge_list(args.graph)))
     return 0
 
 
@@ -83,7 +78,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_walk(args) -> int:
-    g = _load_graph(args.graph)
+    g = load_edge_list(args.graph)
     trace, _ = run_walk(g, args.start, args.budget, args.seed)
     _json_out(
         {
@@ -106,7 +101,7 @@ def _parse_taus(args) -> list[float]:
 
 def _cmd_predict(args) -> int:
     if args.graph:
-        g = _load_graph(args.graph)
+        g = load_edge_list(args.graph)
         moments = degree_moments(g)
         m = g.m
     else:
@@ -138,7 +133,7 @@ def _cmd_rwsp(args) -> int:
         raise ConfigError("rwsp needs --starts or --random-starts")
     fixed = tuple(int(s) for s in args.starts.split(",")) if args.starts else None
     cfg = ExperimentConfig(seed=args.seed, h=args.h, beta=args.beta, runs=1, fixed_starts=fixed)
-    g = _load_graph(args.graph)
+    g = load_edge_list(args.graph)
     budget = cfg.budget(g.n)
     starts = _draw_starts(cfg, _start_pool(g, cfg), 0)
     # Random starts replay run 0 of `eval --seed SEED` at the same h.
@@ -149,7 +144,7 @@ def _cmd_rwsp(args) -> int:
     pairs = []
     for i, j, dt, spl in score_pairs(g, run):
         # the walks share a node exactly when the walkers met directly
-        naive = naive_route(states[i].trace, states[i].breadcrumbs, states[j].trace, states[j].breadcrumbs)
+        naive = naive_route(states[i].trace, states[j].trace)
         pairs.append(
             {
                 "i": i,
@@ -235,7 +230,7 @@ def _cmd_eval(args) -> int:
     if "graph" in settings and "synth" in settings:
         raise ConfigError("give either graph= or synth=, not both")
     if "graph" in settings:
-        g = _load_graph(settings["graph"])
+        g = load_edge_list(settings["graph"])
         source = settings["graph"]
     elif "synth" in settings:
         g = from_spec(settings["synth"], settings.get("synth_seed", 0))

@@ -213,16 +213,13 @@ def load_edge_list(source: Source) -> Graph:
     return Graph(len(remap), np.asarray(pairs, dtype=np.int64), original_ids=originals)
 
 
-def write_edge_list(g: Graph, dest: Union[str, os.PathLike, IO], use_original_ids: bool = False) -> None:
-    """Write ``g`` as a canonical edge list (one ``u v`` line per edge).
+def write_edge_list(g: Graph, dest: Union[str, os.PathLike, IO]) -> None:
+    """Write ``g`` as a canonical edge list (one ``u v`` line per edge, dense ids).
 
     Isolated nodes are not representable in this format and are lost on a
     round trip.
     """
-    edges = g.edges
-    if use_original_ids and g.original_ids is not None:
-        edges = g.original_ids[edges]
-    lines = "".join(f"{u} {v}\n" for u, v in edges.tolist())
+    lines = "".join(f"{u} {v}\n" for u, v in g.edges.tolist())
     if isinstance(dest, (str, os.PathLike)):
         with open(dest, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(lines)
@@ -369,26 +366,6 @@ def pair_distances(g: Graph, nodes, edge_mask: np.ndarray | None = None) -> np.n
             seen[active] |= frontier[active]
         frontier[active] = 0
     return dist
-
-
-def bfs_parents(g: Graph, dist: np.ndarray, edge_mask: np.ndarray | None = None) -> np.ndarray:
-    """Breadth-first tree predecessors derived from the distances ``dist``.
-
-    ``dist`` is a :func:`bfs_distances` result for the same ``edge_mask``.
-    Each reached node other than the source gets its smallest-id neighbour
-    one level closer to the source; the source and unreached nodes get -1.
-    """
-    src = np.repeat(np.arange(g.n), g.degrees)
-    level = dist[src]
-    closer = (level > 0) & (dist[g.adj] == level - 1)
-    if edge_mask is not None:
-        closer &= edge_mask[g.adj_edge_ids]
-    # Arcs are sorted by (source, neighbour), so each node's first closer arc
-    # leads to its smallest-id closer neighbour.
-    nodes, first = np.unique(src[closer], return_index=True)
-    parent = np.full(g.n, -1, dtype=np.int64)
-    parent[nodes] = g.adj[closer][first]
-    return parent
 
 
 def component_labels(g: Graph) -> tuple[np.ndarray, np.ndarray]:

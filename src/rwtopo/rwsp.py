@@ -25,12 +25,11 @@ first visit of the meeting node.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
-from .graph import Graph, UNREACHABLE, bfs_distances, bfs_parents, component_labels
-from .walker import BreadcrumbTable, WalkTrace, run_walk, walker_seed
+from .graph import Graph, bfs_distances, component_labels
+from .walker import WalkTrace, run_walk, walker_seed
 
 
 @dataclass(frozen=True)
@@ -70,49 +69,49 @@ class WalkerState:
     known_peers: frozenset[int]
     contact_points: frozenset[int]
     trace: WalkTrace
-    breadcrumbs: BreadcrumbTable
 
 
 @dataclass(frozen=True)
 class UnionSubgraph:
-    """The merged discovered topology G*(i) a walker routes on.
+    """The merged discovered topology G* of one meeting-connected group.
 
-    ``edge_mask``/``node_mask`` select the union of covered edges and visited
-    nodes over the owner's whole meeting-connected group.  Covered edges may
-    lead to unvisited endpoints; those are legitimate route hops because the
-    walker read them off a visited node's neighbor list.
+    Only the group's walk traces are stored, and every member of the group
+    holds this same object.  ``node_mask``/``edge_mask`` (the union of the
+    walks' visited nodes and covered edges) are built on access, like
+    :attr:`WalkTrace.visited`.  Covered edges may lead to unvisited
+    endpoints; those are legitimate route hops because a walker read them
+    off a visited node's neighbor list.
     """
 
-    owner: int
-    graph: Graph
-    node_mask: np.ndarray
-    edge_mask: np.ndarray
+    traces: tuple[WalkTrace, ...]
+
+    @property
+    def graph(self) -> Graph:
+        return self.traces[0].graph
+
+    @property
+    def node_mask(self) -> np.ndarray:
+        mask = np.zeros(self.graph.n, dtype=bool)
+        for tr in self.traces:
+            mask[tr.visited_nodes()] = True
+        return mask
+
+    @property
+    def edge_mask(self) -> np.ndarray:
+        mask = np.zeros(self.graph.m, dtype=bool)
+        for tr in self.traces:
+            mask[tr.covered_edge_ids()] = True
+        return mask
 
 
 @dataclass(frozen=True)
 class RoutingTree:
-    """Breadth-first shortest-path tree of a union subgraph.
-
-    Only the depths are searched for; ``parent`` is derived from them on
-    first access (each node's smallest-id union neighbour one level closer
-    to the root).
-    """
+    """Breadth-first depths of a union subgraph from ``root``: the G* hop
+    distance of every node, UNREACHABLE where G* has no route."""
 
     root: int
     depth: np.ndarray
     union: UnionSubgraph
-
-    @cached_property
-    def parent(self) -> np.ndarray:
-        return bfs_parents(self.union.graph, self.depth, self.union.edge_mask)
-
-    def path_from_root(self, node: int) -> list[int]:
-        if self.depth[node] == UNREACHABLE:
-            raise ValueError(f"node {node} not reachable in the routing tree")
-        path = [int(node)]
-        while path[-1] != self.root:
-            path.append(int(self.parent[path[-1]]))
-        return path[::-1]
 
 
 @dataclass(frozen=True)
@@ -156,8 +155,7 @@ def run_rwsp(g: Graph, starts, budget: int, seed) -> ProtocolRun:
     if len(set(starts)) != h:
         raise ValueError("start nodes must be distinct")
 
-    walks = [run_walk(g, s, budget, walker_seed(seed, i), walker_id=i) for i, s in enumerate(starts)]
-    traces = [tr for tr, _ in walks]
+    traces = [run_walk(g, s, budget, walker_seed(seed, i), walker_id=i)[0] for i, s in enumerate(starts)]
 
     # First visits of all walkers as (step index, walker, node), replayed in
     # (round, walker id) order.
@@ -214,15 +212,7 @@ def run_rwsp(g: Graph, starts, budget: int, seed) -> ProtocolRun:
     for i, label in enumerate(labels):
         groups.setdefault(label, []).append(i)
 
-    masks: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for label, members in groups.items():
-        nm = np.zeros(g.n, dtype=bool)
-        em = np.zeros(g.m, dtype=bool)
-        for i in members:
-            nm[traces[i].visited_nodes()] = True
-            em[traces[i].covered_edge_ids()] = True
-        masks[label] = (nm, em)
-
+    unions = {label: UnionSubgraph(tuple(traces[i] for i in members)) for label, members in groups.items()}
     states = [
         WalkerState(
             walker_id=i,
@@ -230,11 +220,9 @@ def run_rwsp(g: Graph, starts, budget: int, seed) -> ProtocolRun:
             known_peers=frozenset(groups[labels[i]]) - {i},
             contact_points=frozenset(contacts[i]),
             trace=traces[i],
-            breadcrumbs=walks[i][1],
         )
         for i in range(h)
     ]
-    unions = [UnionSubgraph(i, g, *masks[label]) for i, label in enumerate(labels)]
     costs = [MessagingCost(advertise_hops=a, transfer_hops=t) for a, t in zip(advertise, transfer)]
 
     return ProtocolRun(
@@ -242,7 +230,7 @@ def run_rwsp(g: Graph, starts, budget: int, seed) -> ProtocolRun:
         budget=budget,
         starts=starts,
         states=states,
-        unions=unions,
+        unions=[unions[label] for label in labels],
         meetings=meetings,
         costs=costs,
         direct_peers=direct_peers,
@@ -252,11 +240,10 @@ def run_rwsp(g: Graph, starts, budget: int, seed) -> ProtocolRun:
 
 
 def routing_tree(union: UnionSubgraph, root: int) -> RoutingTree:
-    """Breadth-first shortest-path tree of G*(i) rooted at ``root``.
+    """Breadth-first search of G* from ``root``, a node some walk of the group visited.
 
-    The graph is unweighted, so the breadth-first tree realizes hop-minimal
-    routes on the discovered topology; depth equals the G* hop distance for
-    every reachable node.
+    The graph is unweighted, so the depths are the hop-minimal route
+    lengths on the discovered topology.
     """
     if not 0 <= root < union.graph.n or not union.node_mask[root]:
         raise ValueError(f"root {root} is not part of the union subgraph")

@@ -193,25 +193,26 @@ def run_walk(g: Graph, start: int, budget: int, seed, walker_id: int = 0):
     return trace, BreadcrumbTable(trace)
 
 
-def retrace_to_start(bc: BreadcrumbTable, node: int) -> list[int]:
-    """Follow breadcrumbs from ``node`` back to the walk's start.
+def retrace_to_start(trace: WalkTrace, node: int) -> list[int]:
+    """Follow the walk's breadcrumbs from ``node`` back to its start.
 
-    The result is a loop-free path (consecutive entries graph-adjacent)
-    beginning at ``node`` and ending at the start; retracing from the start
-    itself yields the single-node path.
+    A node's breadcrumb is the step before its first visit, read off the
+    trace's first-visit table.  The result is a loop-free path (consecutive
+    entries graph-adjacent) beginning at ``node`` and ending at the start;
+    retracing from the start itself yields the single-node path.
     """
-    nodes, first = bc.trace.first_visits
+    nodes, first = trace.first_visits
     k = int(np.searchsorted(nodes, node))
     if k == nodes.size or nodes[k] != node:
         raise ValueError(f"node {node} was not visited by this walker")
     path = [int(node)]
-    while first[k]:  # the breadcrumb is the step before the first visit
-        path.append(int(bc.trace.steps[first[k] - 1]))
+    while first[k]:
+        path.append(int(trace.steps[first[k] - 1]))
         k = int(np.searchsorted(nodes, path[-1]))
     return path
 
 
-def naive_route(trace_i: WalkTrace, bc_i: BreadcrumbTable, trace_j: WalkTrace, bc_j: BreadcrumbTable):
+def naive_route(trace_i: WalkTrace, trace_j: WalkTrace):
     """Breadcrumb-retracing route between two walkers' start nodes.
 
     If the visited sets are disjoint there is no meeting and the result is
@@ -225,8 +226,8 @@ def naive_route(trace_i: WalkTrace, bc_i: BreadcrumbTable, trace_j: WalkTrace, b
     if not hits.any():
         return None
     meet = int(trace_i.steps[int(np.argmax(hits))])
-    out = retrace_to_start(bc_i, meet)[::-1]
-    back = retrace_to_start(bc_j, meet)
+    out = retrace_to_start(trace_i, meet)[::-1]
+    back = retrace_to_start(trace_j, meet)
     return out + back[1:]
 
 

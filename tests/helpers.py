@@ -48,6 +48,5 @@ def discovered_lengths(run) -> dict:
 
 def naive_length(run, i: int, j: int):
     """Hops of the breadcrumb route between walkers i and j, None if they never met."""
-    a, b = run.states[i], run.states[j]
-    route = naive_route(a.trace, a.breadcrumbs, b.trace, b.breadcrumbs)
+    route = naive_route(run.states[i].trace, run.states[j].trace)
     return None if route is None else len(route) - 1

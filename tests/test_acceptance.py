@@ -165,9 +165,9 @@ def test_c4_routing_soundness_sweep():
                     assert true != UNREACHABLE and discovered >= true
                 if j in run.direct_peers[i]:
                     assert discovered <= naive_length(run, i, j)
-            crumbs = run.states[i].breadcrumbs
-            for v in run.states[i].trace.visited_nodes():
-                path = retrace_to_start(crumbs, int(v))
+            trace = run.states[i].trace
+            for v in trace.visited_nodes():
+                path = retrace_to_start(trace, int(v))
                 assert len(set(path)) == len(path)
                 assert all(g.has_edge(a, b) for a, b in zip(path, path[1:]))
     verdict(

@@ -20,6 +20,7 @@ from rwtopo import (
     experiments,
     grid_2d,
     preferential_attachment,
+    retrace_to_start,
     routing_tree,
     run_experiment,
     run_rwsp,
@@ -379,3 +380,20 @@ def test_names_patched_by_the_benchmark_exist():
     for name in ("bfs_distances", "routing_tree", "run_rwsp", "run_walk", "giant_component", "_one_run_records"):
         assert name in vars(experiments), name
     assert "from_pairs" in vars(experiments.StretchMatrix)
+
+    # What rwbench reads from the results of those calls.
+    g = preferential_attachment(60, 2, seed=4)
+    walk = experiments.run_walk(g, 0, 12, (1, 2))
+    assert isinstance(walk, tuple) and len(walk) == 2
+    trace, bc = walk
+    assert (bc.visited == trace.visited).all()
+    for v in trace.visited_nodes().tolist():
+        assert bc.predecessor[v] == (retrace_to_start(trace, v) + [-1])[1]
+    assert (experiments.bfs_distances(g, 0, None) == bfs_distances(g, 0)).all()
+    run = experiments.run_rwsp(g, [0, 20, 40], 15, (3, 4))
+    for union in run.unions:
+        assert union.graph is g and union.edge_mask.shape == (g.m,)
+    assert run.meetings and run.direct_peers
+    assert isinstance(run.pair_advertise_hops, dict) and isinstance(run.pair_transfer_hops, dict)
+    for state in run.states:
+        assert isinstance(state.known_peers, frozenset) and state.trace.steps.size == 15

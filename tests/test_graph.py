@@ -12,7 +12,6 @@ from rwtopo import (
     EdgeListParseError,
     Graph,
     bfs_distances,
-    bfs_parents,
     degree_moments,
     giant_component,
     load_edge_list,
@@ -200,17 +199,6 @@ class TestBfs:
         mask = np.array([True, False, False])  # only edge (0,1) usable
         dist = bfs_distances(g, 0, edge_mask=mask)
         assert dist.tolist() == [0, 1, UNREACHABLE]
-
-    def test_tree_parents_realize_distances(self):
-        g = load_edge_list(b"0 1\n1 2\n2 3\n3 0\n0 2\n2 4\n4 5\n")
-        dist = bfs_distances(g, 0)
-        parent = bfs_parents(g, dist)
-        for v in range(g.n):
-            if v == 0 or dist[v] == UNREACHABLE:
-                continue
-            p = int(parent[v])
-            assert g.has_edge(p, v)
-            assert dist[v] == dist[p] + 1
 
     def test_subgraph_distances_never_beat_full_graph(self):
         g = load_edge_list(b"0 1\n1 2\n2 3\n3 0\n0 2\n2 4\n4 5\n5 0\n")

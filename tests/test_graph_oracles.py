@@ -1,9 +1,8 @@
 """Differential tests of the BFS kernels against networkx and brute force.
 
 Random G(n, p) graphs run from edgeless to dense, so they carry isolated
-nodes, many small components, equal-size largest components and nodes with
-several neighbours one level closer; some have remapped original ids, and
-searches run under random edge masks.  Pair-distance searches also run on
+nodes, many small components and equal-size largest components; some have
+remapped original ids, and searches run under random edge masks.  Pair-distance searches also run on
 long path-like graphs and on source sets that cross the 64-source blocks.
 """
 
@@ -14,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rwtopo import UNREACHABLE, Graph, bfs_distances, bfs_parents, component_labels, giant_component
+from rwtopo import UNREACHABLE, Graph, bfs_distances, component_labels, giant_component
 from rwtopo import graph as graph_module
 from rwtopo.graph import giant_members, pair_distances
 
@@ -89,23 +88,6 @@ def test_bfs_distances_match_networkx_on_the_masked_subgraph(case):
     for v, d in nx.single_source_shortest_path_length(to_nx(g, mask), source).items():
         expected[v] = d
     assert bfs_distances(g, source, mask).tolist() == expected.tolist()
-
-
-@settings(max_examples=100, deadline=None)
-@given(masked_searches())
-def test_bfs_parents_pick_the_smallest_closer_neighbour(case):
-    g, source, mask = case
-    dist = bfs_distances(g, source, mask)
-    usable = np.ones(g.m, dtype=bool) if mask is None else mask
-    expected = []
-    for v in range(g.n):
-        closer = [
-            int(u)
-            for u, e in zip(g.neighbors(v), g.incident_edge_ids(v))
-            if usable[e] and dist[v] > 0 and dist[u] == dist[v] - 1
-        ]
-        expected.append(min(closer) if closer else -1)
-    assert bfs_parents(g, dist, mask).tolist() == expected
 
 
 @pytest.mark.parametrize("push_share", [0.0, graph_module._PUSH_SHARE, np.inf], ids=["pull", "switch", "push"])

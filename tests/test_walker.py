@@ -160,49 +160,49 @@ class TestRunWalk:
 
 class TestRetrace:
     def test_start_retraces_to_itself(self):
-        _, bc = run_walk(triangle(), 1, 5, seed=3)
-        assert retrace_to_start(bc, 1) == [1]
+        trace, _ = run_walk(triangle(), 1, 5, seed=3)
+        assert retrace_to_start(trace, 1) == [1]
 
     def test_star_hub_retraces_to_leaf_start(self):
-        _, bc = run_walk(star(4), 2, 2, seed=0)
-        assert retrace_to_start(bc, 0) == [0, 2]
+        trace, _ = run_walk(star(4), 2, 2, seed=0)
+        assert retrace_to_start(trace, 0) == [0, 2]
 
     def test_paths_are_simple_adjacent_and_bounded(self):
         g = Graph(6, [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [5, 0], [1, 4]])
         for seed in range(60):
-            trace, bc = run_walk(g, 0, 10, seed=seed)
+            trace, _ = run_walk(g, 0, 10, seed=seed)
             for v in trace.visited_nodes():
-                path = retrace_to_start(bc, int(v))
+                path = retrace_to_start(trace, int(v))
                 assert len(set(path)) == len(path)
                 assert path[0] == v and path[-1] == 0
                 assert len(path) - 1 <= trace.unique_nodes - 1
                 assert_valid_path(g, path)
 
     def test_unvisited_node_rejected(self):
-        trace, bc = run_walk(star(4), 1, 2, seed=0)
+        trace, _ = run_walk(star(4), 1, 2, seed=0)
         unvisited = [v for v in range(5) if not trace.visited[v]][0]
         with pytest.raises(ValueError, match="not visited"):
-            retrace_to_start(bc, unvisited)
+            retrace_to_start(trace, unvisited)
 
 
 class TestNaiveRoute:
     def test_shared_start_gives_zero_length_route(self):
         g = triangle()
-        ti, bi = run_walk(g, 0, 4, seed=1)
-        tj, bj = run_walk(g, 0, 4, seed=2)
-        assert naive_route(ti, bi, tj, bj) == [0]
+        ti, _ = run_walk(g, 0, 4, seed=1)
+        tj, _ = run_walk(g, 0, 4, seed=2)
+        assert naive_route(ti, tj) == [0]
 
     def test_star_leaves_route_through_hub(self):
         g = star(4)
-        ti, bi = run_walk(g, 1, 2, seed=1)
-        tj, bj = run_walk(g, 2, 2, seed=2)
-        assert naive_route(ti, bi, tj, bj) == [1, 0, 2]
+        ti, _ = run_walk(g, 1, 2, seed=1)
+        tj, _ = run_walk(g, 2, 2, seed=2)
+        assert naive_route(ti, tj) == [1, 0, 2]
 
     def test_disjoint_components_have_no_route(self):
         g = two_triangles()
-        ti, bi = run_walk(g, 0, 5, seed=1)
-        tj, bj = run_walk(g, 3, 5, seed=2)
-        assert naive_route(ti, bi, tj, bj) is None
+        ti, _ = run_walk(g, 0, 5, seed=1)
+        tj, _ = run_walk(g, 3, 5, seed=2)
+        assert naive_route(ti, tj) is None
 
     def test_route_is_valid_and_never_beats_true_distance(self):
         g = cycle(10)
@@ -211,9 +211,9 @@ class TestNaiveRoute:
         for seed in range(120):
             rng = np.random.default_rng(seed)
             u, v = [int(x) for x in rng.choice(10, size=2, replace=False)]
-            ti, bi = run_walk(g, u, 6, seed=(seed, 0))
-            tj, bj = run_walk(g, v, 6, seed=(seed, 1))
-            route = naive_route(ti, bi, tj, bj)
+            ti, _ = run_walk(g, u, 6, seed=(seed, 0))
+            tj, _ = run_walk(g, v, 6, seed=(seed, 1))
+            route = naive_route(ti, tj)
             if route is None:
                 continue
             found += 1
