@@ -15,8 +15,6 @@ below the prediction; the gap closes as <k> grows.  The table makes both
 effects visible.
 """
 
-import numpy as np
-
 from rwtopo import (
     ExperimentConfig,
     PowerLawParams,

@@ -29,13 +29,16 @@ print("== one protocol run, h=4, budget 125 ==")
 rng = np.random.default_rng(1)
 starts = [int(x) for x in rng.choice(g.n, size=4, replace=False)]
 run = run_rwsp(g, starts, 125, seed=99)
-for state, cost in zip(run.states, run.costs):
+for i, state in enumerate(run.states):
+    # a walker's message hops are the sum of its (i, j) pair entries
+    advertise = sum(hops for (a, _), hops in run.pair_advertise_hops.items() if a == i)
+    transfer = sum(hops for (a, _), hops in run.pair_transfer_hops.items() if a == i)
     print(
-        f"  walker {state.walker_id} from {state.start:4d}: "
+        f"  walker {i} from {run.starts[i]:4d}: "
         f"visited {state.trace.unique_nodes:3d} nodes, "
         f"covered {state.trace.covered_edge_count:5d} edges, "
         f"peers {sorted(state.known_peers)}, "
-        f"msg hops adv={cost.advertise_hops} xfer={cost.transfer_hops}"
+        f"msg hops adv={advertise} xfer={transfer}"
     )
 print()
 print("  pair  true  discovered  naive")

@@ -5,21 +5,22 @@ discovered subgraphs when their paths cross, and route on the union
 topology.  The package bundles the walk/protocol simulators, closed-form
 coverage and crossing predictions for the same process, synthetic power-law
 generators, and a seeded Monte-Carlo evaluation harness.
+
+The top level re-exports the names the workflow needs: build or load a
+graph, walk it, run the protocol, score its routes and run an experiment.
+Everything else is imported from its submodule, e.g.
+``from rwtopo.graph import bfs_distances``.
 """
 
 __version__ = "0.1.0"
 
 from .graph import (
     UNREACHABLE,
-    DegreeMoments,
     EdgeListParseError,
     Graph,
-    bfs_distances,
-    component_labels,
     degree_moments,
     giant_component,
     load_edge_list,
-    path_stretch,
     stats_report,
     write_edge_list,
 )
@@ -31,48 +32,13 @@ from .generators import (
     power_law_degrees,
     preferential_attachment,
 )
-from .coverage import (
-    DIVERGES,
-    BoundResult,
-    CoveragePoint,
-    CrossingBoundParams,
-    coverage_points,
-    coverage_rate,
-    crossing_probability_bound,
-    edge_coverage,
-    expected_edge_fraction,
-    linear_edge_coverage,
-    node_coverage,
-    powerlaw_edge_coverage,
-    validity_limit,
-)
-from .walker import (
-    BreadcrumbTable,
-    WalkTrace,
-    crossing_time,
-    naive_route,
-    retrace_to_start,
-    run_walk,
-    walker_seed,
-)
-from .rwsp import (
-    MeetingEvent,
-    MessagingCost,
-    ProtocolRun,
-    RoutingTree,
-    UnionSubgraph,
-    WalkerState,
-    routing_tree,
-    run_rwsp,
-)
+from .coverage import validity_limit
+from .walker import crossing_time, naive_route, run_walk, walker_seed
+from .rwsp import run_rwsp
 from .experiments import (
     ConfigError,
-    CoverageValidationRow,
-    CrossingRateResult,
     ExperimentConfig,
-    ExperimentResult,
     InvariantViolation,
-    StretchMatrix,
     coverage_validation,
     crossing_rate,
     emit_reports,
@@ -83,61 +49,31 @@ from .experiments import (
 __all__ = [
     "__version__",
     "UNREACHABLE",
-    "DIVERGES",
     "Graph",
-    "DegreeMoments",
     "EdgeListParseError",
+    "ConfigError",
+    "InvariantViolation",
     "load_edge_list",
     "write_edge_list",
     "degree_moments",
     "giant_component",
-    "component_labels",
-    "bfs_distances",
-    "path_stretch",
     "stats_report",
+    "from_spec",
+    "preferential_attachment",
+    "grid_2d",
     "PowerLawParams",
     "power_law_degrees",
     "configuration_model",
-    "preferential_attachment",
-    "grid_2d",
-    "from_spec",
-    "CoveragePoint",
-    "CrossingBoundParams",
-    "BoundResult",
-    "coverage_rate",
     "validity_limit",
-    "expected_edge_fraction",
-    "edge_coverage",
-    "node_coverage",
-    "linear_edge_coverage",
-    "powerlaw_edge_coverage",
-    "coverage_points",
-    "crossing_probability_bound",
-    "WalkTrace",
-    "BreadcrumbTable",
     "run_walk",
-    "retrace_to_start",
-    "naive_route",
-    "crossing_time",
     "walker_seed",
-    "WalkerState",
-    "UnionSubgraph",
-    "MeetingEvent",
-    "MessagingCost",
-    "ProtocolRun",
-    "RoutingTree",
+    "crossing_time",
+    "naive_route",
     "run_rwsp",
-    "routing_tree",
+    "score_pairs",
     "ExperimentConfig",
-    "ExperimentResult",
-    "StretchMatrix",
-    "CoverageValidationRow",
-    "CrossingRateResult",
-    "ConfigError",
-    "InvariantViolation",
     "run_experiment",
     "coverage_validation",
     "crossing_rate",
     "emit_reports",
-    "score_pairs",
 ]

@@ -92,11 +92,20 @@ def _cmd_walk(args) -> int:
     return 0
 
 
-def _parse_taus(args) -> list[float]:
-    if args.taus:
-        return [float(t) for t in args.taus.split(",") if t.strip()]
-    lo, hi, count = args.tau_grid
-    return [float(t) for t in np.linspace(lo, hi, int(count))]
+def _taus(text: str) -> list[float]:
+    """A comma-separated tau grid such as ``0.01,0.05`` (``--taus``/``coverage_taus=``)."""
+    try:
+        return [float(t) for t in text.split(",") if t.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
+
+
+def _node_ids(text: str) -> tuple[int, ...]:
+    """A comma-separated start list such as ``0,5,10`` (``--starts``/``starts=``)."""
+    try:
+        return tuple(int(s) for s in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated node ids, got {text!r}") from None
 
 
 def _cmd_predict(args) -> int:
@@ -110,9 +119,14 @@ def _cmd_predict(args) -> int:
             raise ConfigError(
                 "predict needs --graph or all of --mean-degree, --second-moment, --num-edges"
             )
+        if args.num_edges < 1:
+            raise ConfigError("--num-edges must be at least 1")
         moments = DegreeMoments(args.mean_degree, args.second_moment)
         m = args.num_edges
-    taus = _parse_taus(args)
+    taus = args.taus
+    if taus is None:
+        lo, hi, count = args.tau_grid
+        taus = [float(t) for t in np.linspace(lo, hi, int(count))]
     lines = ["tau,n_e_pred,n_nodes_pred,gamma_bar,warning_flag"]
     for point in coverage_points(moments, m, taus):
         gamma = point.expected_edges / (2.0 * m)
@@ -128,18 +142,32 @@ def _cmd_predict(args) -> int:
     return 0
 
 
+def _given(settings: dict, keys) -> dict:
+    """The settings among ``keys`` that the user gave, so each default lives in one place."""
+    return {key: settings[key] for key in keys if settings.get(key) is not None}
+
+
+def _per_walker(pair_hops: dict, h: int) -> list[int]:
+    """Each walker i's total over its ``(i, j)`` entries of a pair-hop dict."""
+    totals = [0] * h
+    for (i, _), hops in pair_hops.items():
+        totals[i] += hops
+    return totals
+
+
 def _cmd_rwsp(args) -> int:
     if not (args.starts or args.random_starts):
         raise ConfigError("rwsp needs --starts or --random-starts")
-    fixed = tuple(int(s) for s in args.starts.split(",")) if args.starts else None
-    cfg = ExperimentConfig(seed=args.seed, h=args.h, beta=args.beta, runs=1, fixed_starts=fixed)
+    cfg = ExperimentConfig(seed=args.seed, runs=1, fixed_starts=args.starts, **_given(vars(args), ("h", "beta")))
     g = load_edge_list(args.graph)
     budget = cfg.budget(g.n)
     starts = _draw_starts(cfg, _start_pool(g, cfg), 0)
     # Random starts replay run 0 of `eval --seed SEED` at the same h.
-    seed = args.seed if fixed else _run_seed(cfg, 0)
+    seed = args.seed if args.starts else _run_seed(cfg, 0)
     run = run_rwsp(g, starts, budget, seed)
     states = run.states
+    advertise = _per_walker(run.pair_advertise_hops, cfg.h)
+    transfer = _per_walker(run.pair_transfer_hops, cfg.h)
 
     pairs = []
     for i, j, dt, spl in score_pairs(g, run):
@@ -168,10 +196,10 @@ def _cmd_rwsp(args) -> int:
             "covered_edges": states[i].trace.covered_edge_count,
             "known_peers": sorted(states[i].known_peers),
             "contact_points": sorted(states[i].contact_points),
-            "advertise_hops": run.costs[i].advertise_hops,
-            "transfer_hops": run.costs[i].transfer_hops,
+            "advertise_hops": advertise[i],
+            "transfer_hops": transfer[i],
         }
-        for i in range(args.h)
+        for i in range(cfg.h)
     ]
     _json_out({"budget": budget, "pairs": pairs, "walkers": walkers})
     return 0
@@ -191,8 +219,8 @@ _EVAL_KEYS = {
     "runs": int,
     "rescale_budget": _truthy,
     "workers": int,
-    "starts": str,
-    "coverage_taus": str,
+    "starts": _node_ids,
+    "coverage_taus": _taus,
     "crossing": _truthy,
     "c": float,
     "delta": int,
@@ -213,7 +241,10 @@ def _read_eval_config(path: str) -> dict:
             raise ConfigError(f"{path}:{lineno}: seed must be passed as --seed")
         if key not in _EVAL_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-        values[key] = _EVAL_KEYS[key](value.strip())
+        try:
+            values[key] = _EVAL_KEYS[key](value.strip())
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise ConfigError(f"{path}:{lineno}: {key}: {exc}") from None
     return values
 
 
@@ -238,26 +269,18 @@ def _cmd_eval(args) -> int:
     else:
         raise ConfigError("eval needs a graph= path or a synth= generator spec")
 
-    fixed = None
-    if "starts" in settings:
-        fixed = tuple(int(s) for s in str(settings["starts"]).split(","))
     cfg = ExperimentConfig(
         seed=args.seed,
-        h=settings.get("h", 4),
-        beta=settings.get("beta", 0.025),
-        runs=settings.get("runs", 200),
-        rescale_budget=bool(settings.get("rescale_budget", False)),
-        fixed_starts=fixed,
-        workers=settings.get("workers", 1),
+        fixed_starts=settings.get("starts"),
         graph_source=source,
+        **_given(settings, ("h", "beta", "runs", "rescale_budget", "workers")),
     )
     result = run_experiment(g, cfg)
     if "coverage_taus" in settings:
-        taus = [float(t) for t in str(settings["coverage_taus"]).split(",") if t.strip()]
-        result = replace(result, coverage=coverage_validation(g, cfg, taus))
+        result = replace(result, coverage=coverage_validation(g, cfg, settings["coverage_taus"]))
     if settings.get("crossing"):
         cross_cfg = cfg if cfg.h == 2 else replace(cfg, h=2, fixed_starts=None, workers=1)
-        crossing = crossing_rate(g, cross_cfg, c=settings.get("c", 1.0), delta=settings.get("delta"))
+        crossing = crossing_rate(g, cross_cfg, **_given(settings, ("c", "delta")))
         result = replace(result, crossing=crossing)
     written = emit_reports(result, fmt=args.format, destination=args.out)
     summary = result.summary
@@ -302,7 +325,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--mean-degree", type=float)
     p.add_argument("--second-moment", type=float)
     p.add_argument("--num-edges", type=int)
-    p.add_argument("--taus", help="comma-separated tau values")
+    p.add_argument("--taus", type=_taus, help="comma-separated tau values")
     p.add_argument(
         "--tau-grid",
         nargs=3,
@@ -316,10 +339,10 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("rwsp", help="one protocol run with a per-pair report")
     p.add_argument("--graph", required=True)
-    p.add_argument("--h", type=int, default=4)
-    p.add_argument("--starts", help="comma-separated start nodes")
+    p.add_argument("--h", type=int)
+    p.add_argument("--starts", type=_node_ids, help="comma-separated start nodes")
     p.add_argument("--random-starts", action="store_true")
-    p.add_argument("--beta", type=float, default=0.025)
+    p.add_argument("--beta", type=float)
     p.add_argument("--seed", type=int, required=True)
     p.set_defaults(func=_cmd_rwsp)
 

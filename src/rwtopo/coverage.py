@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .generators import PowerLawParams
 from .graph import DegreeMoments
@@ -151,13 +150,8 @@ class CrossingBoundParams:
             raise ValueError("c * gamma_bar > 1 makes the bound ill-formed")
 
 
-class BoundResult(NamedTuple):
-    bound: float
-    exponent: int
-
-
-def crossing_probability_bound(params: CrossingBoundParams) -> BoundResult:
-    """Upper bound on the probability that two walks never cross.
+def crossing_probability_bound(params: CrossingBoundParams) -> tuple[float, int]:
+    """Upper bound on the probability that two walks never cross, as (bound, exponent).
 
     Sampling the second walk every ``delta`` steps gives at least
     ``floor(beta*n/delta)`` near-independent chances to land in the first
@@ -165,4 +159,4 @@ def crossing_probability_bound(params: CrossingBoundParams) -> BoundResult:
     ``c * gamma_bar``; the bound is ``(1 - c*gamma_bar) ** exponent``.
     """
     exponent = int(params.beta * params.n / params.delta)
-    return BoundResult((1.0 - params.c * params.gamma_bar) ** exponent, exponent)
+    return (1.0 - params.c * params.gamma_bar) ** exponent, exponent

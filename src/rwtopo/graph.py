@@ -8,8 +8,6 @@ across threads or worker processes.
 
 from __future__ import annotations
 
-import io
-import math
 import os
 from dataclasses import dataclass
 from typing import IO, Union
@@ -93,9 +91,6 @@ class Graph:
     def neighbors(self, v: int) -> np.ndarray:
         """Neighbor ids of ``v``, sorted ascending."""
         return self.adj[self.indptr[v] : self.indptr[v + 1]]
-
-    def incident_edge_ids(self, v: int) -> np.ndarray:
-        return self.adj_edge_ids[self.indptr[v] : self.indptr[v + 1]]
 
     def arcs(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Positions in ``adj``/``adj_edge_ids`` of the arcs leaving ``nodes``.
@@ -417,25 +412,6 @@ def giant_component(g: Graph) -> tuple[Graph, np.ndarray]:
     sub_edges = mapping[g.edges[mapping[g.edges[:, 0]] >= 0]]
     originals = g.original_ids[members] if g.original_ids is not None else members
     return Graph(members.size, sub_edges, original_ids=originals), mapping
-
-
-def path_stretch(d_sub, d_true) -> float:
-    """Ratio of a subgraph path length to the true shortest-path length.
-
-    ``d_sub`` may be UNREACHABLE, in which case the stretch is ``inf`` (the
-    INF bucket of the evaluation matrices).  ``d_true`` must be a finite hop
-    count of at least 1: a value of 0 means identical endpoints, for which
-    stretch is undefined.
-    """
-    if d_true == 0:
-        raise ValueError("stretch undefined for identical endpoints (d_true = 0)")
-    if d_true == UNREACHABLE or d_true < 1:
-        raise ValueError("d_true must be a finite hop count >= 1")
-    if d_sub == UNREACHABLE:
-        return math.inf
-    if d_sub < 0:
-        raise ValueError("d_sub must be a hop count or UNREACHABLE")
-    return d_sub / d_true
 
 
 def stats_report(g: Graph) -> dict:

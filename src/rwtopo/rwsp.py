@@ -24,7 +24,7 @@ first visit of the meeting node.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,25 +47,9 @@ class MeetingEvent:
 
 
 @dataclass(frozen=True)
-class MessagingCost:
-    """Hop budget spent by one walker on protocol messages.
-
-    ``advertise_hops`` pay for the "I found your breadcrumb" notifications it
-    sent at meeting time; ``transfer_hops`` pay for delivering its discovered
-    subgraph to each directly met peer (start -> contact node -> peer start,
-    both halves along breadcrumb paths).
-    """
-
-    advertise_hops: int
-    transfer_hops: int
-
-
-@dataclass(frozen=True)
 class WalkerState:
-    """End-of-protocol bookkeeping of one walker."""
+    """End-of-protocol bookkeeping of one walker (its id and start are on ``trace``)."""
 
-    walker_id: int
-    start: int
     known_peers: frozenset[int]
     contact_points: frozenset[int]
     trace: WalkTrace
@@ -111,12 +95,20 @@ class RoutingTree:
 
     root: int
     depth: np.ndarray
-    union: UnionSubgraph
 
 
 @dataclass(frozen=True)
 class ProtocolRun:
-    """Everything produced by one run_rwsp invocation."""
+    """Everything produced by one run_rwsp invocation.
+
+    Message hops are kept per ordered pair ``(i, j)``.
+    ``pair_advertise_hops`` pays for walker i's "I found your breadcrumb"
+    notification to j at meeting time, traced back along j's breadcrumbs;
+    ``pair_transfer_hops`` for delivering i's discovered subgraph to the
+    directly met peer j (start -> contact node -> peer start, both halves
+    along breadcrumb paths).  A walker's totals are the sums of its
+    ``(i, .)`` entries.
+    """
 
     graph: Graph
     budget: int
@@ -124,10 +116,9 @@ class ProtocolRun:
     states: list[WalkerState]
     unions: list[UnionSubgraph]
     meetings: list[list[MeetingEvent]]
-    costs: list[MessagingCost]
     direct_peers: list[frozenset[int]]
-    pair_advertise_hops: dict = field(default_factory=dict)
-    pair_transfer_hops: dict = field(default_factory=dict)
+    pair_advertise_hops: dict[tuple[int, int], int]
+    pair_transfer_hops: dict[tuple[int, int], int]
 
     @property
     def h(self) -> int:
@@ -172,7 +163,6 @@ def run_rwsp(g: Graph, starts, budget: int, seed) -> ProtocolRun:
     contacts: list[dict[int, int]] = [{} for _ in range(h)]  # node -> round learned
     meetings: list[list[MeetingEvent]] = [[] for _ in range(h)]
     pair_adv: dict[tuple[int, int], int] = {}
-    advertise = [0] * h
     for k, i, v in events:
         depth[i][v] = depth[i][steps[i][k - 1]] + 1 if k else 0
         here = registry.setdefault(v, [])
@@ -186,7 +176,6 @@ def run_rwsp(g: Graph, starts, budget: int, seed) -> ProtocolRun:
         contacts[i].setdefault(v, t)
         for j in new:
             pair_adv[(i, j)] = depth[j][v]
-            advertise[i] += depth[j][v]
             known[j].add(i)
             contacts[j].setdefault(v, t)
 
@@ -197,12 +186,10 @@ def run_rwsp(g: Graph, starts, budget: int, seed) -> ProtocolRun:
     # The contact is the earliest learned one the peer has visited; a
     # reception is recorded after all meeting contacts, so it is never chosen.
     pair_tr: dict[tuple[int, int], int] = {}
-    transfer = [0] * h
     for i in range(h):
         for j in sorted(direct_peers[i]):
             contact = next(v for v in contacts[i] if v in depth[j])
             pair_tr[(i, j)] = depth[i][contact] + depth[j][contact]
-            transfer[i] += pair_tr[(i, j)]
             contacts[j].setdefault(contact, budget + 1)
 
     # Transitive closure of peer knowledge: meeting-connected groups share
@@ -215,15 +202,12 @@ def run_rwsp(g: Graph, starts, budget: int, seed) -> ProtocolRun:
     unions = {label: UnionSubgraph(tuple(traces[i] for i in members)) for label, members in groups.items()}
     states = [
         WalkerState(
-            walker_id=i,
-            start=starts[i],
             known_peers=frozenset(groups[labels[i]]) - {i},
             contact_points=frozenset(contacts[i]),
             trace=traces[i],
         )
         for i in range(h)
     ]
-    costs = [MessagingCost(advertise_hops=a, transfer_hops=t) for a, t in zip(advertise, transfer)]
 
     return ProtocolRun(
         graph=g,
@@ -232,7 +216,6 @@ def run_rwsp(g: Graph, starts, budget: int, seed) -> ProtocolRun:
         states=states,
         unions=[unions[label] for label in labels],
         meetings=meetings,
-        costs=costs,
         direct_peers=direct_peers,
         pair_advertise_hops=pair_adv,
         pair_transfer_hops=pair_tr,
@@ -247,4 +230,4 @@ def routing_tree(union: UnionSubgraph, root: int) -> RoutingTree:
     """
     if not 0 <= root < union.graph.n or not union.node_mask[root]:
         raise ValueError(f"root {root} is not part of the union subgraph")
-    return RoutingTree(root=int(root), depth=bfs_distances(union.graph, root, union.edge_mask), union=union)
+    return RoutingTree(root=int(root), depth=bfs_distances(union.graph, root, union.edge_mask))

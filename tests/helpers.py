@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from rwtopo import Graph, naive_route, score_pairs
 
 

@@ -23,25 +23,27 @@ from rwtopo import (
     Graph,
     PowerLawParams,
     UNREACHABLE,
-    bfs_distances,
     cli,
     configuration_model,
     coverage_validation,
     crossing_rate,
     degree_moments,
-    edge_coverage,
     giant_component,
     grid_2d,
-    linear_edge_coverage,
-    node_coverage,
     power_law_degrees,
-    powerlaw_edge_coverage,
     preferential_attachment,
-    retrace_to_start,
-    routing_tree,
     run_experiment,
     run_rwsp,
 )
+from rwtopo.graph import bfs_distances
+from rwtopo.coverage import (
+    edge_coverage,
+    linear_edge_coverage,
+    node_coverage,
+    powerlaw_edge_coverage,
+)
+from rwtopo.walker import retrace_to_start
+from rwtopo.rwsp import routing_tree
 from helpers import discovered_lengths, naive_length
 
 
@@ -82,7 +84,7 @@ def test_c1_mean_field_coverage(crawl_graph):
 
 
 def test_c2_closed_form_spot_values():
-    from rwtopo import DegreeMoments
+    from rwtopo.graph import DegreeMoments
 
     mom = DegreeMoments(mean_degree=2.0, second_moment=6.0)
     edge = edge_coverage(mom, 300, 0.1)

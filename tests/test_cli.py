@@ -67,6 +67,15 @@ def test_predict_needs_a_source(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edges", ["0", "-5"])  # 0 divided by zero, -5 printed negative counts
+def test_predict_rejects_fewer_than_one_edge(capsys, edges):
+    args = ["predict", "--mean-degree", "2", "--second-moment", "6", "--num-edges", edges, "--taus", "0.1"]
+    assert cli.main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--num-edges must be at least 1" in captured.err
+
+
 def test_rwsp_star_meeting_report(tmp_path, capsys):
     graph = tmp_path / "star.txt"
     graph.write_text("0 1\n0 2\n0 3\n0 4\n")
@@ -82,6 +91,8 @@ def test_rwsp_star_meeting_report(tmp_path, capsys):
     assert pair["rwsp_spl"] == 2
     assert pair["naive_spl"] == 2
     assert out["walkers"][0]["known_peers"] == [1]
+    # walker 1 advertises one hop back to walker 0; each hand-off is leaf -> hub -> leaf
+    assert [(w["advertise_hops"], w["transfer_hops"]) for w in out["walkers"]] == [(0, 2), (1, 2)]
 
 
 def test_rwsp_random_starts_replays_eval_run_zero(pa_file, capsys):
@@ -174,6 +185,39 @@ def test_eval_rejects_unknown_config_keys(tmp_path, capsys):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("walkers = 4\n")
     assert cli.main(["eval", str(cfg), "--seed", "1", "-o", str(tmp_path / "o")]) == 1
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("h=abc", "h: invalid literal for int() with base 10: 'abc'"),
+        ("starts=1,x", "starts: expected comma-separated node ids, got '1,x'"),
+        ("coverage_taus=0.1,y", "coverage_taus: expected comma-separated numbers, got '0.1,y'"),
+    ],
+)
+def test_eval_config_value_errors_name_the_file_line_and_key(tmp_path, capsys, line, message):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"synth = pa:n=50,m0=2\n{line}\n")
+    assert cli.main(["eval", str(cfg), "--seed", "1", "-o", str(tmp_path / "o")]) == 1
+    assert f"error: {cfg}:2: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args, flag, value",
+    [
+        (["eval", "--synth", "pa:n=50,m0=2", "-o", "o"], "--starts", "1,x"),
+        (["rwsp", "--graph", "g.txt", "--h", "2"], "--starts", "1,x"),
+        (["eval", "--synth", "pa:n=50,m0=2", "-o", "o"], "--coverage-taus", "0.1,y"),
+        (["predict", "--graph", "g.txt"], "--taus", "0.1,y"),
+    ],
+)
+def test_bad_list_flags_name_the_flag(capsys, args, flag, value):
+    seed = [] if args[0] == "predict" else ["--seed", "1"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args + seed + [flag, value])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert f"argument {flag}: expected comma-separated" in err and repr(value) in err
 
 
 def test_eval_requires_seed_flag(tmp_path):

@@ -1,26 +1,21 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rwtopo import (
+from rwtopo import PowerLawParams, degree_moments, preferential_attachment, validity_limit
+from rwtopo.graph import DegreeMoments
+from rwtopo.coverage import (
     DIVERGES,
     CrossingBoundParams,
-    DegreeMoments,
-    PowerLawParams,
     coverage_points,
     coverage_rate,
     crossing_probability_bound,
-    degree_moments,
     edge_coverage,
     expected_edge_fraction,
     linear_edge_coverage,
     node_coverage,
     powerlaw_edge_coverage,
-    preferential_attachment,
-    validity_limit,
 )
 from helpers import star, triangle
 
@@ -160,7 +155,7 @@ class TestCrossingBound:
         bounds = [
             crossing_probability_bound(
                 CrossingBoundParams(beta=0.1, n=n, delta=5, c=1.0, gamma_bar=0.2)
-            ).bound
+            )[0]
             for n in (100, 1_000, 10_000)
         ]
         assert bounds[0] > bounds[1] > bounds[2]
@@ -188,13 +183,13 @@ class TestCrossingBound:
         if c * gamma * scale > 1:
             return
         base = CrossingBoundParams(beta=0.5, n=1000, delta=10, c=c, gamma_bar=gamma)
-        b0 = crossing_probability_bound(base).bound
+        b0 = crossing_probability_bound(base)[0]
         more_c = CrossingBoundParams(beta=0.5, n=1000, delta=10, c=c * scale, gamma_bar=gamma)
         more_g = CrossingBoundParams(beta=0.5, n=1000, delta=10, c=c, gamma_bar=gamma * scale)
         longer = CrossingBoundParams(beta=0.5, n=4000, delta=10, c=c, gamma_bar=gamma)
-        assert crossing_probability_bound(more_c).bound <= b0
-        assert crossing_probability_bound(more_g).bound <= b0
-        assert crossing_probability_bound(longer).bound <= b0
+        assert crossing_probability_bound(more_c)[0] <= b0
+        assert crossing_probability_bound(more_g)[0] <= b0
+        assert crossing_probability_bound(longer)[0] <= b0
 
 
 def test_expected_edge_fraction_is_gamma_bar():

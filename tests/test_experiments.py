@@ -1,31 +1,30 @@
 import json
-import math
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rwtopo
 from rwtopo import (
     ConfigError,
     ExperimentConfig,
     InvariantViolation,
-    StretchMatrix,
     UNREACHABLE,
-    bfs_distances,
     coverage_validation,
     crossing_rate,
     degree_moments,
     emit_reports,
-    expected_edge_fraction,
     experiments,
     grid_2d,
     preferential_attachment,
-    retrace_to_start,
-    routing_tree,
     run_experiment,
     run_rwsp,
     score_pairs,
 )
+from rwtopo.graph import bfs_distances
+from rwtopo.coverage import expected_edge_fraction
+from rwtopo.walker import retrace_to_start
+from rwtopo.rwsp import routing_tree
+from rwtopo.experiments import StretchMatrix
 from helpers import complete, path_graph, star, two_triangles
 
 
@@ -349,7 +348,7 @@ def test_score_pairs_matches_one_routing_tree_per_walker(kind, h, budget, monkey
     g = preferential_attachment(1500, 2, seed=11) if kind == "pa" else grid_2d(24, 24)
     starts = np.random.default_rng(h).choice(g.n, size=h, replace=False)
     run = run_rwsp(g, starts, budget, seed=(3, h))
-    groups = {frozenset(s.known_peers | {s.walker_id}) for s in run.states}
+    groups = {frozenset(s.known_peers | {i}) for i, s in enumerate(run.states)}
     searched = [grp for grp in groups if len(grp) > 1]
     singletons = len(groups) - len(searched)
     if budget == 5 and h >= 65:  # several groups beside walkers that met nobody
@@ -380,6 +379,13 @@ def test_names_patched_by_the_benchmark_exist():
     for name in ("bfs_distances", "routing_tree", "run_rwsp", "run_walk", "giant_component", "_one_run_records"):
         assert name in vars(experiments), name
     assert "from_pairs" in vars(experiments.StretchMatrix)
+    # What rwbench/workloads.py imports from the top level, including the
+    # edge-list writer it runs in a child process.
+    for name in (
+        "ExperimentConfig", "coverage_validation", "crossing_rate", "emit_reports", "from_spec",
+        "giant_component", "load_edge_list", "run_experiment", "write_edge_list",
+    ):
+        assert name in rwtopo.__all__ and hasattr(rwtopo, name), name
 
     # What rwbench reads from the results of those calls.
     g = preferential_attachment(60, 2, seed=4)

@@ -114,7 +114,8 @@ class TestPreferentialAttachment:
         assert qs[0] < qs[1] < qs[2]
 
     def test_connected_and_simple(self):
-        from rwtopo import bfs_distances, UNREACHABLE
+        from rwtopo import UNREACHABLE
+        from rwtopo.graph import bfs_distances
 
         g = preferential_attachment(200, 2, seed=3)
         assert (bfs_distances(g, 0) != UNREACHABLE).all()

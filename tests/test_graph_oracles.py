@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rwtopo import UNREACHABLE, Graph, bfs_distances, component_labels, giant_component
+from rwtopo import UNREACHABLE, Graph, giant_component
+from rwtopo.graph import bfs_distances, component_labels
 from rwtopo import graph as graph_module
 from rwtopo.graph import giant_members, pair_distances
 

@@ -1,0 +1,105 @@
+"""Import hygiene: no unused imports, and a top level that is the workflow.
+
+An import is used when its bound name appears as a name anywhere in the
+module, or, in a package ``__init__``, in ``__all__``.  An import kept on
+purpose carries ``# noqa: F401`` on its line.  The package top level
+re-exports only the names the README quickstart, the demos and the
+benchmark import from it; everything else is imported from its submodule.
+"""
+
+from __future__ import annotations
+
+import ast
+import importlib
+import inspect
+from pathlib import Path
+
+import pytest
+
+import rwtopo
+
+ROOT = Path(__file__).resolve().parent.parent
+FILES = sorted(
+    path for folder in ("src", "tests", "demos") for path in (ROOT / folder).rglob("*.py")
+)
+
+
+def unused_imports(source: str) -> list[tuple[int, str]]:
+    """(line, bound name) of every import in ``source`` that nothing uses."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    unused = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        for alias in node.names:
+            bound = alias.asname or alias.name.split(".")[0]
+            if bound not in used and "# noqa: F401" not in lines[alias.lineno - 1]:
+                unused.append((alias.lineno, bound))
+    return unused
+
+
+@pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_check_sees_unused_and_kept_imports():
+    source = (
+        "import os\n"
+        "import numpy as np\n"
+        "from a import (\n"
+        "    b,\n"
+        "    c,  # noqa: F401\n"
+        ")\n"
+        "from d import e\n"
+        "__all__ = ['e']\n"
+        "print(np.pi)\n"
+    )
+    assert unused_imports(source) == [(1, "os"), (4, "b")]
+
+
+TOP_LEVEL = {
+    "__version__", "UNREACHABLE", "Graph", "EdgeListParseError", "ConfigError", "InvariantViolation",
+    "load_edge_list", "write_edge_list", "degree_moments", "giant_component", "stats_report",
+    "from_spec", "preferential_attachment", "grid_2d", "PowerLawParams", "power_law_degrees",
+    "configuration_model", "validity_limit", "run_walk", "walker_seed", "crossing_time", "naive_route",
+    "run_rwsp", "score_pairs", "ExperimentConfig", "run_experiment", "coverage_validation",
+    "crossing_rate", "emit_reports",
+}
+
+# Public names that live only in their submodule.
+SUBMODULE_ONLY = {
+    "graph": ["DegreeMoments", "bfs_distances", "component_labels", "giant_members", "pair_distances"],
+    "coverage": [
+        "DIVERGES", "CoveragePoint", "CrossingBoundParams", "coverage_points", "coverage_rate",
+        "crossing_probability_bound", "edge_coverage", "expected_edge_fraction",
+        "linear_edge_coverage", "node_coverage", "powerlaw_edge_coverage",
+    ],
+    "walker": ["BreadcrumbTable", "WalkTrace", "retrace_to_start"],
+    "rwsp": ["MeetingEvent", "ProtocolRun", "RoutingTree", "UnionSubgraph", "WalkerState", "routing_tree"],
+    "experiments": ["CoverageValidationRow", "CrossingRateResult", "ExperimentResult", "StretchMatrix"],
+}
+
+
+def test_top_level_is_the_workflow():
+    assert len(rwtopo.__all__) == len(TOP_LEVEL) == 29
+    assert set(rwtopo.__all__) == TOP_LEVEL
+    exported = {
+        name for name, value in vars(rwtopo).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    }
+    assert exported | {"__version__"} == TOP_LEVEL
+    for module, names in SUBMODULE_ONLY.items():
+        owner = importlib.import_module(f"rwtopo.{module}")
+        for name in names:
+            assert hasattr(owner, name), f"rwtopo.{module}.{name}"
+            assert name not in TOP_LEVEL

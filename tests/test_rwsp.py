@@ -6,15 +6,15 @@ import pytest
 from rwtopo import (
     Graph,
     UNREACHABLE,
-    bfs_distances,
     grid_2d,
     preferential_attachment,
-    retrace_to_start,
-    routing_tree,
     run_rwsp,
     run_walk,
     walker_seed,
 )
+from rwtopo.graph import bfs_distances
+from rwtopo.walker import retrace_to_start
+from rwtopo.rwsp import routing_tree
 from helpers import (
     cycle,
     discovered_lengths,
@@ -47,16 +47,13 @@ class TestStarMeeting:
         assert event.t == 2 and event.at == 1
         assert event.finder == 1 and event.found == frozenset({0})
         # advertisement traced one hop back along walker 0's breadcrumbs
-        assert run.costs[1].advertise_hops == 1
-        assert run.costs[0].advertise_hops == 0
+        assert run.pair_advertise_hops == {(1, 0): 1}
         # each hand-off routes start -> contact -> peer start
-        assert run.costs[0].transfer_hops == 2
-        assert run.costs[1].transfer_hops == 2
+        assert run.pair_transfer_hops == {(0, 1): 2, (1, 0): 2}
 
     def test_no_costs_without_meetings(self):
         run = run_rwsp(two_triangles(), [0, 3], 6, seed=3)
-        for cost in run.costs:
-            assert cost.advertise_hops == 0 and cost.transfer_hops == 0
+        assert run.pair_advertise_hops == {} and run.pair_transfer_hops == {}
 
 
 class TestDisconnected:
@@ -184,8 +181,9 @@ class TestProtocolDeterminismAndScheduling:
             assert (a.states[i].trace.steps == b.states[i].trace.steps).all()
             assert a.states[i].known_peers == b.states[i].known_peers
             assert a.states[i].contact_points == b.states[i].contact_points
-            assert a.costs[i] == b.costs[i]
             assert (a.unions[i].edge_mask == b.unions[i].edge_mask).all()
+        assert a.pair_advertise_hops == b.pair_advertise_hops
+        assert a.pair_transfer_hops == b.pair_transfer_hops
 
     def test_walker_trajectories_match_standalone_walks(self):
         g = preferential_attachment(60, 2, seed=2)

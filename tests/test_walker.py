@@ -7,14 +7,14 @@ import pytest
 
 from rwtopo import (
     Graph,
-    bfs_distances,
     crossing_time,
     grid_2d,
     naive_route,
-    retrace_to_start,
     run_walk,
     walker_seed,
 )
+from rwtopo.graph import bfs_distances
+from rwtopo.walker import retrace_to_start
 from helpers import assert_valid_path, cycle, path_graph, star, triangle, two_triangles
 
 
@@ -100,7 +100,7 @@ class TestRunWalk:
             trace, _ = run_walk(g, 0, 15, seed=seed)
             for a, b in zip(trace.steps, trace.steps[1:]):
                 slot = np.flatnonzero(g.neighbors(int(a)) == int(b))[0]
-                eid = int(g.incident_edge_ids(int(a))[slot])
+                eid = int(g.adj_edge_ids[g.indptr[int(a)] + slot])
                 assert trace.covered_edges[eid]
 
     def test_triangle_coverage_matches_exhaustive_enumeration(self):
