@@ -9,6 +9,8 @@ route lengths against true shortest paths, and the naive alternative
 (retracing breadcrumbs end to end) shows why the exchange is worth it.
 """
 
+import itertools
+
 import numpy as np
 
 from rwtopo import (
@@ -42,11 +44,12 @@ for i, state in enumerate(run.states):
     )
 print()
 print("  pair  true  discovered  naive")
-for i, j, true_len, rwsp_len in score_pairs(g, run):
-    if j <= i or j not in run.direct_peers[i]:
+true, discovered = score_pairs(g, run)  # h x h hop counts among the starts
+for i, j in itertools.combinations(range(run.h), 2):
+    if j not in run.direct_peers[i]:
         continue
     naive_len = len(naive_route(run.states[i].trace, run.states[j].trace)) - 1
-    print(f"  {i}-{j}   {true_len:4d}  {rwsp_len:10d}  {naive_len:5d}")
+    print(f"  {i}-{j}   {true[i, j]:4d}  {discovered[i, j]:10d}  {naive_len:5d}")
 
 print()
 print("== 200-run stretch census ==")

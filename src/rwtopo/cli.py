@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 input error, 2 internal invariant violation.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from dataclasses import replace
@@ -100,6 +101,13 @@ def _taus(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
 
 
+def _seed(text: str) -> int:
+    """A non-negative integer seed (``--seed``, ``--synth-seed``/``synth_seed=``)."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _node_ids(text: str) -> tuple[int, ...]:
     """A comma-separated start list such as ``0,5,10`` (``--starts``/``starts=``)."""
     try:
@@ -123,12 +131,8 @@ def _cmd_predict(args) -> int:
             raise ConfigError("--num-edges must be at least 1")
         moments = DegreeMoments(args.mean_degree, args.second_moment)
         m = args.num_edges
-    taus = args.taus
-    if taus is None:
-        lo, hi, count = args.tau_grid
-        taus = [float(t) for t in np.linspace(lo, hi, int(count))]
     lines = ["tau,n_e_pred,n_nodes_pred,gamma_bar,warning_flag"]
-    for point in coverage_points(moments, m, taus):
+    for point in coverage_points(moments, m, args.taus):
         gamma = point.expected_edges / (2.0 * m)
         lines.append(
             f"{point.tau!r},{point.expected_edges!r},{point.expected_nodes!r},"
@@ -169,16 +173,17 @@ def _cmd_rwsp(args) -> int:
     advertise = _per_walker(run.pair_advertise_hops, cfg.h)
     transfer = _per_walker(run.pair_transfer_hops, cfg.h)
 
+    true, discovered = (m.tolist() for m in score_pairs(g, run))
     pairs = []
-    for i, j, dt, spl in score_pairs(g, run):
+    for i, j in itertools.permutations(range(cfg.h), 2):
         # the walks share a node exactly when the walkers met directly
         naive = naive_route(states[i].trace, states[j].trace)
         pairs.append(
             {
                 "i": i,
                 "j": j,
-                "true_spl": None if dt == UNREACHABLE else dt,
-                "rwsp_spl": None if spl == UNREACHABLE else spl,
+                "true_spl": None if true[i][j] == UNREACHABLE else true[i][j],
+                "rwsp_spl": None if discovered[i][j] == UNREACHABLE else discovered[i][j],
                 "naive_spl": None if naive is None else len(naive) - 1,
                 "met": j in run.direct_peers[i],
                 "linked": j in states[i].known_peers,
@@ -213,7 +218,7 @@ def _truthy(s: str) -> bool:
 _EVAL_KEYS = {
     "graph": str,
     "synth": str,
-    "synth_seed": int,
+    "synth_seed": _seed,
     "h": int,
     "beta": float,
     "runs": int,
@@ -310,14 +315,14 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("synth", help="generate a synthetic graph")
     p.add_argument("spec", help="generator spec, e.g. pa:n=5000,m0=3")
     p.add_argument("-o", "--output", required=True, help="edge-list file to write")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("walk", help="run one budgeted random walk")
     p.add_argument("--graph", required=True)
     p.add_argument("--start", type=int, required=True)
     p.add_argument("--budget", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.set_defaults(func=_cmd_walk)
 
     p = sub.add_parser("predict", help="closed-form coverage curve as CSV")
@@ -325,14 +330,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--mean-degree", type=float)
     p.add_argument("--second-moment", type=float)
     p.add_argument("--num-edges", type=int)
-    p.add_argument("--taus", type=_taus, help="comma-separated tau values")
     p.add_argument(
-        "--tau-grid",
-        nargs=3,
-        type=float,
-        default=(0.01, 0.10, 10),
-        metavar=("LO", "HI", "COUNT"),
-        help="linspace grid when --taus is absent (default 0.01 0.10 10)",
+        "--taus",
+        type=_taus,
+        default=np.linspace(0.01, 0.10, 10).tolist(),
+        help="comma-separated tau values (default 0.01, 0.02, ..., 0.10)",
     )
     p.add_argument("-o", "--output", help="CSV file (default stdout)")
     p.set_defaults(func=_cmd_predict)
@@ -343,12 +345,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--starts", type=_node_ids, help="comma-separated start nodes")
     p.add_argument("--random-starts", action="store_true")
     p.add_argument("--beta", type=float)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.set_defaults(func=_cmd_rwsp)
 
     p = sub.add_parser("eval", help="full Monte-Carlo evaluation")
     p.add_argument("config", nargs="?", help="key=value config file")
-    p.add_argument("--seed", type=int, required=True, help="master seed (mandatory)")
+    p.add_argument("--seed", type=_seed, required=True, help="master seed (mandatory)")
     p.add_argument("-o", "--out", required=True, help="output directory")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     for key, parse in _EVAL_KEYS.items():

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 import time
-from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -127,21 +126,17 @@ class StretchMatrix:
 
     @classmethod
     def from_pairs(cls, pairs) -> "StretchMatrix":
-        """Build from (d_true, d_discovered) records; UNREACHABLE marks INF."""
-        tally = Counter()
-        limit = 0
-        for dt, dd in pairs:
-            dt, dd = int(dt), int(dd)
-            for v in (dt, dd):
-                if v != UNREACHABLE and v < 1:
-                    raise InvariantViolation(f"invalid recorded distance {v}")
-            limit = max(limit, dt if dt != UNREACHABLE else 0, dd if dd != UNREACHABLE else 0)
-            tally[(dt, dd)] += 1
+        """Tally ``(d_true, d_discovered)`` records, any (N, 2) array-like;
+        UNREACHABLE marks INF."""
+        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        unreachable = pairs == UNREACHABLE
+        invalid = pairs[(pairs < 1) & ~unreachable]
+        if invalid.size:
+            raise InvariantViolation(f"invalid recorded distance {invalid[0]}")
+        limit = int(pairs[~unreachable].max(initial=0))
+        cells = np.where(unreachable, limit, pairs - 1)
         counts = np.zeros((limit + 1, limit + 1), dtype=np.int64)
-        for (dt, dd), k in tally.items():
-            r = limit if dt == UNREACHABLE else dt - 1
-            c = limit if dd == UNREACHABLE else dd - 1
-            counts[r, c] = k
+        np.add.at(counts, (cells[:, 0], cells[:, 1]), 1)
         return cls(counts)
 
     @property
@@ -247,10 +242,13 @@ class ExperimentResult:
     graph_n: int
     graph_m: int
     stretch: StretchMatrix
-    summary: dict
     coverage: list[CoverageValidationRow] | None = None
     crossing: CrossingRateResult | None = None
     wall_time_s: float = 0.0
+
+    @property
+    def summary(self) -> dict:
+        return self.stretch.summary()
 
 
 def _run_seed(cfg: ExperimentConfig, run_index: int) -> tuple[int, ...]:
@@ -274,50 +272,52 @@ def _start_pool(g: Graph, cfg: ExperimentConfig) -> np.ndarray:
     return members
 
 
-def _draw_starts(cfg: ExperimentConfig, members: np.ndarray, run_index: int) -> list[int]:
+def _draw_starts(cfg: ExperimentConfig, members: np.ndarray, run_index: int, k: int | None = None) -> list[int]:
+    """The first ``k`` (default h) starts of a run: pinned, or drawn without replacement."""
+    k = cfg.h if k is None else k
     if cfg.fixed_starts is not None:
-        return list(cfg.fixed_starts)
+        return list(cfg.fixed_starts[:k])
     rng = np.random.default_rng(_run_seed(cfg, run_index) + (_START_STREAM,))
-    return [int(s) for s in rng.choice(members, size=cfg.h, replace=False)]
+    return [int(s) for s in rng.choice(members, size=k, replace=False)]
 
 
-def score_pairs(g: Graph, run: ProtocolRun):
-    """Yield ``(i, j, d_true, d_discovered)`` for every ordered walker pair.
+def score_pairs(g: Graph, run: ProtocolRun) -> tuple[np.ndarray, np.ndarray]:
+    """``(true, discovered)``: h × h int64 hop distances among the walkers' starts.
 
-    One true-distance BFS per walker.  Every walker of a meeting-connected
-    group routes on the group's shared union G*, so one :func:`pair_distances`
-    search per group of two or more walkers gives the routing-tree depth of
-    every member's start from every other's.  ``d_discovered`` is
-    UNREACHABLE unless j is a known peer of i; walkers without peers are not
-    searched.
+    Entry (i, j) is for the ordered pair i -> j; both diagonals are 0.
+    ``true`` takes one BFS per walker on ``g``, UNREACHABLE where the starts
+    are disconnected.  Every walker of a meeting-connected group routes on
+    the group's shared union G*, so one :func:`pair_distances` search per
+    group of two or more walkers gives the routing-tree depth of every
+    member's start from every other's.  ``discovered[i, j]`` is UNREACHABLE
+    unless j is a known peer of i; walkers without peers are not searched.
     """
+    starts = np.asarray(run.starts, dtype=np.int64)
+    true = np.stack([bfs_distances(g, start)[starts] for start in run.starts])
     discovered = np.full((run.h, run.h), UNREACHABLE, dtype=np.int64)
     for i, state in enumerate(run.states):
         if state.known_peers and i < min(state.known_peers):  # the group's lowest id searches
             group = [i, *sorted(state.known_peers)]
             union = run.unions[i]
-            starts = [run.starts[j] for j in group]
-            discovered[np.ix_(group, group)] = pair_distances(union.graph, starts, union.edge_mask)
-    for i, start in enumerate(run.starts):
-        true_dist = bfs_distances(g, start)
-        row = discovered[i].tolist()
-        for j, target in enumerate(run.starts):
-            if j != i:
-                yield i, j, int(true_dist[target]), row[j]
+            discovered[np.ix_(group, group)] = pair_distances(union.graph, starts[group], union.edge_mask)
+    np.fill_diagonal(discovered, 0)
+    return true, discovered
 
 
 def _one_run_records(g: Graph, cfg: ExperimentConfig, budget: int, members: np.ndarray, run_index: int):
-    """Ordered-pair (d_true, d_discovered) records for one protocol run."""
+    """(d_true, d_discovered) of one protocol run's ordered walker pairs, an
+    (h·(h−1), 2) array in i-major order."""
     starts = _draw_starts(cfg, members, run_index)
     run = run_rwsp(g, starts, budget, seed=_run_seed(cfg, run_index))
-    records = []
-    for i, j, dt, dd in score_pairs(g, run):
-        if dd != UNREACHABLE and (dt == UNREACHABLE or dd < dt):
-            raise InvariantViolation(
-                f"run {run_index}: discovered {dd} hops vs true {dt} for pair ({i},{j})"
-            )
-        records.append((dt, dd))
-    return records
+    true, discovered = score_pairs(g, run)
+    bad = np.argwhere((discovered != UNREACHABLE) & ((true == UNREACHABLE) | (discovered < true)))
+    if bad.size:
+        i, j = bad[0]
+        raise InvariantViolation(
+            f"run {run_index}: discovered {discovered[i, j]} hops vs true {true[i, j]} for pair ({i},{j})"
+        )
+    off_diagonal = ~np.eye(run.h, dtype=bool)
+    return np.column_stack((true[off_diagonal], discovered[off_diagonal]))
 
 
 _POOL_CTX: tuple | None = None
@@ -355,15 +355,12 @@ def run_experiment(g: Graph, cfg: ExperimentConfig) -> ExperimentResult:
         per_run = [
             _one_run_records(g, cfg, budget, members, r) for r in range(cfg.runs)
         ]
-    pairs = [rec for records in per_run for rec in records]
-    stretch = StretchMatrix.from_pairs(pairs)
     return ExperimentResult(
         config=cfg,
         budget=budget,
         graph_n=g.n,
         graph_m=g.m,
-        stretch=stretch,
-        summary=stretch.summary(),
+        stretch=StretchMatrix.from_pairs(np.concatenate(per_run)),
         wall_time_s=time.perf_counter() - t0,
     )
 
@@ -388,11 +385,7 @@ def coverage_validation(g: Graph, cfg: ExperimentConfig, taus) -> list[CoverageV
     two_m = 2.0 * g.m
     samples = np.zeros((cfg.runs, len(taus)), dtype=np.float64)
     for r in range(cfg.runs):
-        if cfg.fixed_starts is not None:
-            start = cfg.fixed_starts[0]
-        else:
-            rng = np.random.default_rng(_run_seed(cfg, r) + (_START_STREAM,))
-            start = int(rng.choice(members))
+        start = _draw_starts(cfg, members, r, k=1)[0]
         trace, _ = run_walk(g, start, budget, seed=_run_seed(cfg, r))
         edges = trace.edge_count_per_step
         for k, t in enumerate(steps_at):

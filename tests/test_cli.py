@@ -76,6 +76,13 @@ def test_predict_rejects_fewer_than_one_edge(capsys, edges):
     assert "--num-edges must be at least 1" in captured.err
 
 
+def test_predict_has_no_tau_grid_flag(pa_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["predict", "--graph", str(pa_file), "--tau-grid", "0.01", "0.1", "10"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --tau-grid" in capsys.readouterr().err
+
+
 def test_rwsp_star_meeting_report(tmp_path, capsys):
     graph = tmp_path / "star.txt"
     graph.write_text("0 1\n0 2\n0 3\n0 4\n")
@@ -103,11 +110,11 @@ def test_rwsp_random_starts_replays_eval_run_zero(pa_file, capsys):
     cfg = ExperimentConfig(seed=17, h=5, beta=0.1, runs=1)
     expected = _one_run_records(g, cfg, cfg.budget(g.n), _start_pool(g, cfg), 0)
     recorded = [
-        tuple(UNREACHABLE if p[key] is None else p[key] for key in ("true_spl", "rwsp_spl"))
+        [UNREACHABLE if p[key] is None else p[key] for key in ("true_spl", "rwsp_spl")]
         for p in out["pairs"]
     ]
     assert out["budget"] == cfg.budget(g.n)
-    assert recorded == expected
+    assert recorded == expected.tolist()
 
 
 def test_rwsp_requires_start_policy(pa_file, capsys):
@@ -193,6 +200,7 @@ def test_eval_rejects_unknown_config_keys(tmp_path, capsys):
         ("h=abc", "h: invalid literal for int() with base 10: 'abc'"),
         ("starts=1,x", "starts: expected comma-separated node ids, got '1,x'"),
         ("coverage_taus=0.1,y", "coverage_taus: expected comma-separated numbers, got '0.1,y'"),
+        ("synth_seed=-4", "synth_seed: expected a non-negative integer, got '-4'"),
     ],
 )
 def test_eval_config_value_errors_name_the_file_line_and_key(tmp_path, capsys, line, message):
@@ -218,6 +226,25 @@ def test_bad_list_flags_name_the_flag(capsys, args, flag, value):
     assert exc.value.code == 1
     err = capsys.readouterr().err
     assert f"argument {flag}: expected comma-separated" in err and repr(value) in err
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("walk --graph {graph} --start 0 --budget 5", "--seed"),
+        ("synth pa:n=50,m0=2 -o {out}", "--seed"),
+        ("rwsp --graph {graph} --h 2 --random-starts", "--seed"),
+        ("eval --synth pa:n=50,m0=2 -o {out}", "--seed"),
+        ("eval --synth pa:n=50,m0=2 -o {out} --seed 1", "--synth-seed"),
+    ],
+    ids=["walk", "synth", "rwsp", "eval", "eval-synth-seed"],
+)
+def test_negative_seeds_name_the_flag(pa_file, tmp_path, capsys, command, flag):
+    args = command.format(graph=pa_file, out=tmp_path / "out").split()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args + [flag, "-1"])
+    assert exc.value.code == 1
+    assert f"argument {flag}: expected a non-negative integer, got '-1'" in capsys.readouterr().err
 
 
 def test_eval_requires_seed_flag(tmp_path):

@@ -28,10 +28,17 @@ EVAL_DIGESTS = {
     ("json", 2): "3017182d668c4abb087e5c6eedd1adf1e6604c4b11d07958b2727b38945dcd62",
 }
 
+# name -> (command run with --graph on the PA graph, digest of its stdout)
 STDOUT_DIGESTS = {
-    "rwsp-random-starts": "59705210581ab7d41d1932988d97fbbb487113666bdb90ce5409d44516e2ed0a",
-    "rwsp-starts": "e9f5e1c364bc264dfdb421975162aa0bf4c64cdcc8bcc4d4c0da2a8e07fe2788",
-    "predict-default": "59fd11727512bc5bbea158f7673fabce1d2d156ea34407e0800791eb9e790152",
+    "rwsp-random-starts": (
+        ["rwsp", "--h", "6", "--random-starts", "--beta", "0.04", "--seed", "17"],
+        "59705210581ab7d41d1932988d97fbbb487113666bdb90ce5409d44516e2ed0a",
+    ),
+    "rwsp-starts": (
+        ["rwsp", "--h", "3", "--starts", "0,7,350", "--beta", "0.02", "--seed", "5"],
+        "e9f5e1c364bc264dfdb421975162aa0bf4c64cdcc8bcc4d4c0da2a8e07fe2788",
+    ),
+    "predict-default": (["predict"], "59fd11727512bc5bbea158f7673fabce1d2d156ea34407e0800791eb9e790152"),
 }
 
 
@@ -58,14 +65,8 @@ def test_eval_reports_match_the_recorded_digest(tmp_path, capsys, fmt, workers):
     assert sha256(b"\0".join(parts)) == EVAL_DIGESTS[fmt, workers]
 
 
-@pytest.mark.parametrize(
-    "name, args",
-    [
-        ("rwsp-random-starts", ["rwsp", "--h", "6", "--random-starts", "--beta", "0.04", "--seed", "17"]),
-        ("rwsp-starts", ["rwsp", "--h", "3", "--starts", "0,7,350", "--beta", "0.02", "--seed", "5"]),
-        ("predict-default", ["predict"]),
-    ],
-)
-def test_stdout_matches_the_recorded_digest(pa_file, capsys, name, args):
+@pytest.mark.parametrize("name", sorted(STDOUT_DIGESTS))
+def test_stdout_matches_the_recorded_digest(pa_file, capsys, name):
+    args, digest = STDOUT_DIGESTS[name]
     assert cli.main(args + ["--graph", pa_file]) == 0
-    assert sha256(capsys.readouterr().out.encode()) == STDOUT_DIGESTS[name]
+    assert sha256(capsys.readouterr().out.encode()) == digest

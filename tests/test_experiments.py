@@ -329,8 +329,10 @@ class TestEmitReports:
             emit_reports(self._result(), "xml", tmp_path)
 
 
-def tree_scored_pairs(g, run):
+def tree_scored_matrices(g, run):
     """Reference scorer: one true-distance search and one routing tree per walker."""
+    true = np.zeros((run.h, run.h), dtype=np.int64)
+    discovered = np.zeros((run.h, run.h), dtype=np.int64)
     for i, start in enumerate(run.starts):
         true_dist = bfs_distances(g, start)
         tree = routing_tree(run.unions[i], start)
@@ -338,7 +340,9 @@ def tree_scored_pairs(g, run):
             if j == i:
                 continue
             known = j in run.states[i].known_peers
-            yield i, j, int(true_dist[target]), int(tree.depth[target]) if known else UNREACHABLE
+            true[i, j] = true_dist[target]
+            discovered[i, j] = tree.depth[target] if known else UNREACHABLE
+    return true, discovered
 
 
 @pytest.mark.parametrize("budget", [5, 60])
@@ -369,8 +373,22 @@ def test_score_pairs_matches_one_routing_tree_per_walker(kind, h, budget, monkey
 
     for name in calls:
         monkeypatch.setattr(experiments, name, counted(name))
-    assert list(score_pairs(g, run)) == list(tree_scored_pairs(g, run))
+    true, discovered = score_pairs(g, run)
+    expected_true, expected_discovered = tree_scored_matrices(g, run)
+    assert true.dtype == discovered.dtype == np.int64
+    assert np.array_equal(true, expected_true) and np.array_equal(discovered, expected_discovered)
     assert calls == {"bfs_distances": h, "pair_distances": len(searched)}
+
+
+def test_run_invariant_names_the_first_bad_pair_in_i_major_order(monkeypatch):
+    u = UNREACHABLE
+    true = np.array([[0, 2, 3], [2, 0, u], [3, 4, 0]])
+    discovered = np.array([[0, 2, u], [2, 0, 5], [2, 4, 0]])  # (1,2) and (2,0) are both impossible
+    monkeypatch.setattr(experiments, "score_pairs", lambda g, run: (true, discovered))
+    g = path_graph(6)
+    cfg = ExperimentConfig(seed=1, h=3, beta=0.5, runs=1, fixed_starts=(0, 2, 4))
+    with pytest.raises(InvariantViolation, match=r"^run 0: discovered 5 hops vs true -1 for pair \(1,2\)$"):
+        experiments._one_run_records(g, cfg, cfg.budget(g.n), experiments._start_pool(g, cfg), 0)
 
 
 def test_names_patched_by_the_benchmark_exist():
