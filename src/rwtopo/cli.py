@@ -151,6 +151,21 @@ def _given(settings: dict, keys) -> dict:
     return {key: settings[key] for key in keys if settings.get(key) is not None}
 
 
+def _walker_count(h, starts, h_setting: str, starts_setting: str):
+    """h as given, or the length of the start list when only that is given.
+
+    ``h_setting`` spells the h setting with a ``{}`` for its value, e.g.
+    ``"--h {}"``; ``starts_setting`` names the start list.
+    """
+    if starts is None:
+        return h
+    if h is not None and h != len(starts):
+        raise ConfigError(
+            f"{h_setting.format(h)} disagrees with {starts_setting}, which lists {len(starts)} nodes"
+        )
+    return len(starts)
+
+
 def _per_walker(pair_hops: dict, h: int) -> list[int]:
     """Each walker i's total over its ``(i, j)`` entries of a pair-hop dict."""
     totals = [0] * h
@@ -162,6 +177,7 @@ def _per_walker(pair_hops: dict, h: int) -> list[int]:
 def _cmd_rwsp(args) -> int:
     if not (args.starts or args.random_starts):
         raise ConfigError("rwsp needs --starts or --random-starts")
+    args.h = _walker_count(args.h, args.starts, "--h {}", "--starts")
     cfg = ExperimentConfig(seed=args.seed, runs=1, fixed_starts=args.starts, **_given(vars(args), ("h", "beta")))
     g = load_edge_list(args.graph)
     budget = cfg.budget(g.n)
@@ -274,6 +290,7 @@ def _cmd_eval(args) -> int:
     else:
         raise ConfigError("eval needs a graph= path or a synth= generator spec")
 
+    settings["h"] = _walker_count(settings.get("h"), settings.get("starts"), "h={}", "starts=")
     cfg = ExperimentConfig(
         seed=args.seed,
         fixed_starts=settings.get("starts"),

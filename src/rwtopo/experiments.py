@@ -36,11 +36,15 @@ from .graph import (
 )
 from .rwsp import ProtocolRun, run_rwsp
 from .rwsp import routing_tree  # noqa: F401  (not called here; rwbench/tracing.py wraps it by name)
-from .walker import _as_seed_tuple, crossing_time, run_walk, walker_seed
+from .walker import WalkTrace, _as_seed_tuple, run_walk, run_walks, walker_seed
 
 # Stream tag for start-node sampling; must not collide with walker ids, so h
 # may not exceed it.
 _START_STREAM = 0xBEEF
+
+# Cap on the uniforms crossing_rate draws for one block of lockstep walks
+# (lanes x budget x 8 bytes), so its memory does not grow with the run count.
+_WALK_BLOCK_BYTES = 1 << 22
 
 
 class InvariantViolation(RuntimeError):
@@ -299,7 +303,7 @@ def score_pairs(g: Graph, run: ProtocolRun) -> tuple[np.ndarray, np.ndarray]:
         if state.known_peers and i < min(state.known_peers):  # the group's lowest id searches
             group = [i, *sorted(state.known_peers)]
             union = run.unions[i]
-            discovered[np.ix_(group, group)] = pair_distances(union.graph, starts[group], union.edge_mask)
+            discovered[np.ix_(group, group)] = pair_distances(union.graph, starts[group], union.edge_ids)
     np.fill_diagonal(discovered, 0)
     return true, discovered
 
@@ -428,20 +432,25 @@ def crossing_rate(
     cond_num = 0
     cond_den = 0
     gamma_sum = 0.0
-    for r in range(cfg.runs):
-        starts = _draw_starts(cfg, members, r)
-        trace_i, _ = run_walk(g, starts[0], budget, walker_seed(_run_seed(cfg, r), 0))
-        trace_j, _ = run_walk(g, starts[1], budget, walker_seed(_run_seed(cfg, r), 1))
-        visited_i = trace_i.visited
-        if crossing_time(trace_j, visited_i) is None:
-            never += 1
-        gamma_sum += trace_i.covered_edge_count / (2.0 * g.m)
-        in_set = visited_i[trace_j.steps]
-        if budget > delta:
-            before = in_set[:-delta]
-            after = in_set[delta:]
-            cond_den += int(np.count_nonzero(~before))
-            cond_num += int(np.count_nonzero(~before & after))
+    # Both walkers of every run in a block step in lockstep, in blocks of
+    # runs whose uniforms stay under _WALK_BLOCK_BYTES.
+    block = max(1, _WALK_BLOCK_BYTES // (2 * 8 * budget))
+    for lo in range(0, cfg.runs, block):
+        runs = range(lo, min(lo + block, cfg.runs))
+        starts = [s for r in runs for s in _draw_starts(cfg, members, r)]
+        seeds = [walker_seed(_run_seed(cfg, r), w) for r in runs for w in (0, 1)]
+        steps = run_walks(g, starts, budget, seeds)
+        for steps_i, steps_j in zip(steps[0::2], steps[1::2]):
+            trace_i = WalkTrace(walker_id=0, start=int(steps_i[0]), budget=budget, steps=steps_i, graph=g)
+            in_set = trace_i.visited[steps_j]
+            if not in_set.any():
+                never += 1
+            gamma_sum += trace_i.covered_edge_count / (2.0 * g.m)
+            if budget > delta:
+                before = in_set[:-delta]
+                after = in_set[delta:]
+                cond_den += int(np.count_nonzero(~before))
+                cond_num += int(np.count_nonzero(~before & after))
     gamma_bar = expected_edge_fraction(degree_moments(g), budget / g.n)
     params = CrossingBoundParams(
         beta=budget / g.n, n=g.n, delta=delta, c=c, gamma_bar=gamma_bar

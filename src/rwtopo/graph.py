@@ -268,16 +268,27 @@ def bfs_distances(g: Graph, source: int, edge_mask: np.ndarray | None = None) ->
     return dist
 
 
-def _masked_csr(g: Graph, edge_mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(indptr, adj) of the subgraph of ``g`` with the edges in ``edge_mask``.
-
-    Kept arcs stay in CSR order, so each node's new row start is the number
-    of kept arcs before its old one.
-    """
-    keep = edge_mask[g.adj_edge_ids]
-    kept_before = np.zeros(keep.size + 1, dtype=np.int64)
-    np.cumsum(keep, out=kept_before[1:])
-    return kept_before[g.indptr], g.adj[keep]
+def _edge_csr(g: Graph, edge_ids: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(indptr, adj, local ids of ``nodes``) of the subgraph of ``g`` with the
+    edges ``edge_ids``, on those edges' endpoints and ``nodes`` renumbered
+    ``0..k-1``.  Nothing of size n or m is scanned, so the cost grows with
+    ``len(edge_ids) + len(nodes)`` alone."""
+    ends = g.edges[edge_ids]
+    touched = np.concatenate([ends.ravel(), nodes])
+    # Renumber without sorting: each entry parks its position in its node's
+    # slot, exactly one per node survives (as in _flood), and the survivors
+    # then park their new ids there.
+    slot = np.empty(g.n, dtype=np.int64)
+    position = np.arange(touched.size)
+    slot[touched] = position
+    ids = touched[slot[touched] == position]
+    slot[ids] = np.arange(ids.size)
+    local = slot[touched]
+    src = local[: ends.size]  # arcs lo -> hi and hi -> lo, interleaved
+    dst = local[: ends.size].reshape(-1, 2)[:, ::-1].ravel()
+    indptr = np.zeros(ids.size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=ids.size), out=indptr[1:])
+    return indptr, dst[np.argsort(src)], local[ends.size :]
 
 
 # A pair_distances level pushes from its frontier when the frontier's arcs are
@@ -289,11 +300,13 @@ def _masked_csr(g: Graph, edge_mask: np.ndarray) -> tuple[np.ndarray, np.ndarray
 _PUSH_SHARE = 0.1
 
 
-def pair_distances(g: Graph, nodes, edge_mask: np.ndarray | None = None) -> np.ndarray:
+def pair_distances(g: Graph, nodes, edge_ids: np.ndarray | None = None) -> np.ndarray:
     """Hop distances among ``nodes`` as a k x k matrix (UNREACHABLE where no path exists).
 
-    Entry ``[a, b]`` is the distance between ``nodes[a]`` and ``nodes[b]``;
-    ``edge_mask`` restricts the search as in :func:`bfs_distances`.  Up to 64
+    Entry ``[a, b]`` is the distance between ``nodes[a]`` and ``nodes[b]``.
+    With ``edge_ids`` only the edges with those ids are traversed; the
+    search then runs on a compact copy of that subgraph, so its cost grows
+    with the number of those edges, not with the size of ``g``.  Up to 64
     sources are searched at once, one bit per source in a ``uint64`` word per
     node (Then et al., "The More the Merrier", PVLDB 2014).  Each level
     pushes from the frontier while the frontier's arcs are a small share of
@@ -305,16 +318,20 @@ def pair_distances(g: Graph, nodes, edge_mask: np.ndarray | None = None) -> np.n
     nodes = np.asarray(nodes, dtype=np.int64).reshape(-1)
     if nodes.size and not (0 <= nodes.min() and nodes.max() < g.n):
         raise ValueError("node id out of range")
-    indptr, adj = (g.indptr, g.adj) if edge_mask is None else _masked_csr(g, edge_mask)
+    if edge_ids is None:
+        indptr, adj = g.indptr, g.adj
+    else:
+        indptr, adj, nodes = _edge_csr(g, np.asarray(edge_ids, dtype=np.int64), nodes)
+    n = indptr.size - 1
     deg = np.diff(indptr)
     pullers = np.flatnonzero(deg)
     pull_starts = indptr[pullers]
     push_limit = _PUSH_SHARE * adj.size
 
-    seen = np.zeros(g.n, dtype=np.uint64)
-    frontier = np.zeros(g.n, dtype=np.uint64)
-    pushed = np.zeros(g.n, dtype=np.uint64)
-    park = np.empty(g.n, dtype=np.int64)
+    seen = np.zeros(n, dtype=np.uint64)
+    frontier = np.zeros(n, dtype=np.uint64)
+    pushed = np.zeros(n, dtype=np.uint64)
+    park = np.empty(n, dtype=np.int64)
     gathered = np.empty(adj.size, dtype=np.uint64)
     pulled = np.empty(pullers.size, dtype=np.uint64)
     unseen = np.empty(pullers.size, dtype=np.uint64)

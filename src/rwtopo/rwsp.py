@@ -15,11 +15,25 @@ a fresh node in the same round, the lower id registers first and only the
 higher id sees a breadcrumb.  All scheduling is deterministic given
 (graph, starts, budget, seed).
 
-The simulation replays only first visits, in (round, walker id) order.  That
-is exact: a walker revisiting a node meets nobody new there, because whoever
-registered the node between its two visits already found it at the
-registration.  So every first meeting of a pair lands on the later walker's
-first visit of the meeting node.
+The simulation computes this schedule from tables instead of stepping it.
+The h walks run as lanes of :func:`rwtopo.walker.run_walks`.  Only first
+visits matter: a walker revisiting a node meets nobody new there, because
+whoever registered the node between its two visits already found it at the
+registration.  Each first visit gets the key ``round * h + walker``, so
+keys order visits as the rounds register them, same-round ties going to the
+lower id.  Then:
+
+* Walkers a and b first meet with key ``K = min over the nodes v both
+  visited of max(key_a(v), key_b(v))``: the pair's first meeting is the
+  first registration that finds the other's breadcrumb.  ``K`` names the
+  finder (``K mod h``) and the round (``K div h``), so the meeting node is
+  the finder's step in that round.  The peers found under one key form one
+  :class:`MeetingEvent`.
+* A breadcrumb depth (hops back to the start) is one more than the depth
+  of the node the first visit came from, found by pointer jumping.
+* A walker's contacts are its meeting nodes, earliest meeting first.  The
+  subgraph hand-off from i to a directly met j goes through i's earliest
+  contact that j visited.
 """
 
 from __future__ import annotations
@@ -29,7 +43,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph, bfs_distances, component_labels
-from .walker import WalkTrace, run_walk, walker_seed
+from .walker import WalkTrace, run_walks, walker_seed
+
+# Meeting key of a pair that never met.
+_NEVER = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -60,8 +77,8 @@ class UnionSubgraph:
     """The merged discovered topology G* of one meeting-connected group.
 
     Only the group's walk traces are stored, and every member of the group
-    holds this same object.  ``node_mask``/``edge_mask`` (the union of the
-    walks' visited nodes and covered edges) are built on access, like
+    holds this same object.  ``edge_ids`` (the union of the walks' covered
+    edges) and the dense ``node_mask``/``edge_mask`` are built on access, like
     :attr:`WalkTrace.visited`.  Covered edges may lead to unvisited
     endpoints; those are legitimate route hops because a walker read them
     off a visited node's neighbor list.
@@ -86,6 +103,11 @@ class UnionSubgraph:
         for tr in self.traces:
             mask[tr.covered_edge_ids()] = True
         return mask
+
+    @property
+    def edge_ids(self) -> np.ndarray:
+        """Covered edge ids of the group's walks, ascending."""
+        return np.flatnonzero(self.edge_mask)
 
 
 @dataclass(frozen=True)
@@ -125,6 +147,65 @@ class ProtocolRun:
         return len(self.starts)
 
 
+class _FirstVisits:
+    """The first-visit table of h walks (one row of ``steps`` per walker).
+
+    One entry per (node, walker) a walk visited, sorted by ``node * h +
+    walker`` (``codes``), so a node's visitors are consecutive and in walker
+    order.  ``key`` is the entry's replay order ``round * h + walker`` and
+    ``depth`` its breadcrumb hops back to the walker's start.
+    """
+
+    def __init__(self, steps: np.ndarray):
+        h, budget = steps.shape
+        self.h = h
+        self.codes, first, entry = np.unique(
+            steps * h + np.arange(h)[:, None], return_index=True, return_inverse=True
+        )
+        self.node, self.walker = np.divmod(self.codes, h)
+        rnd = first - self.walker * budget
+        self.key = rnd * h + self.walker
+
+        # Pointer jumping: after k rounds every entry points 2**k breadcrumbs
+        # back (or at its start) and holds the hops it has skipped.
+        parent = np.arange(self.codes.size)
+        moved = rnd > 0
+        parent[moved] = entry.reshape(-1)[first[moved] - 1]
+        depth = moved.astype(np.int64)
+        while True:
+            hop = parent[parent]
+            if np.array_equal(hop, parent):
+                break
+            depth += depth[parent]
+            parent = hop
+        self.depth = depth
+
+    def lookup(self, w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(visited, depth): whether walker ``w[k]`` visited node ``v[k]``,
+        and its breadcrumb depth there for the visited ones."""
+        code = v * self.h + w
+        pos = np.minimum(np.searchsorted(self.codes, code), self.codes.size - 1)
+        hit = self.codes[pos] == code
+        return hit, self.depth[pos[hit]]
+
+    def first_meetings(self) -> np.ndarray:
+        """h x h first-meeting keys: entry ``[a, b]`` (a < b) is the least,
+        over the nodes both visited, of the later of their two keys there;
+        _NEVER where they share no node and in every other cell."""
+        h, walker, key = self.h, self.walker, self.key
+        meet = np.full(h * h, _NEVER, dtype=np.int64)
+        rank = np.arange(self.codes.size)  # an entry's place among its node's visitors
+        rank -= np.maximum.accumulate(np.where(np.r_[True, self.node[1:] != self.node[:-1]], rank, 0))
+        later = np.flatnonzero(rank)
+        r = 1
+        while later.size:  # every pair of visitors r entries apart
+            earlier = later - r
+            np.minimum.at(meet, walker[earlier] * h + walker[later], np.maximum(key[earlier], key[later]))
+            r += 1
+            later = later[rank[later] >= r]
+        return meet.reshape(h, h)
+
+
 def run_rwsp(g: Graph, starts, budget: int, seed) -> ProtocolRun:
     """Simulate the full discovery protocol for ``h`` walkers.
 
@@ -146,55 +227,74 @@ def run_rwsp(g: Graph, starts, budget: int, seed) -> ProtocolRun:
     if len(set(starts)) != h:
         raise ValueError("start nodes must be distinct")
 
-    traces = [run_walk(g, s, budget, walker_seed(seed, i), walker_id=i)[0] for i, s in enumerate(starts)]
+    steps = run_walks(g, starts, budget, [walker_seed(seed, i) for i in range(h)])
+    traces = [
+        WalkTrace(walker_id=i, start=s, budget=int(budget), steps=steps[i], graph=g) for i, s in enumerate(starts)
+    ]
+    visits = _FirstVisits(steps)
 
-    # First visits of all walkers as (step index, walker, node), replayed in
-    # (round, walker id) order.
-    index = np.concatenate([tr.first_visits[1] for tr in traces])
-    walker = np.repeat(np.arange(h), [tr.unique_nodes for tr in traces])
-    node = np.concatenate([tr.visited_nodes() for tr in traces])
-    order = np.lexsort((walker, index))
-    events = zip(index[order].tolist(), walker[order].tolist(), node[order].tolist())
-
-    steps = [tr.steps.tolist() for tr in traces]
-    depth: list[dict[int, int]] = [{} for _ in range(h)]  # node -> breadcrumb hops to start
-    registry: dict[int, list[int]] = {}  # node -> walkers with a breadcrumb there
-    known: list[set[int]] = [set() for _ in range(h)]
-    contacts: list[dict[int, int]] = [{} for _ in range(h)]  # node -> round learned
+    # Meeting events in replay order: by key, then found walker, which is
+    # also the order of pair_advertise_hops.
+    meet = visits.first_meetings()
+    met = meet != _NEVER
+    a, b = np.nonzero(met)
+    order = np.lexsort((a + b, meet[a, b]))
+    a, b = a[order], b[order]
+    met_key = meet[a, b]
+    rnd, finder = np.divmod(met_key, h)
+    found = a + b - finder
+    at = steps[finder, rnd]
     meetings: list[list[MeetingEvent]] = [[] for _ in range(h)]
-    pair_adv: dict[tuple[int, int], int] = {}
-    for k, i, v in events:
-        depth[i][v] = depth[i][steps[i][k - 1]] + 1 if k else 0
-        here = registry.setdefault(v, [])
-        new = sorted(j for j in here if j not in known[i])  # hop dicts fill in peer-id order
-        here.append(i)
-        if not new:
-            continue
-        t = k + 1
-        meetings[i].append(MeetingEvent(t=t, finder=i, found=frozenset(new), at=v))
-        known[i].update(new)
-        contacts[i].setdefault(v, t)
-        for j in new:
-            pair_adv[(i, j)] = depth[j][v]
-            known[j].add(i)
-            contacts[j].setdefault(v, t)
+    cuts = np.flatnonzero(np.diff(met_key, prepend=-1, append=-1)).tolist()
+    finder_l, found_l, at_l, t_l = finder.tolist(), found.tolist(), at.tolist(), (rnd + 1).tolist()
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        f = finder_l[lo]
+        meetings[f].append(MeetingEvent(t=t_l[lo], finder=f, found=frozenset(found_l[lo:hi]), at=at_l[lo]))
 
-    direct_peers = [frozenset(known[i]) for i in range(h)]
+    # Both walkers' breadcrumb depths at each meeting node; the found
+    # walker's is the advertisement's.
+    own = np.concatenate([finder, found])
+    contact = np.concatenate([at, at])
+    _, contact_depth = visits.lookup(own, contact)
+    pair_adv = dict(zip(zip(finder_l, found_l), contact_depth[finder.size :].tolist()))
+
+    # Each walker's contacts: its meeting nodes, earliest meeting first and
+    # each node once.
+    order = np.lexsort((np.concatenate([met_key, met_key]), own))
+    own, contact, contact_depth = own[order], contact[order], contact_depth[order]
+    _, keep = np.unique(own * g.n + contact, return_index=True)
+    keep.sort()
+    own, contact, contact_depth = own[keep], contact[keep], contact_depth[keep]
 
     # Subgraph hand-off to every directly met peer, routed start -> contact
-    # node (sender's breadcrumbs) -> peer start (receiver's breadcrumbs).
-    # The contact is the earliest learned one the peer has visited; a
-    # reception is recorded after all meeting contacts, so it is never chosen.
-    pair_tr: dict[tuple[int, int], int] = {}
-    for i in range(h):
-        for j in sorted(direct_peers[i]):
-            contact = next(v for v in contacts[i] if v in depth[j])
-            pair_tr[(i, j)] = depth[i][contact] + depth[j][contact]
-            contacts[j].setdefault(contact, budget + 1)
+    # node (sender's breadcrumbs) -> peer start (receiver's breadcrumbs),
+    # with i-major pairs (i, j).  Sweep each i's contacts in order until j
+    # visited one; their own meeting node always qualifies.
+    ti, tj = np.nonzero(met | met.T)
+    via = np.empty(ti.size, dtype=np.int64)
+    hops = np.empty(ti.size, dtype=np.int64)
+    pending = np.arange(ti.size)
+    c = np.searchsorted(own, ti)  # each i's earliest contact
+    while pending.size:
+        hit, j_depth = visits.lookup(tj[pending], contact[c])
+        done = pending[hit]
+        via[done] = contact[c[hit]]
+        hops[done] = contact_depth[c[hit]] + j_depth
+        pending, c = pending[~hit], c[~hit] + 1
+    pair_tr = dict(zip(zip(ti.tolist(), tj.tolist()), hops.tolist()))
+
+    known: list[set[int]] = [set() for _ in range(h)]
+    contacts: list[set[int]] = [set() for _ in range(h)]
+    for i, v in zip(own.tolist(), contact.tolist()):
+        contacts[i].add(v)
+    for i, j, v in zip(ti.tolist(), tj.tolist(), via.tolist()):
+        known[i].add(j)
+        contacts[j].add(v)  # j receives i's subgraph at v
+    direct_peers = [frozenset(k) for k in known]
 
     # Transitive closure of peer knowledge: meeting-connected groups share
     # everything, so indirectly linked walkers also exchange subgraphs.
-    labels = component_labels(Graph(h, [(i, j) for i in range(h) for j in direct_peers[i]]))[0].tolist()
+    labels = component_labels(Graph(h, np.column_stack((a, b))))[0].tolist()
     groups: dict[int, list[int]] = {}
     for i, label in enumerate(labels):
         groups.setdefault(label, []).append(i)

@@ -16,6 +16,11 @@ appearance):
 
 Budgets count sequence entries (``len(steps) == B``), so a budget-1 walk is
 just the start node.
+
+:func:`run_walk` steps one walk in a Python loop; :func:`run_walks` steps
+many in lockstep, one array operation per move for all of them.  Both draw
+a walk's moves from its own seed by the same rule, so they produce the same
+steps.
 """
 
 from __future__ import annotations
@@ -145,6 +150,16 @@ class BreadcrumbTable:
         return pred
 
 
+def _check_walks(g: Graph, starts, budget: int) -> None:
+    for start in starts:
+        if not 0 <= start < g.n:
+            raise ValueError(f"start node {start} out of range")
+        if g.degree(start) < 1:
+            raise ValueError(f"start node {start} is isolated")
+    if budget < 1:
+        raise ValueError("budget must be at least 1")
+
+
 def run_walk(g: Graph, start: int, budget: int, seed, walker_id: int = 0):
     """Run one budgeted simple random walk.
 
@@ -164,12 +179,7 @@ def run_walk(g: Graph, start: int, budget: int, seed, walker_id: int = 0):
     -------
     (WalkTrace, BreadcrumbTable)
     """
-    if not 0 <= start < g.n:
-        raise ValueError(f"start node {start} out of range")
-    if g.degree(start) < 1:
-        raise ValueError(f"start node {start} is isolated")
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
+    _check_walks(g, [start], budget)
     rng = np.random.default_rng(_as_seed_tuple(seed))
     uniform = rng.random(budget - 1)
 
@@ -191,6 +201,42 @@ def run_walk(g: Graph, start: int, budget: int, seed, walker_id: int = 0):
         graph=g,
     )
     return trace, BreadcrumbTable(trace)
+
+
+def run_walks(g: Graph, starts, budget: int, seeds) -> np.ndarray:
+    """Run one budgeted simple random walk per lane, all lanes in lockstep.
+
+    Lane ``r`` starts at ``starts[r]`` (starts may repeat) and draws its own
+    uniform stream from ``seeds[r]``, so row ``r`` of the returned
+    ``(len(starts), budget)`` int64 array equals the ``steps`` of
+    ``run_walk(g, starts[r], budget, seeds[r])``.  Every move of every lane
+    is one array step: ``cur = adj[indptr[cur] + min(floor(u * deg), deg - 1)]``.
+    That pays off once there are a few lanes; a single long walk is cheaper
+    with :func:`run_walk`.  The uniforms of all lanes are drawn up front,
+    so memory is about three times ``len(starts) * budget * 8`` bytes.
+    """
+    starts = np.asarray(starts, dtype=np.int64).reshape(-1)
+    seeds = list(seeds)
+    if len(seeds) != starts.size:
+        raise ValueError(f"{starts.size} starts but {len(seeds)} seeds")
+    _check_walks(g, starts.tolist(), budget)
+    drawn = np.empty((starts.size, budget - 1))
+    for row, seed in zip(drawn, seeds):
+        np.random.default_rng(_as_seed_tuple(seed)).random(out=row)
+    uniform = np.ascontiguousarray(drawn.T)  # one row per move
+    del drawn
+
+    indptr, adj, deg = g.indptr, g.adj, g.degrees
+    steps = np.empty((budget, starts.size), dtype=np.int64)
+    steps[0] = starts
+    for t in range(1, budget):
+        cur = steps[t - 1]
+        d = deg[cur]
+        pick = (uniform[t - 1] * d).astype(np.int64)
+        np.minimum(pick, d - 1, out=pick)
+        pick += indptr[cur]
+        np.take(adj, pick, out=steps[t])
+    return np.ascontiguousarray(steps.T)
 
 
 def retrace_to_start(trace: WalkTrace, node: int) -> list[int]:

@@ -117,6 +117,36 @@ def test_rwsp_random_starts_replays_eval_run_zero(pa_file, capsys):
     assert recorded == expected.tolist()
 
 
+def test_rwsp_takes_h_from_the_start_list(pa_file, capsys):
+    assert cli.main(["rwsp", "--graph", str(pa_file), "--starts", "0,7,50", "--beta", "0.2", "--seed", "3"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert [w["start"] for w in out["walkers"]] == [0, 7, 50]
+    assert len(out["pairs"]) == 6
+
+
+def test_rwsp_rejects_an_h_that_disagrees_with_the_start_list(pa_file, capsys):
+    args = ["rwsp", "--graph", str(pa_file), "--h", "4", "--starts", "0,7,50", "--seed", "3"]
+    assert cli.main(args) == 1
+    err = capsys.readouterr().err
+    assert "--h 4 disagrees with --starts, which lists 3 nodes" in err
+
+
+def test_eval_takes_h_from_the_start_list(tmp_path):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("synth = pa:n=100,m0=2\nstarts = 0,7,50\nbeta = 0.2\nruns = 2\n")
+    out_dir = tmp_path / "out"
+    assert cli.main(["eval", str(cfg), "--seed", "4", "-o", str(out_dir)]) == 0
+    meta = json.loads((out_dir / "metadata.json").read_text())
+    assert meta["config"]["h"] == 3 and meta["config"]["fixed_starts"] == [0, 7, 50]
+
+
+def test_eval_rejects_an_h_that_disagrees_with_the_start_list(tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("synth = pa:n=100,m0=2\nstarts = 0,7,50\nh = 2\n")
+    assert cli.main(["eval", str(cfg), "--seed", "4", "-o", str(tmp_path / "out")]) == 1
+    assert "h=2 disagrees with starts=, which lists 3 nodes" in capsys.readouterr().err
+
+
 def test_rwsp_requires_start_policy(pa_file, capsys):
     assert cli.main(["rwsp", "--graph", str(pa_file), "--seed", "1"]) == 1
 

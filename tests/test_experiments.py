@@ -231,6 +231,25 @@ class TestCrossingRate:
         assert res.conditional_hit_rate >= res.c * res.gamma_bar * 0.999
         assert res.non_crossing_rate <= res.bound
 
+    def test_blocks_of_lockstep_walks_give_the_same_result(self, monkeypatch):
+        g = preferential_attachment(400, 3, seed=30)
+        cfg = ExperimentConfig(seed=9, h=2, beta=0.1, runs=7)
+        lanes = []
+        run_walks = experiments.run_walks
+
+        def counted(g, starts, budget, seeds):
+            lanes.append(len(starts))
+            return run_walks(g, starts, budget, seeds)
+
+        monkeypatch.setattr(experiments, "run_walks", counted)
+        whole = crossing_rate(g, cfg, c=0.5, delta=10)
+        assert lanes == [14]
+        lanes.clear()
+        # a cap of two lanes: one run per block
+        monkeypatch.setattr(experiments, "_WALK_BLOCK_BYTES", 2 * 8 * cfg.budget(g.n))
+        assert crossing_rate(g, cfg, c=0.5, delta=10) == whole
+        assert lanes == [2] * 7
+
     def test_reports_bound_inputs(self):
         from rwtopo import preferential_attachment
 

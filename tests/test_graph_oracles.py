@@ -97,8 +97,9 @@ def test_bfs_distances_match_networkx_on_the_masked_subgraph(case):
 def test_pair_distances_match_one_search_per_source(push_share, case):
     g, nodes, mask = case
     expected = [bfs_distances(g, int(s), mask)[nodes].tolist() for s in nodes]
+    edge_ids = None if mask is None else np.flatnonzero(mask)
     with mock.patch.object(graph_module, "_PUSH_SHARE", push_share):
-        assert pair_distances(g, nodes, mask).tolist() == expected
+        assert pair_distances(g, nodes, edge_ids).tolist() == expected
 
 
 def test_pair_distances_across_components_and_isolated_sources():
@@ -115,7 +116,8 @@ def test_pair_distances_across_components_and_isolated_sources():
         [u, u, u, u, u, u, 0],
     ]
     without_7_8 = ~(g.edges == [7, 8]).all(axis=1)
-    assert pair_distances(g, [6, 8], edge_mask=without_7_8).tolist() == [[0, u], [u, 0]]
+    assert pair_distances(g, [6, 8], np.flatnonzero(without_7_8)).tolist() == [[0, u], [u, 0]]
+    assert pair_distances(g, [9, 6, 9], []).tolist() == [[0, u, 0], [u, 0, u], [0, u, 0]]
     assert pair_distances(g, []).shape == (0, 0)
     with pytest.raises(ValueError, match="out of range"):
         pair_distances(g, [0, 11])

@@ -84,7 +84,7 @@ SUBMODULE_ONLY = {
         "crossing_probability_bound", "edge_coverage", "expected_edge_fraction",
         "linear_edge_coverage", "node_coverage", "powerlaw_edge_coverage",
     ],
-    "walker": ["BreadcrumbTable", "WalkTrace", "retrace_to_start"],
+    "walker": ["BreadcrumbTable", "WalkTrace", "retrace_to_start", "run_walks"],
     "rwsp": ["MeetingEvent", "ProtocolRun", "RoutingTree", "UnionSubgraph", "WalkerState", "routing_tree"],
     "experiments": ["CoverageValidationRow", "CrossingRateResult", "ExperimentResult", "StretchMatrix"],
 }

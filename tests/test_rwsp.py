@@ -12,9 +12,9 @@ from rwtopo import (
     run_walk,
     walker_seed,
 )
-from rwtopo.graph import bfs_distances
+from rwtopo.graph import bfs_distances, component_labels
 from rwtopo.walker import retrace_to_start
-from rwtopo.rwsp import routing_tree
+from rwtopo.rwsp import MeetingEvent, ProtocolRun, UnionSubgraph, WalkerState, routing_tree
 from helpers import (
     cycle,
     discovered_lengths,
@@ -377,3 +377,107 @@ def test_first_visit_replay_matches_the_per_step_scan():
             assert (union.node_mask == ref["node_masks"][i]).all()
             assert (union.edge_mask == ref["edge_masks"][i]).all()
     assert ties >= 20  # same-round, lower-id-first collisions are exercised
+
+
+def loop_protocol(g: Graph, starts, budget: int, seed) -> ProtocolRun:
+    """RWSP as a Python event loop: first visits of all walkers replayed one
+    at a time in (round, walker id) order against a node -> walkers
+    registry, with breadcrumb depths filled in as the walks advance."""
+    starts = [int(s) for s in starts]
+    h = len(starts)
+    traces = [run_walk(g, s, budget, walker_seed(seed, i), walker_id=i)[0] for i, s in enumerate(starts)]
+
+    index = np.concatenate([tr.first_visits[1] for tr in traces])
+    walker = np.repeat(np.arange(h), [tr.unique_nodes for tr in traces])
+    node = np.concatenate([tr.visited_nodes() for tr in traces])
+    order = np.lexsort((walker, index))
+    events = zip(index[order].tolist(), walker[order].tolist(), node[order].tolist())
+
+    steps = [tr.steps.tolist() for tr in traces]
+    depth: list[dict[int, int]] = [{} for _ in range(h)]  # node -> breadcrumb hops to start
+    registry: dict[int, list[int]] = {}  # node -> walkers with a breadcrumb there
+    known: list[set[int]] = [set() for _ in range(h)]
+    contacts: list[dict[int, int]] = [{} for _ in range(h)]  # node -> round learned
+    meetings: list[list[MeetingEvent]] = [[] for _ in range(h)]
+    pair_adv: dict[tuple[int, int], int] = {}
+    for k, i, v in events:
+        depth[i][v] = depth[i][steps[i][k - 1]] + 1 if k else 0
+        here = registry.setdefault(v, [])
+        new = sorted(j for j in here if j not in known[i])  # hop dicts fill in peer-id order
+        here.append(i)
+        if not new:
+            continue
+        t = k + 1
+        meetings[i].append(MeetingEvent(t=t, finder=i, found=frozenset(new), at=v))
+        known[i].update(new)
+        contacts[i].setdefault(v, t)
+        for j in new:
+            pair_adv[(i, j)] = depth[j][v]
+            known[j].add(i)
+            contacts[j].setdefault(v, t)
+
+    direct_peers = [frozenset(known[i]) for i in range(h)]
+    pair_tr: dict[tuple[int, int], int] = {}
+    for i in range(h):
+        for j in sorted(direct_peers[i]):
+            contact = next(v for v in contacts[i] if v in depth[j])
+            pair_tr[(i, j)] = depth[i][contact] + depth[j][contact]
+            contacts[j].setdefault(contact, budget + 1)
+
+    labels = component_labels(Graph(h, [(i, j) for i in range(h) for j in direct_peers[i]]))[0].tolist()
+    groups: dict[int, list[int]] = {}
+    for i, label in enumerate(labels):
+        groups.setdefault(label, []).append(i)
+    unions = {label: UnionSubgraph(tuple(traces[i] for i in members)) for label, members in groups.items()}
+    states = [
+        WalkerState(known_peers=frozenset(groups[labels[i]]) - {i}, contact_points=frozenset(contacts[i]), trace=traces[i])
+        for i in range(h)
+    ]
+    return ProtocolRun(
+        graph=g,
+        budget=budget,
+        starts=starts,
+        states=states,
+        unions=[unions[label] for label in labels],
+        meetings=meetings,
+        direct_peers=direct_peers,
+        pair_advertise_hops=pair_adv,
+        pair_transfer_hops=pair_tr,
+    )
+
+
+def assert_same_protocol_run(run: ProtocolRun, ref: ProtocolRun) -> None:
+    assert run.graph is ref.graph and run.budget == ref.budget and run.starts == ref.starts
+    assert run.meetings == ref.meetings
+    assert run.direct_peers == ref.direct_peers
+    assert list(run.pair_advertise_hops.items()) == list(ref.pair_advertise_hops.items())
+    assert list(run.pair_transfer_hops.items()) == list(ref.pair_transfer_hops.items())
+    for state, expected in zip(run.states, ref.states, strict=True):
+        assert state.known_peers == expected.known_peers
+        assert state.contact_points == expected.contact_points
+        trace, other = state.trace, expected.trace
+        assert (trace.walker_id, trace.start, trace.budget, trace.graph) == (
+            other.walker_id, other.start, other.budget, other.graph
+        )
+        assert trace.steps.dtype == other.steps.dtype and np.array_equal(trace.steps, other.steps)
+    for union, expected in zip(run.unions, ref.unions, strict=True):
+        assert [tr.walker_id for tr in union.traces] == [tr.walker_id for tr in expected.traces]
+        assert all(tr is run.states[tr.walker_id].trace for tr in union.traces)
+
+    def shared(r):  # which walkers hold the same union object
+        return [[u is v for v in r.unions] for u in r.unions]
+
+    assert shared(run) == shared(ref)
+
+
+def test_table_replay_matches_the_event_loop():
+    for g, starts, budget, seed in _oracle_instances():
+        assert_same_protocol_run(run_rwsp(g, starts, budget, seed), loop_protocol(g, starts, budget, seed))
+
+
+def test_table_replay_matches_the_event_loop_on_a_128_walker_swarm():
+    g = preferential_attachment(10_000, 3, seed=91)
+    starts = np.random.default_rng(92).choice(g.n, size=128, replace=False).tolist()
+    run = run_rwsp(g, starts, 500, seed=(93, 0))
+    assert len(run.states[0].known_peers) == 127  # one group, hubs visited by many walkers
+    assert_same_protocol_run(run, loop_protocol(g, starts, 500, (93, 0)))

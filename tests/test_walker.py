@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rwtopo import (
     Graph,
@@ -14,7 +16,7 @@ from rwtopo import (
     walker_seed,
 )
 from rwtopo.graph import bfs_distances
-from rwtopo.walker import retrace_to_start
+from rwtopo.walker import retrace_to_start, run_walks
 from helpers import assert_valid_path, cycle, path_graph, star, triangle, two_triangles
 
 
@@ -253,3 +255,44 @@ def test_walker_seed_streams_are_stable_and_distinct():
     a, _ = run_walk(g, 0, 50, seed=walker_seed(9, 0))
     b, _ = run_walk(g, 0, 50, seed=walker_seed(9, 1))
     assert (a.steps != b.steps).any()
+
+
+@st.composite
+def lockstep_cases(draw):
+    """A graph with degree-1 nodes, k lanes from repeatable non-isolated
+    starts, a budget (1 and 2 included) and int or tuple seeds."""
+    n = draw(st.integers(2, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # a random tree (every leaf has degree 1) plus a few chords
+    tree = np.stack([np.arange(1, n), rng.integers(0, np.arange(1, n))], axis=1)
+    chords = rng.integers(0, n, size=(draw(st.integers(0, 3)), 2))
+    g = Graph(n + draw(st.integers(0, 2)), np.concatenate([tree, chords]))  # extra nodes stay isolated
+    k = draw(st.sampled_from([1, 2, 65]))
+    starts = rng.choice(n, size=k, replace=True).tolist()
+    budget = draw(st.sampled_from([1, 2]) | st.integers(3, 40))
+    base = draw(st.integers(0, 2**16) | st.tuples(st.integers(0, 99), st.integers(0, 99)))
+    seeds = [walker_seed(base, lane) if lane % 3 else lane + 7 for lane in range(k)]
+    return g, starts, budget, seeds
+
+
+@settings(max_examples=80, deadline=None)
+@given(lockstep_cases())
+def test_run_walks_equals_a_stack_of_run_walk_traces(case):
+    g, starts, budget, seeds = case
+    steps = run_walks(g, starts, budget, seeds)
+    expected = np.stack([run_walk(g, s, budget, seed)[0].steps for s, seed in zip(starts, seeds)])
+    assert steps.dtype == np.int64 and steps.flags.c_contiguous
+    assert steps.shape == (len(starts), budget)
+    assert np.array_equal(steps, expected)
+
+
+def test_run_walks_rejects_what_run_walk_rejects():
+    g = Graph(4, [[0, 1], [1, 2]])
+    with pytest.raises(ValueError, match="isolated"):
+        run_walks(g, [0, 3], 3, [1, 2])
+    with pytest.raises(ValueError, match="out of range"):
+        run_walks(g, [0, 4], 3, [1, 2])
+    with pytest.raises(ValueError, match="budget"):
+        run_walks(g, [0, 1], 0, [1, 2])
+    with pytest.raises(ValueError, match="2 starts but 1 seeds"):
+        run_walks(g, [0, 1], 3, [1])
