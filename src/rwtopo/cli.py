@@ -117,16 +117,17 @@ def _node_ids(text: str) -> tuple[int, ...]:
 
 
 def _cmd_predict(args) -> int:
+    moment_keys = ("mean_degree", "second_moment", "num_edges")
+    given = ["--" + key.replace("_", "-") for key in moment_keys if getattr(args, key) is not None]
     if args.graph:
+        if given:
+            raise ConfigError(f"give either --graph or {', '.join(given)}, not both")
         g = load_edge_list(args.graph)
         moments = degree_moments(g)
         m = g.m
     else:
-        needed = (args.mean_degree, args.second_moment, args.num_edges)
-        if any(v is None for v in needed):
-            raise ConfigError(
-                "predict needs --graph or all of --mean-degree, --second-moment, --num-edges"
-            )
+        if len(given) < len(moment_keys):
+            raise ConfigError("predict needs --graph or all of --mean-degree, --second-moment, --num-edges")
         if args.num_edges < 1:
             raise ConfigError("--num-edges must be at least 1")
         moments = DegreeMoments(args.mean_degree, args.second_moment)
@@ -175,8 +176,6 @@ def _per_walker(pair_hops: dict, h: int) -> list[int]:
 
 
 def _cmd_rwsp(args) -> int:
-    if not (args.starts or args.random_starts):
-        raise ConfigError("rwsp needs --starts or --random-starts")
     args.h = _walker_count(args.h, args.starts, "--h {}", "--starts")
     cfg = ExperimentConfig(seed=args.seed, runs=1, fixed_starts=args.starts, **_given(vars(args), ("h", "beta")))
     g = load_edge_list(args.graph)
@@ -359,8 +358,9 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("rwsp", help="one protocol run with a per-pair report")
     p.add_argument("--graph", required=True)
     p.add_argument("--h", type=int)
-    p.add_argument("--starts", type=_node_ids, help="comma-separated start nodes")
-    p.add_argument("--random-starts", action="store_true")
+    policy = p.add_mutually_exclusive_group(required=True)
+    policy.add_argument("--starts", type=_node_ids, help="comma-separated start nodes")
+    policy.add_argument("--random-starts", action="store_true")
     p.add_argument("--beta", type=float)
     p.add_argument("--seed", type=_seed, required=True)
     p.set_defaults(func=_cmd_rwsp)

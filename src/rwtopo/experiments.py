@@ -441,7 +441,7 @@ def crossing_rate(
         seeds = [walker_seed(_run_seed(cfg, r), w) for r in runs for w in (0, 1)]
         steps = run_walks(g, starts, budget, seeds)
         for steps_i, steps_j in zip(steps[0::2], steps[1::2]):
-            trace_i = WalkTrace(walker_id=0, start=int(steps_i[0]), budget=budget, steps=steps_i, graph=g)
+            trace_i = WalkTrace(walker_id=0, steps=steps_i, graph=g)
             in_set = trace_i.visited[steps_j]
             if not in_set.any():
                 never += 1

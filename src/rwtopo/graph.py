@@ -225,6 +225,19 @@ def write_edge_list(g: Graph, dest: Union[str, os.PathLike, IO]) -> None:
 # -- traversal ------------------------------------------------------------------
 
 
+def _distinct(values: np.ndarray, slot: np.ndarray) -> np.ndarray:
+    """``values`` without repeats, in no set order, without sorting.
+
+    Each entry parks its position in ``slot[value]``; exactly one position
+    per value survives, whichever write numpy applies last, and the entries
+    whose position survived are kept.  ``slot`` is any int64 array indexable
+    by every value; only those entries are written.
+    """
+    position = np.arange(values.size)
+    slot[values] = position
+    return values[slot[values] == position]
+
+
 def _flood(g: Graph, labels: np.ndarray, source: int, step: int, edge_mask: np.ndarray | None = None) -> None:
     """Label every unlabelled node reachable from ``source``, level by level.
 
@@ -243,12 +256,7 @@ def _flood(g: Graph, labels: np.ndarray, source: int, step: int, edge_mask: np.n
         nbrs = nbrs[labels[nbrs] < 0]
         if nbrs.size == 0:
             return
-        # Deduplicate without sorting: each candidate parks its own negative
-        # code in its node's slot, and exactly one code per node survives,
-        # whichever write numpy applies last.
-        code = -2 - np.arange(nbrs.size)
-        labels[nbrs] = code
-        frontier = nbrs[labels[nbrs] == code]
+        frontier = _distinct(nbrs, labels)  # every parked node is labelled next
         value += step
         labels[frontier] = value
 
@@ -275,13 +283,8 @@ def _edge_csr(g: Graph, edge_ids: np.ndarray, nodes: np.ndarray) -> tuple[np.nda
     ``len(edge_ids) + len(nodes)`` alone."""
     ends = g.edges[edge_ids]
     touched = np.concatenate([ends.ravel(), nodes])
-    # Renumber without sorting: each entry parks its position in its node's
-    # slot, exactly one per node survives (as in _flood), and the survivors
-    # then park their new ids there.
     slot = np.empty(g.n, dtype=np.int64)
-    position = np.arange(touched.size)
-    slot[touched] = position
-    ids = touched[slot[touched] == position]
+    ids = _distinct(touched, slot)
     slot[ids] = np.arange(ids.size)
     local = slot[touched]
     src = local[: ends.size]  # arcs lo -> hi and hi -> lo, interleaved
@@ -359,10 +362,7 @@ def pair_distances(g: Graph, nodes, edge_ids: np.ndarray | None = None) -> np.nd
                 arcs, counts = _arc_positions(indptr, active)
                 targets = adj[arcs]
                 np.bitwise_or.at(pushed, targets, np.repeat(frontier[active], counts))
-                # Deduplicate the targets without sorting, as in _flood.
-                code = np.arange(targets.size)
-                park[targets] = code
-                touched = targets[park[targets] == code]
+                touched = _distinct(targets, park)
                 words = pushed[touched] & ~seen[touched]
                 pushed[touched] = 0
             else:

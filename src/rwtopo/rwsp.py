@@ -39,11 +39,12 @@ lower id.  Then:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .graph import Graph, bfs_distances, component_labels
-from .walker import WalkTrace, run_walks, walker_seed
+from .graph import Graph, _distinct, bfs_distances, component_labels
+from .walker import WalkTrace, _mask, _read_only, run_walks, walker_seed
 
 # Meeting key of a pair that never met.
 _NEVER = np.iinfo(np.int64).max
@@ -77,11 +78,14 @@ class UnionSubgraph:
     """The merged discovered topology G* of one meeting-connected group.
 
     Only the group's walk traces are stored, and every member of the group
-    holds this same object.  ``edge_ids`` (the union of the walks' covered
-    edges) and the dense ``node_mask``/``edge_mask`` are built on access, like
-    :attr:`WalkTrace.visited`.  Covered edges may lead to unvisited
-    endpoints; those are legitimate route hops because a walker read them
-    off a visited node's neighbor list.
+    holds this same object.  A walker reads the whole neighbor list of each
+    node it visits, so G* is the group's visited ``nodes`` and every edge
+    incident to one of them (``edge_ids``, the union of the walks' covered
+    edges).  Both are derived from the steps on first use and cached, like
+    :attr:`WalkTrace.first_visits`; the dense ``edge_mask`` is built on
+    access.  Covered edges may lead to unvisited endpoints; those are
+    legitimate route hops because a walker read them off a visited node's
+    neighbor list.
     """
 
     traces: tuple[WalkTrace, ...]
@@ -90,24 +94,22 @@ class UnionSubgraph:
     def graph(self) -> Graph:
         return self.traces[0].graph
 
-    @property
-    def node_mask(self) -> np.ndarray:
-        mask = np.zeros(self.graph.n, dtype=bool)
-        for tr in self.traces:
-            mask[tr.visited_nodes()] = True
-        return mask
+    @cached_property
+    def nodes(self) -> np.ndarray:
+        """Node ids some walk of the group visited, ascending."""
+        steps = np.concatenate([tr.steps for tr in self.traces])
+        return _read_only(np.sort(_distinct(steps, np.empty(self.graph.n, dtype=np.int64))))[0]
+
+    @cached_property
+    def edge_ids(self) -> np.ndarray:
+        """Ids of the edges incident to ``nodes``, ascending."""
+        g = self.graph
+        eids = g.adj_edge_ids[g.arcs(self.nodes)[0]]
+        return _read_only(np.sort(_distinct(eids, np.empty(g.m, dtype=np.int64))))[0]
 
     @property
     def edge_mask(self) -> np.ndarray:
-        mask = np.zeros(self.graph.m, dtype=bool)
-        for tr in self.traces:
-            mask[tr.covered_edge_ids()] = True
-        return mask
-
-    @property
-    def edge_ids(self) -> np.ndarray:
-        """Covered edge ids of the group's walks, ascending."""
-        return np.flatnonzero(self.edge_mask)
+        return _mask(self.graph.m, self.edge_ids)
 
 
 @dataclass(frozen=True)
@@ -228,9 +230,7 @@ def run_rwsp(g: Graph, starts, budget: int, seed) -> ProtocolRun:
         raise ValueError("start nodes must be distinct")
 
     steps = run_walks(g, starts, budget, [walker_seed(seed, i) for i in range(h)])
-    traces = [
-        WalkTrace(walker_id=i, start=s, budget=int(budget), steps=steps[i], graph=g) for i, s in enumerate(starts)
-    ]
+    traces = [WalkTrace(walker_id=i, steps=steps[i], graph=g) for i in range(h)]
     visits = _FirstVisits(steps)
 
     # Meeting events in replay order: by key, then found walker, which is
@@ -328,6 +328,6 @@ def routing_tree(union: UnionSubgraph, root: int) -> RoutingTree:
     The graph is unweighted, so the depths are the hop-minimal route
     lengths on the discovered topology.
     """
-    if not 0 <= root < union.graph.n or not union.node_mask[root]:
+    if root not in union.nodes:
         raise ValueError(f"root {root} is not part of the union subgraph")
     return RoutingTree(root=int(root), depth=bfs_distances(union.graph, root, union.edge_mask))

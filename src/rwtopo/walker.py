@@ -55,23 +55,37 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
+def _mask(size: int, ids: np.ndarray) -> np.ndarray:
+    """Dense boolean membership mask of ``ids`` over ``0..size-1``."""
+    mask = np.zeros(size, dtype=bool)
+    mask[ids] = True
+    return mask
+
+
 @dataclass(frozen=True)
 class WalkTrace:
     """One finished walk: its step sequence and the views derived from it.
 
-    Only ``steps`` is stored.  The two compact tables below (at most
-    ``budget`` entries each) are cached on first use; every other view is
-    built on access, including the dense ``visited`` and ``covered_edges``
-    masks indexed by node id / edge id.  ``edge_count_per_step[t-1]`` and
+    Only ``steps`` is stored; ``start`` and ``budget`` are its first entry
+    and its length.  The two compact tables below (at most ``budget``
+    entries each) are cached on first use; every other view is built on
+    access, including the dense ``visited`` and ``covered_edges`` masks
+    indexed by node id / edge id.  ``edge_count_per_step[t-1]`` and
     ``node_count_per_step[t-1]`` give the covered-edge and visited-node
     counts after step ``t``, which is what coverage-curve measurements read.
     """
 
     walker_id: int
-    start: int
-    budget: int
     steps: np.ndarray
     graph: Graph
+
+    @property
+    def start(self) -> int:
+        return int(self.steps[0])
+
+    @property
+    def budget(self) -> int:
+        return int(self.steps.size)
 
     @cached_property
     def first_visits(self) -> tuple[np.ndarray, np.ndarray]:
@@ -110,23 +124,15 @@ class WalkTrace:
         """Visited node ids, ascending."""
         return self.first_visits[0]
 
-    def covered_edge_ids(self) -> np.ndarray:
-        """Covered edge ids, ascending."""
-        return self._covered[0]
-
     @property
     def visited(self) -> np.ndarray:
         """Dense node membership mask (built on access)."""
-        mask = np.zeros(self.graph.n, dtype=bool)
-        mask[self.visited_nodes()] = True
-        return mask
+        return _mask(self.graph.n, self.visited_nodes())
 
     @property
     def covered_edges(self) -> np.ndarray:
         """Dense edge membership mask (built on access)."""
-        mask = np.zeros(self.graph.m, dtype=bool)
-        mask[self.covered_edge_ids()] = True
-        return mask
+        return _mask(self.graph.m, self._covered[0])
 
 
 @dataclass(frozen=True)
@@ -193,13 +199,7 @@ def run_walk(g: Graph, start: int, budget: int, seed, walker_id: int = 0):
         cur = int(adj[lo + min(int(u * deg), deg - 1)])
         steps.append(cur)
 
-    trace = WalkTrace(
-        walker_id=walker_id,
-        start=int(start),
-        budget=int(budget),
-        steps=np.array(steps, dtype=np.int64),
-        graph=g,
-    )
+    trace = WalkTrace(walker_id=walker_id, steps=np.array(steps, dtype=np.int64), graph=g)
     return trace, BreadcrumbTable(trace)
 
 

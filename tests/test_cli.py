@@ -67,6 +67,13 @@ def test_predict_needs_a_source(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_predict_rejects_moments_given_with_a_graph(pa_file, capsys):
+    assert cli.main(["predict", "--graph", str(pa_file), "--mean-degree", "3", "--taus", "0.1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: give either --graph or --mean-degree, not both" in captured.err
+
+
 @pytest.mark.parametrize("edges", ["0", "-5"])  # 0 divided by zero, -5 printed negative counts
 def test_predict_rejects_fewer_than_one_edge(capsys, edges):
     args = ["predict", "--mean-degree", "2", "--second-moment", "6", "--num-edges", edges, "--taus", "0.1"]
@@ -148,7 +155,17 @@ def test_eval_rejects_an_h_that_disagrees_with_the_start_list(tmp_path, capsys):
 
 
 def test_rwsp_requires_start_policy(pa_file, capsys):
-    assert cli.main(["rwsp", "--graph", str(pa_file), "--seed", "1"]) == 1
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["rwsp", "--graph", str(pa_file), "--seed", "1"])
+    assert exc.value.code == 1
+    assert "one of the arguments --starts --random-starts is required" in capsys.readouterr().err
+
+
+def test_rwsp_rejects_both_start_policies(pa_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["rwsp", "--graph", str(pa_file), "--starts", "0,5", "--random-starts", "--seed", "1"])
+    assert exc.value.code == 1
+    assert "argument --random-starts: not allowed with argument --starts" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

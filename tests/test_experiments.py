@@ -399,6 +399,18 @@ def test_score_pairs_matches_one_routing_tree_per_walker(kind, h, budget, monkey
     assert calls == {"bfs_distances": h, "pair_distances": len(searched)}
 
 
+def test_score_pairs_builds_no_per_walk_tables():
+    # Each group's G* comes from its steps alone: scoring caches neither a
+    # member's first-visit table nor its covered-edge table.
+    g = preferential_attachment(1500, 2, seed=11)
+    starts = np.random.default_rng(16).choice(g.n, size=16, replace=False)
+    run = run_rwsp(g, starts, 60, seed=(3, 16))
+    score_pairs(g, run)
+    assert any(state.known_peers for state in run.states)
+    for state in run.states:
+        assert "first_visits" not in vars(state.trace) and "_covered" not in vars(state.trace)
+
+
 def test_run_invariant_names_the_first_bad_pair_in_i_major_order(monkeypatch):
     u = UNREACHABLE
     true = np.array([[0, 2, 3], [2, 0, u], [3, 4, 0]])
@@ -429,6 +441,8 @@ def test_names_patched_by_the_benchmark_exist():
     walk = experiments.run_walk(g, 0, 12, (1, 2))
     assert isinstance(walk, tuple) and len(walk) == 2
     trace, bc = walk
+    assert type(trace.budget) is int and type(trace.start) is int
+    assert (trace.start, trace.budget) == (0, 12)
     assert (bc.visited == trace.visited).all()
     for v in trace.visited_nodes().tolist():
         assert bc.predecessor[v] == (retrace_to_start(trace, v) + [-1])[1]
@@ -436,7 +450,9 @@ def test_names_patched_by_the_benchmark_exist():
     run = experiments.run_rwsp(g, [0, 20, 40], 15, (3, 4))
     for union in run.unions:
         assert union.graph is g and union.edge_mask.shape == (g.m,)
+        assert np.array_equal(union.edge_mask, np.isin(np.arange(g.m), union.edge_ids))
     assert run.meetings and run.direct_peers
     assert isinstance(run.pair_advertise_hops, dict) and isinstance(run.pair_transfer_hops, dict)
     for state in run.states:
         assert isinstance(state.known_peers, frozenset) and state.trace.steps.size == 15
+        assert type(state.trace.budget) is int and type(state.trace.start) is int

@@ -21,6 +21,16 @@ from rwtopo.graph import giant_members, pair_distances
 nx = pytest.importorskip("networkx")
 
 
+@given(
+    st.lists(st.integers(0, 30), max_size=100)
+    | st.builds(lambda v, k: [v] * k, st.integers(0, 30), st.integers(1, 20))
+)
+def test_distinct_keeps_each_value_once(values):
+    v = np.asarray(values, dtype=np.int64)
+    kept = graph_module._distinct(v, np.empty(v.max(initial=0) + 1, np.int64))
+    assert np.array_equal(np.sort(kept), np.unique(v))
+
+
 @st.composite
 def graphs(draw):
     """G(n, p) graphs from edgeless to dense, some with remapped original ids."""

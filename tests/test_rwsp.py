@@ -121,15 +121,15 @@ class TestPathLengths:
         for i in range(3):
             for j in run.states[i].known_peers:
                 assert (run.unions[i].edge_mask == run.unions[j].edge_mask).all()
-                assert (run.unions[i].node_mask == run.unions[j].node_mask).all()
+                assert np.array_equal(run.unions[i].nodes, run.unions[j].nodes)
 
     def test_union_edges_are_incident_to_group_visits(self):
         g = preferential_attachment(40, 2, seed=5)
         run = run_rwsp(g, [0, 11], 15, seed=6)
-        group_visited = run.unions[0].node_mask
+        group_visited = set(run.unions[0].nodes.tolist())
         for eid in np.flatnonzero(run.unions[0].edge_mask):
-            u, v = g.edges[eid]
-            assert group_visited[u] or group_visited[v]
+            u, v = g.edges[eid].tolist()
+            assert u in group_visited or v in group_visited
 
     def test_self_pair_rejected(self):
         run = run_rwsp(triangle(), [0, 1, 2], 2, seed=0)
@@ -265,6 +265,8 @@ def test_retained_state_scales_with_the_walks_not_the_graph():
     tracemalloc.start()
     try:
         run = run_rwsp(g, starts, 10, seed=67)
+        for union in run.unions:
+            union.edge_ids  # cached on the union, so retained too
         retained = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -374,7 +376,8 @@ def test_first_visit_replay_matches_the_per_step_scan():
         assert run.pair_advertise_hops == ref["pair_advertise_hops"]
         assert run.pair_transfer_hops == ref["pair_transfer_hops"]
         for i, union in enumerate(run.unions):
-            assert (union.node_mask == ref["node_masks"][i]).all()
+            assert np.array_equal(union.nodes, np.flatnonzero(ref["node_masks"][i]))
+            assert np.array_equal(union.edge_ids, np.flatnonzero(ref["edge_masks"][i]))
             assert (union.edge_mask == ref["edge_masks"][i]).all()
     assert ties >= 20  # same-round, lower-id-first collisions are exercised
 
@@ -463,6 +466,11 @@ def assert_same_protocol_run(run: ProtocolRun, ref: ProtocolRun) -> None:
     for union, expected in zip(run.unions, ref.unions, strict=True):
         assert [tr.walker_id for tr in union.traces] == [tr.walker_id for tr in expected.traces]
         assert all(tr is run.states[tr.walker_id].trace for tr in union.traces)
+        # G* from the group's steps equals the OR of its members' own views.
+        visited = np.any([tr.visited for tr in union.traces], axis=0)
+        covered = np.any([tr.covered_edges for tr in union.traces], axis=0)
+        assert np.array_equal(union.nodes, np.flatnonzero(visited))
+        assert np.array_equal(union.edge_ids, np.flatnonzero(covered))
 
     def shared(r):  # which walkers hold the same union object
         return [[u is v for v in r.unions] for u in r.unions]
