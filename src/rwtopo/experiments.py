@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
@@ -45,6 +46,9 @@ _START_STREAM = 0xBEEF
 # Cap on the uniforms crossing_rate draws for one block of lockstep walks
 # (lanes x budget x 8 bytes), so its memory does not grow with the run count.
 _WALK_BLOCK_BYTES = 1 << 22
+
+# Runs handed to a pool worker at a time.
+_CHUNK = 8
 
 
 class InvariantViolation(RuntimeError):
@@ -291,18 +295,19 @@ def score_pairs(g: Graph, run: ProtocolRun) -> tuple[np.ndarray, np.ndarray]:
     Entry (i, j) is for the ordered pair i -> j; both diagonals are 0.
     ``true`` takes one BFS per walker on ``g``, UNREACHABLE where the starts
     are disconnected.  Every walker of a meeting-connected group routes on
-    the group's shared union G*, so one :func:`pair_distances` search per
-    group of two or more walkers gives the routing-tree depth of every
-    member's start from every other's.  ``discovered[i, j]`` is UNREACHABLE
-    unless j is a known peer of i; walkers without peers are not searched.
+    the group's shared union G*, whose ``traces`` name the members, so one
+    :func:`pair_distances` search per group of two or more walkers gives the
+    routing-tree depth of every member's start from every other's.
+    ``discovered[i, j]`` is UNREACHABLE unless i and j are in one group;
+    walkers without peers are not searched.  Only ``run.unions`` is read, so
+    scoring builds none of the run's protocol accounting.
     """
     starts = np.asarray(run.starts, dtype=np.int64)
     true = np.stack([bfs_distances(g, start)[starts] for start in run.starts])
     discovered = np.full((run.h, run.h), UNREACHABLE, dtype=np.int64)
-    for i, state in enumerate(run.states):
-        if state.known_peers and i < min(state.known_peers):  # the group's lowest id searches
-            group = [i, *sorted(state.known_peers)]
-            union = run.unions[i]
+    for i, union in enumerate(run.unions):
+        group = [tr.walker_id for tr in union.traces]
+        if len(group) > 1 and group[0] == i:  # the group's lowest id searches
             discovered[np.ix_(group, group)] = pair_distances(union.graph, starts[group], union.edge_ids)
     np.fill_diagonal(discovered, 0)
     return true, discovered
@@ -337,6 +342,11 @@ def _pool_run(run_index: int):
     return _one_run_records(g, cfg, budget, members, run_index)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def run_experiment(g: Graph, cfg: ExperimentConfig) -> ExperimentResult:
     """Monte-Carlo stretch evaluation of the discovery protocol.
 
@@ -345,16 +355,21 @@ def run_experiment(g: Graph, cfg: ExperimentConfig) -> ExperimentResult:
     (true shortest-path length, discovered route length) for every ordered
     walker pair; undiscovered routes land in the INF column.  Results are
     identical for any ``workers`` count: runs depend only on
-    (seed, run index) and merge commutatively.
+    (seed, run index) and merge commutatively.  ``workers`` is an upper
+    bound: the pool gets at most one process per CPU this process may use
+    and per chunk of 8 runs, and one process means no pool.
     """
     t0 = time.perf_counter()
     members = _start_pool(g, cfg)
     budget = cfg.budget(g.n)
-    if cfg.workers > 1:
+    # The pool forks all its workers up front, so start no more than there
+    # are chunks of runs or CPUs to run them on.
+    workers = min(cfg.workers, -(-cfg.runs // _CHUNK), _usable_cpus())
+    if workers > 1:
         with ProcessPoolExecutor(
-            max_workers=cfg.workers, initializer=_pool_init, initargs=(g, cfg, budget, members)
+            max_workers=workers, initializer=_pool_init, initargs=(g, cfg, budget, members)
         ) as pool:
-            per_run = list(pool.map(_pool_run, range(cfg.runs), chunksize=8))
+            per_run = list(pool.map(_pool_run, range(cfg.runs), chunksize=_CHUNK))
     else:
         per_run = [
             _one_run_records(g, cfg, budget, members, r) for r in range(cfg.runs)

@@ -16,19 +16,26 @@ higher id sees a breadcrumb.  All scheduling is deterministic given
 (graph, starts, budget, seed).
 
 The simulation computes this schedule from tables instead of stepping it.
-The h walks run as lanes of :func:`rwtopo.walker.run_walks`.  Only first
-visits matter: a walker revisiting a node meets nobody new there, because
-whoever registered the node between its two visits already found it at the
-registration.  Each first visit gets the key ``round * h + walker``, so
-keys order visits as the rounds register them, same-round ties going to the
-lower id.  Then:
+The h walks run as lanes of :func:`rwtopo.walker.run_walks`, and a
+:class:`ProtocolRun` stores only their steps; everything else is derived
+from them when first read.  Only first visits matter: a walker revisiting a
+node meets nobody new there, because whoever registered the node between
+its two visits already found it at the registration.  One table lists every
+(node, walker) first visit, sorted by node.  Then:
 
-* Walkers a and b first meet with key ``K = min over the nodes v both
-  visited of max(key_a(v), key_b(v))``: the pair's first meeting is the
-  first registration that finds the other's breadcrumb.  ``K`` names the
-  finder (``K mod h``) and the round (``K div h``), so the meeting node is
-  the finder's step in that round.  The peers found under one key form one
-  :class:`MeetingEvent`.
+* Two walkers meet exactly when their walks share a node, so the groups
+  that pool their subgraphs into one G* are the components of the links
+  between consecutive visitors of a node in that table.  Routing on G*
+  needs nothing else.
+* The protocol accounting (meeting events, direct peers, contact points and
+  hop counts) replays the schedule.  Each first visit gets the key
+  ``round * h + walker``, so keys order visits as the rounds register them,
+  same-round ties going to the lower id.  Walkers a and b first meet with
+  key ``K = min over the nodes v both visited of max(key_a(v), key_b(v))``:
+  the pair's first meeting is the first registration that finds the
+  other's breadcrumb.  ``K`` names the finder (``K mod h``) and the round
+  (``K div h``), so the meeting node is the finder's step in that round.
+  The peers found under one key form one :class:`MeetingEvent`.
 * A breadcrumb depth (hops back to the start) is one more than the depth
   of the node the first visit came from, found by pointer jumping.
 * A walker's contacts are its meeting nodes, earliest meeting first.  The
@@ -121,41 +128,14 @@ class RoutingTree:
     depth: np.ndarray
 
 
-@dataclass(frozen=True)
-class ProtocolRun:
-    """Everything produced by one run_rwsp invocation.
-
-    Message hops are kept per ordered pair ``(i, j)``.
-    ``pair_advertise_hops`` pays for walker i's "I found your breadcrumb"
-    notification to j at meeting time, traced back along j's breadcrumbs;
-    ``pair_transfer_hops`` for delivering i's discovered subgraph to the
-    directly met peer j (start -> contact node -> peer start, both halves
-    along breadcrumb paths).  A walker's totals are the sums of its
-    ``(i, .)`` entries.
-    """
-
-    graph: Graph
-    budget: int
-    starts: list[int]
-    states: list[WalkerState]
-    unions: list[UnionSubgraph]
-    meetings: list[list[MeetingEvent]]
-    direct_peers: list[frozenset[int]]
-    pair_advertise_hops: dict[tuple[int, int], int]
-    pair_transfer_hops: dict[tuple[int, int], int]
-
-    @property
-    def h(self) -> int:
-        return len(self.starts)
-
-
 class _FirstVisits:
     """The first-visit table of h walks (one row of ``steps`` per walker).
 
     One entry per (node, walker) a walk visited, sorted by ``node * h +
     walker`` (``codes``), so a node's visitors are consecutive and in walker
     order.  ``key`` is the entry's replay order ``round * h + walker`` and
-    ``depth`` its breadcrumb hops back to the walker's start.
+    ``depth`` (computed on first use) its breadcrumb hops back to the
+    walker's start.
     """
 
     def __init__(self, steps: np.ndarray):
@@ -167,20 +147,22 @@ class _FirstVisits:
         self.node, self.walker = np.divmod(self.codes, h)
         rnd = first - self.walker * budget
         self.key = rnd * h + self.walker
+        # Each entry's breadcrumb: the entry of the step before its first visit.
+        self._moved = rnd > 0
+        self._parent = np.arange(self.codes.size)
+        self._parent[self._moved] = entry.reshape(-1)[first[self._moved] - 1]
 
+    @cached_property
+    def depth(self) -> np.ndarray:
         # Pointer jumping: after k rounds every entry points 2**k breadcrumbs
         # back (or at its start) and holds the hops it has skipped.
-        parent = np.arange(self.codes.size)
-        moved = rnd > 0
-        parent[moved] = entry.reshape(-1)[first[moved] - 1]
-        depth = moved.astype(np.int64)
+        parent, depth = self._parent, self._moved.astype(np.int64)
         while True:
             hop = parent[parent]
             if np.array_equal(hop, parent):
-                break
+                return depth
             depth += depth[parent]
             parent = hop
-        self.depth = depth
 
     def lookup(self, w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(visited, depth): whether walker ``w[k]`` visited node ``v[k]``,
@@ -208,6 +190,133 @@ class _FirstVisits:
         return meet.reshape(h, h)
 
 
+@dataclass(frozen=True)
+class ProtocolRun:
+    """One run_rwsp invocation: the graph and the h walks, row i of ``steps``
+    being walker i's step sequence.
+
+    Only those two are stored.  ``h``, ``budget`` and ``starts`` are read off
+    ``steps``, and every other field is derived from it on first read and
+    cached.  ``unions`` needs only the first-visit table.  ``states``,
+    ``meetings``, ``direct_peers`` and the two hop dicts are the protocol
+    accounting: they replay the meeting schedule (first-meeting keys,
+    breadcrumb depths, the hand-off sweep), all at once, the first time any
+    of them is read.
+
+    Message hops are kept per ordered pair ``(i, j)``.
+    ``pair_advertise_hops`` pays for walker i's "I found your breadcrumb"
+    notification to j at meeting time, traced back along j's breadcrumbs;
+    ``pair_transfer_hops`` for delivering i's discovered subgraph to the
+    directly met peer j (start -> contact node -> peer start, both halves
+    along breadcrumb paths).  A walker's totals are the sums of its
+    ``(i, .)`` entries.
+    """
+
+    graph: Graph
+    steps: np.ndarray
+
+    h = property(lambda self: self.steps.shape[0])
+    budget = property(lambda self: self.steps.shape[1])
+    starts = property(lambda self: self.steps[:, 0].tolist())
+    states = property(lambda self: self._accounting["states"])
+    meetings = property(lambda self: self._accounting["meetings"])
+    direct_peers = property(lambda self: self._accounting["direct_peers"])
+    pair_advertise_hops = property(lambda self: self._accounting["pair_advertise_hops"])
+    pair_transfer_hops = property(lambda self: self._accounting["pair_transfer_hops"])
+
+    @cached_property
+    def _traces(self) -> list[WalkTrace]:
+        return [WalkTrace(walker_id=i, steps=row, graph=self.graph) for i, row in enumerate(self.steps)]
+
+    @cached_property
+    def _visits(self) -> _FirstVisits:
+        return _FirstVisits(self.steps)
+
+    @cached_property
+    def unions(self) -> list[UnionSubgraph]:
+        """Each walker's group G*, one object per group.
+
+        Walkers whose walks share a node meet, so a group is a component of
+        the links between consecutive visitors of a node in the first-visit
+        table; its traces are in walker order.
+        """
+        v = self._visits
+        link = np.flatnonzero(v.node[1:] == v.node[:-1])
+        labels, sizes = component_labels(Graph(self.h, np.column_stack((v.walker[link], v.walker[link + 1]))))
+        members = np.split(np.argsort(labels, kind="stable"), np.cumsum(sizes)[:-1])
+        unions = [UnionSubgraph(tuple(self._traces[i] for i in group)) for group in members]
+        return [unions[label] for label in labels.tolist()]
+
+    @cached_property
+    def _accounting(self) -> dict:
+        g, steps, h, visits = self.graph, self.steps, self.h, self._visits
+
+        # Meeting events in replay order: by key, then found walker, which is
+        # also the order of pair_advertise_hops.
+        meet = visits.first_meetings()
+        met = meet != _NEVER
+        a, b = np.nonzero(met)
+        order = np.lexsort((a + b, meet[a, b]))
+        a, b = a[order], b[order]
+        met_key = meet[a, b]
+        rnd, finder = np.divmod(met_key, h)
+        found = a + b - finder
+        at = steps[finder, rnd]
+        meetings: list[list[MeetingEvent]] = [[] for _ in range(h)]
+        cuts = np.flatnonzero(np.diff(met_key, prepend=-1, append=-1)).tolist()
+        finder_l, found_l, at_l, t_l = finder.tolist(), found.tolist(), at.tolist(), (rnd + 1).tolist()
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            f = finder_l[lo]
+            meetings[f].append(MeetingEvent(t=t_l[lo], finder=f, found=frozenset(found_l[lo:hi]), at=at_l[lo]))
+
+        # Both walkers' breadcrumb depths at each meeting node; the found
+        # walker's is the advertisement's.
+        own = np.concatenate([finder, found])
+        contact = np.concatenate([at, at])
+        _, contact_depth = visits.lookup(own, contact)
+        pair_adv = dict(zip(zip(finder_l, found_l), contact_depth[finder.size :].tolist()))
+
+        # Each walker's contacts: its meeting nodes, earliest meeting first and
+        # each node once.
+        order = np.lexsort((np.concatenate([met_key, met_key]), own))
+        own, contact, contact_depth = own[order], contact[order], contact_depth[order]
+        _, keep = np.unique(own * g.n + contact, return_index=True)
+        keep.sort()
+        own, contact, contact_depth = own[keep], contact[keep], contact_depth[keep]
+
+        # Subgraph hand-off to every directly met peer, routed start -> contact
+        # node (sender's breadcrumbs) -> peer start (receiver's breadcrumbs),
+        # with i-major pairs (i, j).  Sweep each i's contacts in order until j
+        # visited one; their own meeting node always qualifies.
+        direct = met | met.T
+        ti, tj = np.nonzero(direct)
+        via = np.empty(ti.size, dtype=np.int64)
+        hops = np.empty(ti.size, dtype=np.int64)
+        pending = np.arange(ti.size)
+        c = np.searchsorted(own, ti)  # each i's earliest contact
+        while pending.size:
+            hit, j_depth = visits.lookup(tj[pending], contact[c])
+            done = pending[hit]
+            via[done] = contact[c[hit]]
+            hops[done] = contact_depth[c[hit]] + j_depth
+            pending, c = pending[~hit], c[~hit] + 1
+
+        contacts: list[set[int]] = [set() for _ in range(h)]
+        for i, v in zip(own.tolist() + tj.tolist(), contact.tolist() + via.tolist()):
+            contacts[i].add(v)  # tj[k] receives ti[k]'s subgraph at via[k]
+        states = [  # known peers: the rest of the walker's group
+            WalkerState(frozenset(tr.walker_id for tr in u.traces) - {i}, frozenset(contacts[i]), self._traces[i])
+            for i, u in enumerate(self.unions)
+        ]
+        return dict(
+            states=states,
+            meetings=meetings,
+            direct_peers=[frozenset(np.flatnonzero(row).tolist()) for row in direct],
+            pair_advertise_hops=pair_adv,
+            pair_transfer_hops=dict(zip(zip(ti.tolist(), tj.tolist()), hops.tolist())),
+        )
+
+
 def run_rwsp(g: Graph, starts, budget: int, seed) -> ProtocolRun:
     """Simulate the full discovery protocol for ``h`` walkers.
 
@@ -228,98 +337,7 @@ def run_rwsp(g: Graph, starts, budget: int, seed) -> ProtocolRun:
         raise ValueError("need at least two walkers")
     if len(set(starts)) != h:
         raise ValueError("start nodes must be distinct")
-
-    steps = run_walks(g, starts, budget, [walker_seed(seed, i) for i in range(h)])
-    traces = [WalkTrace(walker_id=i, steps=steps[i], graph=g) for i in range(h)]
-    visits = _FirstVisits(steps)
-
-    # Meeting events in replay order: by key, then found walker, which is
-    # also the order of pair_advertise_hops.
-    meet = visits.first_meetings()
-    met = meet != _NEVER
-    a, b = np.nonzero(met)
-    order = np.lexsort((a + b, meet[a, b]))
-    a, b = a[order], b[order]
-    met_key = meet[a, b]
-    rnd, finder = np.divmod(met_key, h)
-    found = a + b - finder
-    at = steps[finder, rnd]
-    meetings: list[list[MeetingEvent]] = [[] for _ in range(h)]
-    cuts = np.flatnonzero(np.diff(met_key, prepend=-1, append=-1)).tolist()
-    finder_l, found_l, at_l, t_l = finder.tolist(), found.tolist(), at.tolist(), (rnd + 1).tolist()
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        f = finder_l[lo]
-        meetings[f].append(MeetingEvent(t=t_l[lo], finder=f, found=frozenset(found_l[lo:hi]), at=at_l[lo]))
-
-    # Both walkers' breadcrumb depths at each meeting node; the found
-    # walker's is the advertisement's.
-    own = np.concatenate([finder, found])
-    contact = np.concatenate([at, at])
-    _, contact_depth = visits.lookup(own, contact)
-    pair_adv = dict(zip(zip(finder_l, found_l), contact_depth[finder.size :].tolist()))
-
-    # Each walker's contacts: its meeting nodes, earliest meeting first and
-    # each node once.
-    order = np.lexsort((np.concatenate([met_key, met_key]), own))
-    own, contact, contact_depth = own[order], contact[order], contact_depth[order]
-    _, keep = np.unique(own * g.n + contact, return_index=True)
-    keep.sort()
-    own, contact, contact_depth = own[keep], contact[keep], contact_depth[keep]
-
-    # Subgraph hand-off to every directly met peer, routed start -> contact
-    # node (sender's breadcrumbs) -> peer start (receiver's breadcrumbs),
-    # with i-major pairs (i, j).  Sweep each i's contacts in order until j
-    # visited one; their own meeting node always qualifies.
-    ti, tj = np.nonzero(met | met.T)
-    via = np.empty(ti.size, dtype=np.int64)
-    hops = np.empty(ti.size, dtype=np.int64)
-    pending = np.arange(ti.size)
-    c = np.searchsorted(own, ti)  # each i's earliest contact
-    while pending.size:
-        hit, j_depth = visits.lookup(tj[pending], contact[c])
-        done = pending[hit]
-        via[done] = contact[c[hit]]
-        hops[done] = contact_depth[c[hit]] + j_depth
-        pending, c = pending[~hit], c[~hit] + 1
-    pair_tr = dict(zip(zip(ti.tolist(), tj.tolist()), hops.tolist()))
-
-    known: list[set[int]] = [set() for _ in range(h)]
-    contacts: list[set[int]] = [set() for _ in range(h)]
-    for i, v in zip(own.tolist(), contact.tolist()):
-        contacts[i].add(v)
-    for i, j, v in zip(ti.tolist(), tj.tolist(), via.tolist()):
-        known[i].add(j)
-        contacts[j].add(v)  # j receives i's subgraph at v
-    direct_peers = [frozenset(k) for k in known]
-
-    # Transitive closure of peer knowledge: meeting-connected groups share
-    # everything, so indirectly linked walkers also exchange subgraphs.
-    labels = component_labels(Graph(h, np.column_stack((a, b))))[0].tolist()
-    groups: dict[int, list[int]] = {}
-    for i, label in enumerate(labels):
-        groups.setdefault(label, []).append(i)
-
-    unions = {label: UnionSubgraph(tuple(traces[i] for i in members)) for label, members in groups.items()}
-    states = [
-        WalkerState(
-            known_peers=frozenset(groups[labels[i]]) - {i},
-            contact_points=frozenset(contacts[i]),
-            trace=traces[i],
-        )
-        for i in range(h)
-    ]
-
-    return ProtocolRun(
-        graph=g,
-        budget=budget,
-        starts=starts,
-        states=states,
-        unions=[unions[label] for label in labels],
-        meetings=meetings,
-        direct_peers=direct_peers,
-        pair_advertise_hops=pair_adv,
-        pair_transfer_hops=pair_tr,
-    )
+    return ProtocolRun(graph=g, steps=run_walks(g, starts, budget, [walker_seed(seed, i) for i in range(h)]))
 
 
 def routing_tree(union: UnionSubgraph, root: int) -> RoutingTree:

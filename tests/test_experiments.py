@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from rwtopo import (
     preferential_attachment,
     run_experiment,
     run_rwsp,
+    rwsp,
     score_pairs,
 )
 from rwtopo.graph import bfs_distances
@@ -149,6 +151,42 @@ class TestRunExperiment:
         c = run_experiment(g, pooled)
         assert (a.stretch.counts == b.stretch.counts).all()
         assert (a.stretch.counts == c.stretch.counts).all()
+
+    @pytest.mark.parametrize(
+        "workers, runs, cpus, pool",
+        [(5000, 1, 64, None), (5000, 20, 64, 3), (5000, 100, 2, 2), (4, 100, 64, 4), (3, 9, 64, 2), (1, 100, 64, None)],
+    )
+    def test_pool_is_no_larger_than_the_chunks_or_the_cpus(self, monkeypatch, workers, runs, cpus, pool):
+        made = []
+
+        class SerialPool:  # records its size and maps in this process
+            def __init__(self, max_workers, initializer, initargs):
+                made.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable, chunksize):
+                assert chunksize == 8
+                return map(fn, iterable)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(experiments, "_POOL_CTX", None)
+        g = preferential_attachment(100, 2, seed=5)
+        cfg = ExperimentConfig(seed=3, h=3, beta=0.1, runs=runs, workers=workers)
+        result = run_experiment(g, cfg)
+        assert made == ([] if pool is None else [pool])
+        assert result.config.workers == workers  # reported as given
+        serial = run_experiment(g, replace(cfg, workers=1))
+        assert np.array_equal(result.stretch.counts, serial.stretch.counts)
+
+    def test_usable_cpus_counts_at_least_one(self):
+        assert experiments._usable_cpus() >= 1
 
 
 class TestCoverageValidation:
@@ -409,6 +447,23 @@ def test_score_pairs_builds_no_per_walk_tables():
     assert any(state.known_peers for state in run.states)
     for state in run.states:
         assert "first_visits" not in vars(state.trace) and "_covered" not in vars(state.trace)
+
+
+def test_scoring_builds_no_protocol_accounting(monkeypatch):
+    # Groups come from shared nodes, so scoring never replays the meetings.
+    def refuse(self):
+        raise AssertionError("first_meetings called")
+
+    monkeypatch.setattr(rwsp._FirstVisits, "first_meetings", refuse)
+    g = preferential_attachment(1500, 2, seed=11)
+    starts = np.random.default_rng(16).choice(g.n, size=16, replace=False)
+    run = run_rwsp(g, starts, 60, seed=(3, 16))
+    true, discovered = score_pairs(g, run)
+    assert ((discovered != UNREACHABLE) & ~np.eye(16, dtype=bool)).any()
+    result = run_experiment(g, ExperimentConfig(seed=5, h=4, beta=0.02, runs=3))
+    assert result.stretch.total_pairs == 3 * 4 * 3
+    with pytest.raises(AssertionError, match="first_meetings called"):
+        run.meetings
 
 
 def test_run_invariant_names_the_first_bad_pair_in_i_major_order(monkeypatch):

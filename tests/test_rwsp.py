@@ -1,4 +1,6 @@
+import dataclasses
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -267,6 +269,8 @@ def test_retained_state_scales_with_the_walks_not_the_graph():
         run = run_rwsp(g, starts, 10, seed=67)
         for union in run.unions:
             union.edge_ids  # cached on the union, so retained too
+        # The cached accounting and its first-visit table are retained too.
+        run.states, run.meetings, run.direct_peers, run.pair_advertise_hops, run.pair_transfer_hops
         retained = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -275,6 +279,10 @@ def test_retained_state_scales_with_the_walks_not_the_graph():
     for i, state in enumerate(run.states):
         for j in state.known_peers:
             assert run.unions[i] is run.unions[j]
+
+
+def test_a_run_stores_only_its_walks():
+    assert [f.name for f in dataclasses.fields(ProtocolRun)] == ["graph", "steps"]
 
 
 def reference_protocol(g: Graph, starts, budget: int, seed) -> dict:
@@ -351,6 +359,15 @@ def reference_protocol(g: Graph, starts, budget: int, seed) -> dict:
 
 def _oracle_instances():
     yield path_graph(3), [0, 2], 2, 1  # both walkers reach node 1 in round 2
+    # The only node two walks share is the last step of one of them: walker
+    # 0's (0,1,2,3,4 against 7,6,5,4,5), then walker 1's (0,1,2,3,2 against
+    # 7,6,5,4,3).
+    yield path_graph(10), [0, 7], 5, (70, 7)
+    yield path_graph(10), [0, 7], 5, (70, 57)
+    # Walkers 0 and 2 share no node, but both share one with walker 1.
+    yield path_graph(9), [0, 4, 8], 4, 140
+    # Walks of 4 moves from starts 10 apart on a cycle share no node at all.
+    yield cycle(30), [0, 10, 20], 5, 71
     for k in range(6):
         g = preferential_attachment(300, 2 + k % 2, seed=(61, k))
         rng = np.random.default_rng((62, k))
@@ -382,10 +399,12 @@ def test_first_visit_replay_matches_the_per_step_scan():
     assert ties >= 20  # same-round, lower-id-first collisions are exercised
 
 
-def loop_protocol(g: Graph, starts, budget: int, seed) -> ProtocolRun:
+def loop_protocol(g: Graph, starts, budget: int, seed) -> types.SimpleNamespace:
     """RWSP as a Python event loop: first visits of all walkers replayed one
     at a time in (round, walker id) order against a node -> walkers
-    registry, with breadcrumb depths filled in as the walks advance."""
+    registry, with breadcrumb depths filled in as the walks advance.  Groups
+    follow the meeting rule (components of the direct-peer links), and the
+    result carries every field ProtocolRun derives, stored."""
     starts = [int(s) for s in starts]
     h = len(starts)
     traces = [run_walk(g, s, budget, walker_seed(seed, i), walker_id=i)[0] for i, s in enumerate(starts)]
@@ -436,7 +455,7 @@ def loop_protocol(g: Graph, starts, budget: int, seed) -> ProtocolRun:
         WalkerState(known_peers=frozenset(groups[labels[i]]) - {i}, contact_points=frozenset(contacts[i]), trace=traces[i])
         for i in range(h)
     ]
-    return ProtocolRun(
+    return types.SimpleNamespace(
         graph=g,
         budget=budget,
         starts=starts,
