@@ -355,17 +355,17 @@ def run_experiment(g: Graph, cfg: ExperimentConfig) -> ExperimentResult:
     (true shortest-path length, discovered route length) for every ordered
     walker pair; undiscovered routes land in the INF column.  Results are
     identical for any ``workers`` count: runs depend only on
-    (seed, run index) and merge commutatively.  ``workers`` is an upper
-    bound: the pool gets at most one process per CPU this process may use
-    and per chunk of 8 runs, and one process means no pool.
+    (seed, run index) and merge commutatively.  ``workers > 1`` runs them
+    in a process pool of at most ``workers`` processes, one per CPU this
+    process may use and one per chunk of 8 runs.
     """
     t0 = time.perf_counter()
     members = _start_pool(g, cfg)
     budget = cfg.budget(g.n)
-    # The pool forks all its workers up front, so start no more than there
-    # are chunks of runs or CPUs to run them on.
-    workers = min(cfg.workers, -(-cfg.runs // _CHUNK), _usable_cpus())
-    if workers > 1:
+    if cfg.workers > 1:
+        # The pool forks all its workers up front, so start no more than
+        # there are chunks of runs or CPUs to run them on.
+        workers = min(cfg.workers, -(-cfg.runs // _CHUNK), _usable_cpus())
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_pool_init, initargs=(g, cfg, budget, members)
         ) as pool:

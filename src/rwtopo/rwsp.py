@@ -47,6 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -190,6 +191,16 @@ class _FirstVisits:
         return meet.reshape(h, h)
 
 
+class _Accounting(NamedTuple):
+    """A run's protocol accounting, built together on first read."""
+
+    states: list[WalkerState]
+    meetings: list[list[MeetingEvent]]
+    direct_peers: list[frozenset[int]]
+    pair_advertise_hops: dict[tuple[int, int], int]
+    pair_transfer_hops: dict[tuple[int, int], int]
+
+
 @dataclass(frozen=True)
 class ProtocolRun:
     """One run_rwsp invocation: the graph and the h walks, row i of ``steps``
@@ -215,14 +226,37 @@ class ProtocolRun:
     graph: Graph
     steps: np.ndarray
 
-    h = property(lambda self: self.steps.shape[0])
-    budget = property(lambda self: self.steps.shape[1])
-    starts = property(lambda self: self.steps[:, 0].tolist())
-    states = property(lambda self: self._accounting["states"])
-    meetings = property(lambda self: self._accounting["meetings"])
-    direct_peers = property(lambda self: self._accounting["direct_peers"])
-    pair_advertise_hops = property(lambda self: self._accounting["pair_advertise_hops"])
-    pair_transfer_hops = property(lambda self: self._accounting["pair_transfer_hops"])
+    @property
+    def h(self) -> int:
+        return self.steps.shape[0]
+
+    @property
+    def budget(self) -> int:
+        return self.steps.shape[1]
+
+    @property
+    def starts(self) -> list[int]:
+        return self.steps[:, 0].tolist()
+
+    @property
+    def states(self) -> list[WalkerState]:
+        return self._accounting.states
+
+    @property
+    def meetings(self) -> list[list[MeetingEvent]]:
+        return self._accounting.meetings
+
+    @property
+    def direct_peers(self) -> list[frozenset[int]]:
+        return self._accounting.direct_peers
+
+    @property
+    def pair_advertise_hops(self) -> dict[tuple[int, int], int]:
+        return self._accounting.pair_advertise_hops
+
+    @property
+    def pair_transfer_hops(self) -> dict[tuple[int, int], int]:
+        return self._accounting.pair_transfer_hops
 
     @cached_property
     def _traces(self) -> list[WalkTrace]:
@@ -248,7 +282,7 @@ class ProtocolRun:
         return [unions[label] for label in labels.tolist()]
 
     @cached_property
-    def _accounting(self) -> dict:
+    def _accounting(self) -> _Accounting:
         g, steps, h, visits = self.graph, self.steps, self.h, self._visits
 
         # Meeting events in replay order: by key, then found walker, which is
@@ -308,7 +342,7 @@ class ProtocolRun:
             WalkerState(frozenset(tr.walker_id for tr in u.traces) - {i}, frozenset(contacts[i]), self._traces[i])
             for i, u in enumerate(self.unions)
         ]
-        return dict(
+        return _Accounting(
             states=states,
             meetings=meetings,
             direct_peers=[frozenset(np.flatnonzero(row).tolist()) for row in direct],

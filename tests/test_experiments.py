@@ -154,7 +154,16 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize(
         "workers, runs, cpus, pool",
-        [(5000, 1, 64, None), (5000, 20, 64, 3), (5000, 100, 2, 2), (4, 100, 64, 4), (3, 9, 64, 2), (1, 100, 64, None)],
+        [
+            (5000, 1, 64, 1),
+            (5000, 20, 64, 3),
+            (5000, 100, 2, 2),
+            (5000, 100, 1, 1),
+            (4, 100, 64, 4),
+            (3, 9, 64, 2),
+            (2, 4, 64, 1),
+            (1, 100, 64, None),
+        ],
     )
     def test_pool_is_no_larger_than_the_chunks_or_the_cpus(self, monkeypatch, workers, runs, cpus, pool):
         made = []
