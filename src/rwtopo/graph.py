@@ -391,8 +391,12 @@ def component_labels(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     # member, the first unlabelled node in id order.
     ids = np.arange(g.n)
     labels = np.where(g.degrees == 0, ids, -1)
-    for seed in np.flatnonzero(labels < 0):
-        if labels[seed] < 0:
+    # Most candidates are labelled by an earlier flood by the time the loop
+    # reaches them; memoryviews yield plain ints, and ``current`` sees the
+    # floods' writes.
+    current = memoryview(labels)
+    for seed in memoryview(np.flatnonzero(labels < 0)):
+        if current[seed] < 0:
             labels[seed] = seed
             _flood(g, labels, seed, 0)
     # Renumber densely: a component's number is the count of smaller members

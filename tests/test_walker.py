@@ -12,6 +12,7 @@ from rwtopo import (
     crossing_time,
     grid_2d,
     naive_route,
+    preferential_attachment,
     run_walk,
     walker_seed,
 )
@@ -138,11 +139,15 @@ class TestRunWalk:
         assert abs(np.mean(sample) - exact) < 0.08
 
     def test_short_walk_memory_scales_with_budget_not_graph(self):
+        # Reading the per-step tables must cache nothing n-sized on the trace.
         g = grid_2d(400, 400)
-        run_walk(g, 0, 10, seed=1)  # warm-up: first-call allocations of numpy/RNG
+        # warm-up: first-call allocations of numpy/RNG
+        run_walk(g, 0, 10, seed=1)[0].edge_count_per_step
         tracemalloc.start()
         try:
             walk = run_walk(g, 0, 10, seed=2)
+            trace = walk[0]
+            trace.edge_count_per_step, trace.covered_edge_count, trace.node_count_per_step
             retained, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -248,6 +253,29 @@ class TestCrossingTime:
         assert not visited[tj.steps[: t - 1]].any()
 
 
+def reference_walk(adjacency: list[list[int]], start: int, budget: int, seed) -> list[int]:
+    """Independent walk over sorted neighbor lists, drawing run_walk's uniforms."""
+    seed = (seed,) if isinstance(seed, int) else seed
+    steps = [start]
+    for u in np.random.default_rng(seed).random(budget - 1).tolist():
+        nbrs = adjacency[steps[-1]]
+        steps.append(nbrs[min(int(u * len(nbrs)), len(nbrs) - 1)])
+    return steps
+
+
+def test_run_walk_equals_a_reference_walk_through_hubs():
+    g = preferential_attachment(2000, 3, seed=5)
+    adjacency = [set() for _ in range(g.n)]
+    for u, v in g.edges.tolist():
+        adjacency[u].add(v)
+        adjacency[v].add(u)
+    adjacency = [sorted(nbrs) for nbrs in adjacency]
+    for start, seed in [(0, 1), (1999, 2), (17, (3, 4)), (500, walker_seed((8, 9), 5))]:
+        trace, _ = run_walk(g, start, 5000, seed)
+        assert g.degrees[trace.steps].max() > 100  # the walk crosses hub rows
+        assert trace.steps.tolist() == reference_walk(adjacency, start, 5000, seed)
+
+
 def test_walker_seed_streams_are_stable_and_distinct():
     assert walker_seed(5, 0) == (5, 0)
     assert walker_seed((5, 1), 2) == (5, 1, 2)
@@ -284,6 +312,21 @@ def test_run_walks_equals_a_stack_of_run_walk_traces(case):
     assert steps.dtype == np.int64 and steps.flags.c_contiguous
     assert steps.shape == (len(starts), budget)
     assert np.array_equal(steps, expected)
+
+
+@settings(max_examples=80, deadline=None)
+@given(lockstep_cases())
+def test_edge_counts_match_a_recount_after_every_step(case):
+    g, starts, budget, seeds = case
+    for start, seed in list(zip(starts, seeds))[:2]:
+        trace, _ = run_walk(g, start, budget, seed)
+        steps = trace.steps.tolist()
+        recount = [len(brute_covered_edges(g, steps[: t + 1])) for t in range(budget)]
+        assert trace.edge_count_per_step.tolist() == recount
+        assert not trace.edge_count_per_step.flags.writeable
+        covered = brute_covered_edges(g, steps)
+        assert set(np.flatnonzero(trace.covered_edges).tolist()) == covered
+        assert trace.covered_edge_count == len(covered)
 
 
 def test_run_walks_rejects_what_run_walk_rejects():
