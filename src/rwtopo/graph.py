@@ -8,7 +8,10 @@ across threads or worker processes.
 
 from __future__ import annotations
 
+import io
 import os
+import re
+import warnings
 from dataclasses import dataclass
 from typing import IO, Union
 
@@ -23,6 +26,15 @@ class EdgeListParseError(ValueError):
     """Malformed edge-list input (bad token, wrong arity, or no edges)."""
 
 
+def _run_starts(ordered: np.ndarray) -> np.ndarray:
+    """Mask of the entries of the sorted array ``ordered`` that differ from
+    their predecessor: ``ordered[mask]`` is its distinct values."""
+    starts = np.empty(ordered.size, dtype=bool)
+    starts[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    return starts
+
+
 def _canonical_edges(n: int, edges: np.ndarray) -> np.ndarray:
     """Drop self-loops, deduplicate, and return edges as sorted (lo, hi) pairs."""
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
@@ -31,11 +43,11 @@ def _canonical_edges(n: int, edges: np.ndarray) -> np.ndarray:
     if edges.min() < 0 or edges.max() >= n:
         raise ValueError("edge endpoint out of range 0..n-1")
     edges = edges[edges[:, 0] != edges[:, 1]]
-    if edges.size == 0:
-        return edges.reshape(-1, 2)
     lo = np.minimum(edges[:, 0], edges[:, 1])
     hi = np.maximum(edges[:, 0], edges[:, 1])
-    code = np.unique(lo * np.int64(n) + hi)
+    # Sort, then mask repeats: np.unique may hash, several times slower here.
+    code = np.sort(lo * np.int64(n) + hi)
+    code = code[_run_starts(code)]
     return np.stack([code // n, code % n], axis=1)
 
 
@@ -74,7 +86,7 @@ class Graph:
         eid = np.arange(self.m, dtype=np.int64)
         src = np.concatenate([self.edges[:, 0], self.edges[:, 1]])
         dst = np.concatenate([self.edges[:, 1], self.edges[:, 0]])
-        order = np.lexsort((dst, src))
+        order = np.argsort(src * self.n + dst)  # keys are distinct: edges are canonical
         self.indptr = indptr
         self.adj = dst[order]
         self.adj_edge_ids = np.concatenate([eid, eid])[order]
@@ -167,23 +179,46 @@ def _read_text(source: Source) -> str:
     return data
 
 
-def load_edge_list(source: Source) -> Graph:
-    """Parse a whitespace-separated edge list into a simple undirected Graph.
+# str.splitlines() ends a line at each of these characters, where np.loadtxt
+# reads a space; and np.loadtxt does not end a comment at a lone "\r".
+_SPLITLINES_ONLY_BREAKS = "\x0b\x0c\x1c\x1d\x1e"
+# A "#" after a line's first non-blank character: np.loadtxt drops the rest
+# of the line, while an edge list reads it as more tokens.
+_INLINE_HASH = re.compile(r"^[^\S\n]*[^\s#][^\n]*#", re.MULTILINE)
+_INT64 = np.iinfo(np.int64)
 
-    One edge per line, two integer node ids; lines starting with ``#`` are
-    comments and blank lines are ignored.  Duplicate edges (in either
-    orientation) and self-loops are dropped.  Node ids are remapped to dense
-    ``0..n-1`` in first-appearance order; the original labels are kept on the
-    returned graph's ``original_ids``.
 
-    Raises
-    ------
-    EdgeListParseError
-        On a malformed line (with its line number) or if the input contains
-        no edge lines at all.
+def _parse_whole(text: str) -> np.ndarray | None:
+    """Every line's two labels as a (k, 2) array, parsed in one pass by
+    np.loadtxt, or None where that parse might differ from
+    :func:`_parse_lines` or fails.
+
+    It is trusted on ASCII text whose lines both parsers split alike (see
+    above).  Anything it rejects (a bad token, an id beyond int64, a line of
+    another arity, or no edge lines) is left to the per-line parse, which
+    alone words the error.
     """
-    text = _read_text(source)
-    remap: dict[int, int] = {}
+    if (
+        not text.isascii()
+        or any(c in text for c in _SPLITLINES_ONLY_BREAKS)
+        or text.count("\r") != text.count("\r\n")
+        or ("#" in text and _INLINE_HASH.search(text))
+    ):
+        return None
+    try:
+        with warnings.catch_warnings():
+            # Input with no data only warns, and numpy before 2.0 reads
+            # "1.5" as 1 with only a DeprecationWarning.
+            warnings.simplefilter("error")
+            labels = np.loadtxt(io.StringIO(text), dtype=np.int64, ndmin=2, comments="#")
+    except (ValueError, Warning):
+        return None
+    return labels if labels.shape[0] > 0 and labels.shape[1] == 2 else None
+
+
+def _parse_lines(text: str) -> np.ndarray:
+    """Every line's two labels as a (k, 2) array, one line at a time, raising
+    :class:`EdgeListParseError` with the number of the first bad line."""
     pairs: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -198,14 +233,60 @@ def load_edge_list(source: Source) -> Graph:
             a, b = int(parts[0]), int(parts[1])
         except ValueError:
             raise EdgeListParseError(f"line {lineno}: non-integer node id") from None
-        for label in (a, b):
-            if label not in remap:
-                remap[label] = len(remap)
-        pairs.append((remap[a], remap[b]))
-    if not pairs:
+        if not (_INT64.min <= a <= _INT64.max and _INT64.min <= b <= _INT64.max):
+            raise EdgeListParseError(f"line {lineno}: node id out of range")
+        pairs.append((a, b))
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
+
+
+def _first_appearance_ids(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(``labels`` renumbered ``0..n-1`` in first-appearance order, the label
+    of each new id).
+
+    One sort groups equal labels; a group's smallest original position is
+    where its label first appears, and ranking groups by it gives the ids.
+    """
+    flat = labels.ravel()
+    order = np.argsort(flat)
+    ordered = flat[order]
+    starts = _run_starts(ordered)
+    first_seen = np.minimum.reduceat(order, np.flatnonzero(starts))
+    by_appearance = np.argsort(first_seen)
+    ids = np.empty(by_appearance.size, dtype=np.int64)
+    ids[by_appearance] = np.arange(by_appearance.size)
+    dense = np.empty(flat.size, dtype=np.int64)
+    dense[order] = ids[np.cumsum(starts) - 1]
+    return dense.reshape(labels.shape), ordered[starts][by_appearance]
+
+
+def load_edge_list(source: Source) -> Graph:
+    """Parse a whitespace-separated edge list into a simple undirected Graph.
+
+    One edge per line, two integer node ids; lines starting with ``#`` are
+    comments and blank lines are ignored.  Duplicate edges (in either
+    orientation) and self-loops are dropped.  Node ids are remapped to dense
+    ``0..n-1`` in first-appearance order; the original labels are kept on the
+    returned graph's ``original_ids``.
+
+    ASCII input is parsed in one vectorized pass when its lines split alike
+    for np.loadtxt and for Python; any other input, and every input that
+    parse rejects, goes through a per-line parse that gives the same graph
+    and words every error.
+
+    Raises
+    ------
+    EdgeListParseError
+        On a malformed line (with its line number), a node id outside int64,
+        or if the input contains no edge lines at all.
+    """
+    text = _read_text(source)
+    labels = _parse_whole(text)
+    if labels is None:
+        labels = _parse_lines(text)
+    if labels.size == 0:
         raise EdgeListParseError("empty input: no edge lines found")
-    originals = np.fromiter(remap.keys(), dtype=np.int64, count=len(remap))
-    return Graph(len(remap), np.asarray(pairs, dtype=np.int64), original_ids=originals)
+    pairs, originals = _first_appearance_ids(labels)
+    return Graph(originals.size, pairs, original_ids=originals)
 
 
 def write_edge_list(g: Graph, dest: Union[str, os.PathLike, IO]) -> None:

@@ -28,6 +28,16 @@ def test_stats_reports_summary(pa_file, capsys):
     }
 
 
+def test_stats_rejects_a_node_id_beyond_int64(tmp_path, capsys):
+    path = tmp_path / "big.txt"
+    path.write_text("99999999999999999999 1\n")
+    assert cli.main(["stats", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 1: node id out of range\n"
+    assert "Traceback" not in captured.err
+
+
 def test_walk_trace_summary(pa_file, capsys):
     code = cli.main(
         ["walk", "--graph", str(pa_file), "--start", "0", "--budget", "25", "--seed", "3"]

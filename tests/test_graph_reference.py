@@ -1,0 +1,262 @@
+"""Differential tests of graph set-up against the code it replaced.
+
+``load_edge_list`` parses plain ASCII edge lists in one vectorized pass and
+falls back to a per-line parse for anything else; ``Graph`` deduplicates and
+orders arcs by sorting.  The oracles below are the earlier implementations,
+kept verbatim: a per-line parser with a dict remap, and a constructor built
+on ``np.unique`` and ``np.lexsort``.  Every array of the result must match
+them, and every malformed input must raise the same error.
+"""
+
+import tracemalloc
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rwtopo import EdgeListParseError, Graph, load_edge_list
+
+
+def reference_graph(n, edges, original_ids=None):
+    """(n, m, edges, indptr, adj, adj_edge_ids, original_ids) as the
+    np.unique / np.lexsort constructor built them."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    if edges.size:
+        if edges.min() < 0 or edges.max() >= n:
+            raise ValueError("edge endpoint out of range 0..n-1")
+        edges = edges[edges[:, 0] != edges[:, 1]]
+        if edges.size:
+            lo = np.minimum(edges[:, 0], edges[:, 1])
+            hi = np.maximum(edges[:, 0], edges[:, 1])
+            code = np.unique(lo * np.int64(n) + hi)
+            edges = np.stack([code // n, code % n], axis=1)
+        else:
+            edges = edges.reshape(-1, 2)
+    m = int(edges.shape[0])
+    if original_ids is not None:
+        original_ids = np.asarray(original_ids, dtype=np.int64)
+    deg = np.bincount(edges.ravel(), minlength=n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(deg, out=indptr[1:])
+    eid = np.arange(m, dtype=np.int64)
+    src = np.concatenate([edges[:, 0], edges[:, 1]])
+    dst = np.concatenate([edges[:, 1], edges[:, 0]])
+    order = np.lexsort((dst, src))
+    return n, m, edges, indptr, dst[order], np.concatenate([eid, eid])[order], original_ids
+
+
+def reference_load(data: bytes):
+    """The per-line edge-list parser, on top of :func:`reference_graph`."""
+    text = data.decode("utf-8")
+    remap = {}
+    pairs = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise EdgeListParseError(
+                f"line {lineno}: expected two node ids, got {len(parts)} tokens"
+            )
+        try:
+            a, b = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise EdgeListParseError(f"line {lineno}: non-integer node id") from None
+        for label in (a, b):
+            if label not in remap:
+                remap[label] = len(remap)
+        pairs.append((remap[a], remap[b]))
+    if not pairs:
+        raise EdgeListParseError("empty input: no edge lines found")
+    originals = np.fromiter(remap.keys(), dtype=np.int64, count=len(remap))
+    return reference_graph(len(remap), np.asarray(pairs, dtype=np.int64), original_ids=originals)
+
+
+def arrays(g: Graph):
+    return g.n, g.m, g.edges, g.indptr, g.adj, g.adj_edge_ids, g.original_ids
+
+
+def assert_same_arrays(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert np.array_equal(a, b)
+        else:
+            assert a == b
+
+
+def outcome(load, data: bytes):
+    try:
+        return "graph", load(data)
+    except Exception as exc:
+        return "error", (type(exc), str(exc))
+
+
+_BEYOND_INT64 = "99999999999999999999"
+_ODD_TOKENS = ["+5", "-0", "007", "1_000", "٣", "1.5", "x", "-", "+", _BEYOND_INT64,
+               "-9223372036854775808", "9223372036854775807"]
+_BLANKS = [" ", " ", "\t", "  ", " \t", "\x1f", "\xa0"]
+_BREAKS = ["\n"] * 8 + ["\r\n"] * 4 + ["\r", "\x0b", "\x0c", "\x1c", "\x85"]
+
+
+@st.composite
+def edge_list_texts(draw):
+    """Edge lists that are mostly well formed, with a few odd tokens,
+    separators, line breaks, comments and arities mixed in."""
+    odd = draw(st.integers(0, 3)) == 0  # a quarter of the texts carry odd input
+    token = st.integers(-3, 12).map(str)
+    if odd:
+        token = token | st.sampled_from(_ODD_TOKENS)
+    blank = st.sampled_from(_BLANKS if odd else _BLANKS[:5])
+    brk = st.sampled_from(_BREAKS if odd else _BREAKS[:12])
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.integers(0, 11))
+        if kind == 0:
+            line = draw(st.sampled_from(["", " ", "\t"]))
+        elif kind == 1:
+            line = draw(st.sampled_from(["", " ", "\t"])) + "#" + draw(st.sampled_from(["", " c", " 1 2", " # x"]))
+        elif kind == 2:
+            label = draw(token)
+            line = f"{label}{draw(blank)}{label}"  # a self-loop
+        elif kind == 3 and odd:
+            line = draw(blank).join(draw(st.lists(token, min_size=1, max_size=3)))
+        else:
+            line = f"{draw(token)}{draw(blank)}{draw(token)}"
+        if odd and draw(st.integers(0, 9)) == 0:
+            line += " # inline"
+        lines.append(draw(st.sampled_from(["", " ", "\t"])) + line + draw(st.sampled_from(["", " "])))
+    text = "".join(line + draw(brk) for line in lines)
+    if lines and draw(st.booleans()):
+        text = text[: -1]  # no line break after the last line
+    return text.encode("utf-8")
+
+
+def out_of_range(token: str) -> bool:
+    try:
+        return not -(2**63) <= int(token) < 2**63
+    except ValueError:
+        return False
+
+
+@settings(max_examples=400, deadline=None)
+@given(edge_list_texts())
+def test_load_edge_list_matches_the_per_line_parser(data):
+    got_kind, got = outcome(load_edge_list, data)
+    want_kind, want = outcome(reference_load, data)
+    if got_kind == "graph":
+        assert want_kind == "graph", want
+        assert_same_arrays(arrays(got), want)
+    elif got[1].endswith(": node id out of range"):
+        # The one intended change: an id beyond int64 is reported on its own
+        # line.  The per-line parser let it through to np.fromiter, which
+        # raised OverflowError after the whole input, unless a later line
+        # raised first.
+        lineno = int(got[1].split(":")[0].removeprefix("line "))
+        assert got[0] is EdgeListParseError
+        line = data.decode().splitlines()[lineno - 1]
+        assert any(out_of_range(t) for t in line.split())
+        if want_kind == "error" and want[0] is EdgeListParseError:
+            assert int(want[1].split(":")[0].removeprefix("line ")) > lineno
+        else:
+            assert want_kind == "error" and want[0] is OverflowError
+    else:
+        assert (got_kind, got) == (want_kind, want)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        b"3 3\n",  # only self-loops: one node, no edges
+        b"3 3\n4 4\n3 4\n",
+        b"5 -2\n-2 5\n+5 007\n",
+        b"# c\n  # indented comment\n1 2\r\n2 3",
+        b"1 2\n1 2 # inline\n",
+        b"1 2\r3 4\n",  # lone CR is a line break
+        b"# c\r1 2\n5 6\n",  # even inside a comment line
+        b"1\x0b2\n",  # so is VT, which np.loadtxt reads as a space
+        b"1\x0c2\n",  # and FF
+        b"# c\x0b1 2\n5 6\n",
+        b"1\xc2\x852\n",  # NEL, a non-ASCII line break
+        b"1 2 3\n4 5 6\n",  # every line of one wrong arity
+        b"1\n2\n",
+        b"1_000 2\n",
+        b"\xd9\xa3 4\n",  # an Arabic-Indic digit
+        b"1 2\x1f\n",
+        b"9223372036854775807 -9223372036854775808\n",
+    ],
+)
+def test_load_edge_list_matches_the_per_line_parser_on_edge_cases(data):
+    got_kind, got = outcome(load_edge_list, data)
+    want_kind, want = outcome(reference_load, data)
+    assert got_kind == want_kind
+    if got_kind == "graph":
+        assert_same_arrays(arrays(got), want)
+    else:
+        assert got == want
+
+
+def test_comment_only_input_raises_without_warnings():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(EdgeListParseError, match="^empty input"):
+            load_edge_list(b"# nothing here\n\n")
+    assert caught == []
+
+
+@pytest.mark.parametrize(
+    "data, lineno",
+    [
+        (_BEYOND_INT64.encode() + b" 1\n", 1),
+        (b"0 1\n# c\n2 -" + _BEYOND_INT64.encode() + b"\n", 3),
+        (b"0 1\n9223372036854775808 2\n1 x\n", 2),  # reported before a later bad line
+    ],
+)
+def test_node_id_beyond_int64_is_a_parse_error_with_its_line(data, lineno):
+    with pytest.raises(EdgeListParseError, match=f"^line {lineno}: node id out of range$"):
+        load_edge_list(data)
+
+
+@st.composite
+def multigraphs(draw):
+    """Edge lists with self-loops, duplicates in either orientation and
+    isolated nodes, on 1 to 30 nodes; some hold only self-loops."""
+    n = draw(st.integers(1, 30))
+    node = st.integers(0, n - 1)
+    if draw(st.integers(0, 4)) == 0:
+        pairs = draw(st.lists(node.map(lambda v: (v, v)), max_size=6))
+    else:
+        pairs = draw(st.lists(st.tuples(node, node), max_size=80))
+        pairs += [(b, a) for a, b in draw(st.lists(st.sampled_from(pairs), max_size=10))] if pairs else []
+    originals = draw(st.none() | st.lists(st.integers(-10**6, 10**6), min_size=n, max_size=n, unique=True))
+    return n, np.array(pairs, dtype=np.int64).reshape(-1, 2), originals
+
+
+@settings(max_examples=300, deadline=None)
+@given(multigraphs())
+def test_graph_matches_the_unique_and_lexsort_constructor(case):
+    n, edges, originals = case
+    assert_same_arrays(arrays(Graph(n, edges, original_ids=originals)), reference_graph(n, edges, originals))
+
+
+def traced_peak(load, data: bytes) -> int:
+    tracemalloc.start()
+    try:
+        load(data)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_loading_peaks_below_the_per_line_parser():
+    rng = np.random.default_rng(3)
+    labels = rng.choice(10**9, size=5_000, replace=False)
+    pairs = labels[rng.integers(0, labels.size, size=(20_000, 2))]
+    data = "".join(f"{a} {b}\n" for a, b in pairs.tolist()).encode()
+    load_edge_list(data)  # warm up imports and caches outside the trace
+    reference_load(data)
+    assert traced_peak(load_edge_list, data) < traced_peak(reference_load, data)
