@@ -43,7 +43,7 @@ from .walker import WalkTrace, _as_seed_tuple, run_walk, run_walks, walker_seed
 # may not exceed it.
 _START_STREAM = 0xBEEF
 
-# Cap on the uniforms crossing_rate draws for one block of lockstep walks
+# Cap on the uniforms crossing_rate draws for one block of walks
 # (lanes x budget x 8 bytes), so its memory does not grow with the run count.
 _WALK_BLOCK_BYTES = 1 << 22
 
@@ -447,8 +447,8 @@ def crossing_rate(
     cond_num = 0
     cond_den = 0
     gamma_sum = 0.0
-    # Both walkers of every run in a block step in lockstep, in blocks of
-    # runs whose uniforms stay under _WALK_BLOCK_BYTES.
+    # Both walkers of every run in a block are lanes of one run_walks call,
+    # in blocks of runs whose uniforms stay under _WALK_BLOCK_BYTES.
     block = max(1, _WALK_BLOCK_BYTES // (2 * 8 * budget))
     for lo in range(0, cfg.runs, block):
         runs = range(lo, min(lo + block, cfg.runs))

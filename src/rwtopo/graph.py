@@ -8,6 +8,7 @@ across threads or worker processes.
 
 from __future__ import annotations
 
+import copy
 import io
 import os
 import re
@@ -511,8 +512,12 @@ def giant_component(g: Graph) -> tuple[Graph, np.ndarray]:
     members = giant_members(g)
     mapping = np.full(g.n, -1, dtype=np.int64)
     mapping[members] = np.arange(members.size)
-    sub_edges = mapping[g.edges[mapping[g.edges[:, 0]] >= 0]]
     originals = g.original_ids[members] if g.original_ids is not None else members
+    if members.size == g.n:  # connected: g's canonical arrays are the subgraph's
+        sub = copy.copy(g)
+        sub.original_ids = originals
+        return sub, mapping
+    sub_edges = mapping[g.edges[mapping[g.edges[:, 0]] >= 0]]
     return Graph(members.size, sub_edges, original_ids=originals), mapping
 
 

@@ -16,12 +16,13 @@ higher id sees a breadcrumb.  All scheduling is deterministic given
 (graph, starts, budget, seed).
 
 The simulation computes this schedule from tables instead of stepping it.
-The h walks run as lanes of :func:`rwtopo.walker.run_walks`, and a
-:class:`ProtocolRun` stores only their steps; everything else is derived
-from them when first read.  Only first visits matter: a walker revisiting a
-node meets nobody new there, because whoever registered the node between
-its two visits already found it at the registration.  One table lists every
-(node, walker) first visit, sorted by node.  Then:
+The h walks run as h lanes of the one walk kernel,
+:func:`rwtopo.walker.run_walks`, which picks its stepping from the lane
+count, and a :class:`ProtocolRun` stores only their steps; everything else
+is derived from them when first read.  Only first visits matter: a walker
+revisiting a node meets nobody new there, because whoever registered the
+node between its two visits already found it at the registration.  One
+table lists every (node, walker) first visit, sorted by node.  Then:
 
 * Two walkers meet exactly when their walks share a node, so the groups
   that pool their subgraphs into one G* are the components of the links

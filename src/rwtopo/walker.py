@@ -22,10 +22,11 @@ per-step covered-edge counts, and builds every other view on access.  The
 edge counts sort nothing: each covered edge is counted once, on the arc
 that leaves whichever endpoint was visited first.
 
-:func:`run_walk` steps one walk in a Python loop; :func:`run_walks` steps
-many in lockstep, one array operation per move for all of them.  Both draw
-a walk's moves from its own seed by the same rule, so they produce the same
-steps.
+:func:`run_walks` is the one walk kernel: it draws each lane's moves from
+that lane's own seed and picks its stepping from the lane count, a loop over
+plain ints for a few lanes and one array operation per move for all lanes
+from ``_LOCKSTEP_LANES`` on.  The stepping never changes the steps, and
+:func:`run_walk` is its one-lane case.
 """
 
 from __future__ import annotations
@@ -163,7 +164,40 @@ class BreadcrumbTable:
         return pred
 
 
-def _check_walks(g: Graph, starts, budget: int) -> None:
+def run_walk(g: Graph, start: int, budget: int, seed, walker_id: int = 0):
+    """Run one budgeted simple random walk: the one-lane :func:`run_walks`.
+
+    The walk makes ``budget - 1`` moves from ``start``, which needs a
+    neighbor, drawn from ``seed`` (an int or a sequence of ints); identical
+    inputs reproduce the trace exactly.  ``walker_id`` is only recorded on
+    the trace.  Returns ``(WalkTrace, BreadcrumbTable)``.
+    """
+    trace = WalkTrace(walker_id=walker_id, steps=run_walks(g, [start], budget, [seed])[0], graph=g)
+    return trace, BreadcrumbTable(trace)
+
+
+# Lane count from which one array step for all lanes beats walking them one by one.
+_LOCKSTEP_LANES = 16
+
+
+def run_walks(g: Graph, starts, budget: int, seeds) -> np.ndarray:
+    """Run one budgeted simple random walk per lane.
+
+    Lane ``r`` starts at ``starts[r]`` (starts may repeat) and draws its
+    ``budget - 1`` uniforms from ``seeds[r]``; each move goes from ``cur`` to
+    ``adj[indptr[cur] + min(floor(u * deg), deg - 1)]``.  Row ``r`` of the
+    returned ``(len(starts), budget)`` int64 array is lane ``r``'s steps.
+
+    Fewer than ``_LOCKSTEP_LANES`` lanes are walked one by one over plain
+    ints; more step in lockstep, one array operation per move for all lanes,
+    whose fixed cost of several numpy calls a move pays off from about that
+    many lanes.  Lockstep draws all uniforms up front, so its memory is
+    about three times ``len(starts) * budget * 8`` bytes.
+    """
+    starts = [int(s) for s in starts]
+    seeds = list(seeds)
+    if len(seeds) != len(starts):
+        raise ValueError(f"{len(starts)} starts but {len(seeds)} seeds")
     for start in starts:
         if not 0 <= start < g.n:
             raise ValueError(f"start node {start} out of range")
@@ -172,76 +206,31 @@ def _check_walks(g: Graph, starts, budget: int) -> None:
     if budget < 1:
         raise ValueError("budget must be at least 1")
 
+    if len(starts) < _LOCKSTEP_LANES:
+        # memoryviews index to plain ints, which the loop handles much
+        # faster than numpy scalars.
+        indptr, adj = memoryview(g.indptr), memoryview(g.adj)
+        walks = []
+        for cur, seed in zip(starts, seeds):
+            walk = [cur]
+            append = walk.append
+            for u in np.random.default_rng(_as_seed_tuple(seed)).random(budget - 1).tolist():
+                lo = indptr[cur]
+                deg = indptr[cur + 1] - lo
+                pick = int(u * deg)
+                # The guard catches the (measure-zero) float edge case u*deg == deg.
+                cur = adj[lo + (pick if pick < deg else deg - 1)]
+                append(cur)
+            walks.append(walk)
+        return np.array(walks, dtype=np.int64).reshape(len(starts), budget)
 
-def run_walk(g: Graph, start: int, budget: int, seed, walker_id: int = 0):
-    """Run one budgeted simple random walk.
-
-    Parameters
-    ----------
-    g : Graph
-    start : int
-        Starting node; must have at least one neighbor.
-    budget : int
-        Number of sequence entries (>= 1); the walk makes budget-1 moves.
-    seed : int or sequence of int
-        RNG seed; identical inputs reproduce the trace exactly.
-    walker_id : int
-        Recorded on the trace; does not affect the randomness.
-
-    Returns
-    -------
-    (WalkTrace, BreadcrumbTable)
-    """
-    _check_walks(g, [start], budget)
-    rng = np.random.default_rng(_as_seed_tuple(seed))
-    uniform = rng.random(budget - 1)
-
-    # memoryviews index to plain ints, which the loop handles much faster
-    # than numpy scalars.
-    indptr, adj = memoryview(g.indptr), memoryview(g.adj)
-    cur = int(start)
-    steps = [cur]
-    append = steps.append
-    for u in uniform.tolist():
-        lo = indptr[cur]
-        deg = indptr[cur + 1] - lo
-        pick = int(u * deg)
-        # The guard catches the (measure-zero) float edge case u*deg == deg.
-        cur = adj[lo + (pick if pick < deg else deg - 1)]
-        append(cur)
-
-    trace = WalkTrace(walker_id=walker_id, steps=np.array(steps, dtype=np.int64), graph=g)
-    return trace, BreadcrumbTable(trace)
-
-
-def run_walks(g: Graph, starts, budget: int, seeds) -> np.ndarray:
-    """Run one budgeted simple random walk per lane, all lanes in lockstep.
-
-    Lane ``r`` starts at ``starts[r]`` (starts may repeat) and draws its own
-    uniform stream from ``seeds[r]``, so row ``r`` of the returned
-    ``(len(starts), budget)`` int64 array equals the ``steps`` of
-    ``run_walk(g, starts[r], budget, seeds[r])``.  Every move of every lane
-    is one array step: ``cur = adj[indptr[cur] + min(floor(u * deg), deg - 1)]``.
-    Each step has a fixed cost of several numpy calls, so lockstep pays off
-    only with many lanes: for 10,000-step walks on a 100k-node power-law
-    graph it costs the same as that many :func:`run_walk` calls at about 16
-    lanes (2 vCPUs), and fewer lanes are cheaper walked one by one.  The
-    uniforms of all lanes are drawn up front, so memory is about three
-    times ``len(starts) * budget * 8`` bytes.
-    """
-    starts = np.asarray(starts, dtype=np.int64).reshape(-1)
-    seeds = list(seeds)
-    if len(seeds) != starts.size:
-        raise ValueError(f"{starts.size} starts but {len(seeds)} seeds")
-    _check_walks(g, starts.tolist(), budget)
-    drawn = np.empty((starts.size, budget - 1))
+    drawn = np.empty((len(starts), budget - 1))
     for row, seed in zip(drawn, seeds):
         np.random.default_rng(_as_seed_tuple(seed)).random(out=row)
     uniform = np.ascontiguousarray(drawn.T)  # one row per move
     del drawn
-
     indptr, adj, deg = g.indptr, g.adj, g.degrees
-    steps = np.empty((budget, starts.size), dtype=np.int64)
+    steps = np.empty((budget, len(starts)), dtype=np.int64)
     steps[0] = starts
     for t in range(1, budget):
         cur = steps[t - 1]

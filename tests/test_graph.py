@@ -11,7 +11,9 @@ from rwtopo import (
     Graph,
     degree_moments,
     giant_component,
+    grid_2d,
     load_edge_list,
+    preferential_attachment,
     stats_report,
     write_edge_list,
 )
@@ -150,6 +152,25 @@ class TestGiantComponent:
         gc, mapping = giant_component(g)
         assert (gc.n, gc.m) == (g.n, g.m)
         assert mapping.tolist() == [0, 1, 2]
+
+    @pytest.mark.parametrize("labelled", [False, True])
+    def test_connected_graph_shares_its_arrays_with_the_rebuilt_graph(self, labelled):
+        if labelled:  # sparse labels, so original_ids is set
+            lines = (b"%d %d\n" % (7 * u + 3, 7 * v + 3) for u, v in grid_2d(6, 5).edges)
+            g = load_edge_list(b"".join(lines))
+        else:
+            g = preferential_attachment(300, 2, seed=4)
+        gc, mapping = giant_component(g)
+        labels = g.original_ids if labelled else np.arange(g.n)
+        rebuilt = Graph(g.n, g.edges, original_ids=labels)
+        for name in ("edges", "indptr", "adj", "adj_edge_ids", "original_ids"):
+            got, want = getattr(gc, name), getattr(rebuilt, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+        for name in ("edges", "indptr", "adj", "adj_edge_ids"):
+            assert getattr(gc, name) is getattr(g, name), name
+        assert (gc.n, gc.m) == (g.n, g.m)
+        assert mapping.dtype == np.int64 and mapping.tolist() == list(range(g.n))
+        assert (g.original_ids is None) != labelled  # g itself is left as it was
 
     def test_tie_break_prefers_component_of_node_zero(self):
         g = Graph(4, [[0, 1], [2, 3]])

@@ -263,13 +263,18 @@ def reference_walk(adjacency: list[list[int]], start: int, budget: int, seed) ->
     return steps
 
 
-def test_run_walk_equals_a_reference_walk_through_hubs():
-    g = preferential_attachment(2000, 3, seed=5)
+def sorted_adjacency(g: Graph) -> list[list[int]]:
+    """Neighbor lists rebuilt from the edge list, each sorted ascending."""
     adjacency = [set() for _ in range(g.n)]
     for u, v in g.edges.tolist():
         adjacency[u].add(v)
         adjacency[v].add(u)
-    adjacency = [sorted(nbrs) for nbrs in adjacency]
+    return [sorted(nbrs) for nbrs in adjacency]
+
+
+def test_run_walk_equals_a_reference_walk_through_hubs():
+    g = preferential_attachment(2000, 3, seed=5)
+    adjacency = sorted_adjacency(g)
     for start, seed in [(0, 1), (1999, 2), (17, (3, 4)), (500, walker_seed((8, 9), 5))]:
         trace, _ = run_walk(g, start, 5000, seed)
         assert g.degrees[trace.steps].max() > 100  # the walk crosses hub rows
@@ -295,7 +300,7 @@ def lockstep_cases(draw):
     tree = np.stack([np.arange(1, n), rng.integers(0, np.arange(1, n))], axis=1)
     chords = rng.integers(0, n, size=(draw(st.integers(0, 3)), 2))
     g = Graph(n + draw(st.integers(0, 2)), np.concatenate([tree, chords]))  # extra nodes stay isolated
-    k = draw(st.sampled_from([1, 2, 65]))
+    k = draw(st.sampled_from([1, 2, 15, 16, 65]))  # both sides of _LOCKSTEP_LANES
     starts = rng.choice(n, size=k, replace=True).tolist()
     budget = draw(st.sampled_from([1, 2]) | st.integers(3, 40))
     base = draw(st.integers(0, 2**16) | st.tuples(st.integers(0, 99), st.integers(0, 99)))
@@ -305,13 +310,14 @@ def lockstep_cases(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(lockstep_cases())
-def test_run_walks_equals_a_stack_of_run_walk_traces(case):
+def test_run_walks_rows_equal_reference_walks(case):
     g, starts, budget, seeds = case
     steps = run_walks(g, starts, budget, seeds)
-    expected = np.stack([run_walk(g, s, budget, seed)[0].steps for s, seed in zip(starts, seeds)])
     assert steps.dtype == np.int64 and steps.flags.c_contiguous
     assert steps.shape == (len(starts), budget)
-    assert np.array_equal(steps, expected)
+    adjacency = sorted_adjacency(g)
+    for row, start, seed in zip(steps.tolist(), starts, seeds):
+        assert row == reference_walk(adjacency, start, budget, seed)
 
 
 @settings(max_examples=80, deadline=None)
@@ -335,6 +341,8 @@ def test_run_walks_rejects_what_run_walk_rejects():
         run_walks(g, [0, 3], 3, [1, 2])
     with pytest.raises(ValueError, match="out of range"):
         run_walks(g, [0, 4], 3, [1, 2])
+    with pytest.raises(ValueError, match="out of range"):
+        run_walks(g, [0, 2**70], 3, [1, 2])  # beyond int64
     with pytest.raises(ValueError, match="budget"):
         run_walks(g, [0, 1], 0, [1, 2])
     with pytest.raises(ValueError, match="2 starts but 1 seeds"):
