@@ -30,7 +30,6 @@ from .experiments import (
     ExperimentConfig,
     InvariantViolation,
     _draw_starts,
-    _run_seed,
     _start_pool,
     coverage_validation,
     crossing_rate,
@@ -48,7 +47,7 @@ from .graph import (
     write_edge_list,
 )
 from .rwsp import run_rwsp
-from .walker import naive_route, run_walk
+from .walker import naive_route, run_walk, walker_seed
 
 
 class _Parser(argparse.ArgumentParser):
@@ -182,7 +181,7 @@ def _cmd_rwsp(args) -> int:
     budget = cfg.budget(g.n)
     starts = _draw_starts(cfg, _start_pool(g, cfg), 0)
     # Random starts replay run 0 of `eval --seed SEED` at the same h.
-    seed = args.seed if args.starts else _run_seed(cfg, 0)
+    seed = args.seed if args.starts else walker_seed(cfg.seed, 0)
     run = run_rwsp(g, starts, budget, seed)
     states = run.states
     advertise = _per_walker(run.pair_advertise_hops, cfg.h)

@@ -37,10 +37,12 @@ from .graph import (
 )
 from .rwsp import ProtocolRun, run_rwsp
 from .rwsp import routing_tree  # noqa: F401  (not called here; rwbench/tracing.py wraps it by name)
-from .walker import WalkTrace, _as_seed_tuple, run_walk, run_walks, walker_seed
+from .walker import WalkTrace, run_walk, run_walks, walker_seed
 
 # Stream tag for start-node sampling; must not collide with walker ids, so h
-# may not exceed it.
+# may not exceed it.  Run r's seed is walker_seed(cfg.seed, r): walker i
+# draws from walker_seed(run seed, i), its starts from
+# walker_seed(run seed, _START_STREAM).
 _START_STREAM = 0xBEEF
 
 # Cap on the uniforms crossing_rate draws for one block of walks
@@ -259,12 +261,6 @@ class ExperimentResult:
         return self.stretch.summary()
 
 
-def _run_seed(cfg: ExperimentConfig, run_index: int) -> tuple[int, ...]:
-    """Seed of one run: walker i draws from ``(*run seed, i)``, starts from
-    ``(*run seed, _START_STREAM)``."""
-    return _as_seed_tuple(cfg.seed) + (run_index,)
-
-
 def _start_pool(g: Graph, cfg: ExperimentConfig) -> np.ndarray:
     """Node ids eligible as starts: the giant component of ``g``."""
     if cfg.fixed_starts is not None:
@@ -285,7 +281,7 @@ def _draw_starts(cfg: ExperimentConfig, members: np.ndarray, run_index: int, k: 
     k = cfg.h if k is None else k
     if cfg.fixed_starts is not None:
         return list(cfg.fixed_starts[:k])
-    rng = np.random.default_rng(_run_seed(cfg, run_index) + (_START_STREAM,))
+    rng = np.random.default_rng(walker_seed(walker_seed(cfg.seed, run_index), _START_STREAM))
     return [int(s) for s in rng.choice(members, size=k, replace=False)]
 
 
@@ -317,7 +313,7 @@ def _one_run_records(g: Graph, cfg: ExperimentConfig, budget: int, members: np.n
     """(d_true, d_discovered) of one protocol run's ordered walker pairs, an
     (h·(h−1), 2) array in i-major order."""
     starts = _draw_starts(cfg, members, run_index)
-    run = run_rwsp(g, starts, budget, seed=_run_seed(cfg, run_index))
+    run = run_rwsp(g, starts, budget, seed=walker_seed(cfg.seed, run_index))
     true, discovered = score_pairs(g, run)
     bad = np.argwhere((discovered != UNREACHABLE) & ((true == UNREACHABLE) | (discovered < true)))
     if bad.size:
@@ -405,7 +401,7 @@ def coverage_validation(g: Graph, cfg: ExperimentConfig, taus) -> list[CoverageV
     samples = np.zeros((cfg.runs, len(taus)), dtype=np.float64)
     for r in range(cfg.runs):
         start = _draw_starts(cfg, members, r, k=1)[0]
-        trace, _ = run_walk(g, start, budget, seed=_run_seed(cfg, r))
+        trace, _ = run_walk(g, start, budget, seed=walker_seed(cfg.seed, r))
         edges = trace.edge_count_per_step
         for k, t in enumerate(steps_at):
             samples[r, k] = 0.0 if t == 0 else edges[t - 1] / two_m
@@ -453,7 +449,7 @@ def crossing_rate(
     for lo in range(0, cfg.runs, block):
         runs = range(lo, min(lo + block, cfg.runs))
         starts = [s for r in runs for s in _draw_starts(cfg, members, r)]
-        seeds = [walker_seed(_run_seed(cfg, r), w) for r in runs for w in (0, 1)]
+        seeds = [walker_seed(walker_seed(cfg.seed, r), w) for r in runs for w in (0, 1)]
         steps = run_walks(g, starts, budget, seeds)
         for steps_i, steps_j in zip(steps[0::2], steps[1::2]):
             trace_i = WalkTrace(walker_id=0, steps=steps_i, graph=g)

@@ -2,13 +2,13 @@
 
 Node ids are dense integers ``0..n-1`` and every undirected edge carries a
 stable id ``0..m-1``, so visited-node sets and covered-edge sets can be flat
-boolean arrays.  Graphs are immutable after construction and safe to share
-across threads or worker processes.
+boolean arrays.  Graphs are immutable after construction, apart from their
+component labelling, which is filled in on first use; they are safe to
+share across threads or worker processes.
 """
 
 from __future__ import annotations
 
-import copy
 import io
 import os
 import re
@@ -64,10 +64,13 @@ class Graph:
         orientation) are merged, so the stored graph is always simple.
     original_ids : array-like of length n, optional
         External labels for nodes, kept for reporting when the graph was
-        remapped from an arbitrary id space.
+        remapped from an arbitrary id space; ``0..n-1`` when not given.
+
+    The connected components are labelled on first use and kept with the
+    graph (see :func:`component_labels`).
     """
 
-    __slots__ = ("n", "m", "edges", "indptr", "adj", "adj_edge_ids", "original_ids")
+    __slots__ = ("n", "m", "edges", "indptr", "adj", "adj_edge_ids", "original_ids", "_components")
 
     def __init__(self, n: int, edges, original_ids=None):
         if n < 1:
@@ -75,11 +78,10 @@ class Graph:
         self.n = int(n)
         self.edges = _canonical_edges(self.n, edges)
         self.m = int(self.edges.shape[0])
-        if original_ids is not None:
-            original_ids = np.asarray(original_ids, dtype=np.int64)
-            if original_ids.shape != (self.n,):
-                raise ValueError("original_ids must have one entry per node")
-        self.original_ids = original_ids
+        self.original_ids = np.asarray(np.arange(self.n) if original_ids is None else original_ids, dtype=np.int64)
+        if self.original_ids.shape != (self.n,):
+            raise ValueError("original_ids must have one entry per node")
+        self._components = None
 
         deg = np.bincount(self.edges.ravel(), minlength=self.n)
         indptr = np.zeros(self.n + 1, dtype=np.int64)
@@ -121,6 +123,13 @@ class Graph:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Graph(n={self.n}, m={self.m})"
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    # Cached tables are handed out by reference; keep callers from editing them.
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 def _arc_positions(indptr: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -169,15 +178,14 @@ Source = Union[str, os.PathLike, bytes, IO]
 
 
 def _read_text(source: Source) -> str:
-    if isinstance(source, bytes):
-        return source.decode("utf-8")
+    """The UTF-8 text of ``source`` without one leading byte-order mark."""
     if isinstance(source, (str, os.PathLike)):
         with open(source, "rb") as fh:
-            return fh.read().decode("utf-8")
-    data = source.read()
-    if isinstance(data, bytes):
-        return data.decode("utf-8")
-    return data
+            data = fh.read()
+    else:
+        data = source if isinstance(source, bytes) else source.read()
+    text = data.decode("utf-8") if isinstance(data, bytes) else data
+    return text.removeprefix("\ufeff")
 
 
 # str.splitlines() ends a line at each of these characters, where np.loadtxt
@@ -264,10 +272,11 @@ def load_edge_list(source: Source) -> Graph:
     """Parse a whitespace-separated edge list into a simple undirected Graph.
 
     One edge per line, two integer node ids; lines starting with ``#`` are
-    comments and blank lines are ignored.  Duplicate edges (in either
-    orientation) and self-loops are dropped.  Node ids are remapped to dense
-    ``0..n-1`` in first-appearance order; the original labels are kept on the
-    returned graph's ``original_ids``.
+    comments and blank lines are ignored, and one leading byte-order mark is
+    skipped.  Duplicate edges (in either orientation) and self-loops are
+    dropped.  Node ids are remapped to dense ``0..n-1`` in first-appearance
+    order; the original labels are kept on the returned graph's
+    ``original_ids``.
 
     ASCII input is parsed in one vectorized pass when its lines split alike
     for np.loadtxt and for Python; any other input, and every input that
@@ -350,6 +359,9 @@ def bfs_distances(g: Graph, source: int, edge_mask: np.ndarray | None = None) ->
     with a true mask entry are traversed, i.e. the search runs on a subgraph
     of ``g`` sharing its node ids.
     """
+    # One source does not fill pair_distances' 64-bit words: its level loop
+    # pays for the word scatter, the deduplication and the full-arc pulls
+    # with one bit in use, and is slower than this plain flood.
     if not 0 <= source < g.n:
         raise ValueError(f"source {source} out of range")
     dist = np.full(g.n, UNREACHABLE, dtype=np.int64)
@@ -463,11 +475,14 @@ def pair_distances(g: Graph, nodes, edge_ids: np.ndarray | None = None) -> np.nd
 
 
 def component_labels(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """Connected components as (labels, sizes).
+    """Connected components as read-only (labels, sizes).
 
     Labels are numbered in order of each component's smallest node id;
-    ``sizes[c]`` is the node count of component ``c``.
+    ``sizes[c]`` is the node count of component ``c``.  The graph is
+    labelled on the first call only and the pair is kept on it.
     """
+    if g._components is not None:  # threads that label at once store equal pairs
+        return g._components
     # Provisional label: the component's smallest member.  Isolated nodes
     # label themselves; every other component is flooded from its smallest
     # member, the first unlabelled node in id order.
@@ -485,19 +500,18 @@ def component_labels(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     # that are smallest in their own component.
     number = np.cumsum(labels == ids) - 1
     labels = number[labels]
-    return labels, np.bincount(labels)
+    g._components = _read_only(labels, np.bincount(labels))
+    return g._components
 
 
 def giant_members(g: Graph) -> np.ndarray:
     """Node ids of the largest connected component, ascending.
 
-    Ties on size are broken by the smallest minimum original node id (dense
-    ids double as original ids when the graph was never remapped).
+    Ties on size are broken by the smallest minimum original node id.
     """
     labels, sizes = component_labels(g)
-    originals = g.original_ids if g.original_ids is not None else np.arange(g.n)
     min_original = np.full(sizes.size, np.iinfo(np.int64).max)
-    np.minimum.at(min_original, labels, originals)
+    np.minimum.at(min_original, labels, g.original_ids)
     largest = np.flatnonzero(sizes == sizes.max())
     best = largest[np.argmin(min_original[largest])]
     return np.flatnonzero(labels == best)
@@ -507,18 +521,16 @@ def giant_component(g: Graph) -> tuple[Graph, np.ndarray]:
     """Induced subgraph on the largest connected component (see :func:`giant_members`).
 
     Returns the subgraph plus an old-to-new id mapping (-1 for nodes outside
-    it).
+    it).  A connected graph is its own giant component: ``g`` itself comes
+    back, with the identity mapping.
     """
     members = giant_members(g)
+    if members.size == g.n:
+        return g, members  # 0..n-1: the identity mapping
     mapping = np.full(g.n, -1, dtype=np.int64)
     mapping[members] = np.arange(members.size)
-    originals = g.original_ids[members] if g.original_ids is not None else members
-    if members.size == g.n:  # connected: g's canonical arrays are the subgraph's
-        sub = copy.copy(g)
-        sub.original_ids = originals
-        return sub, mapping
     sub_edges = mapping[g.edges[mapping[g.edges[:, 0]] >= 0]]
-    return Graph(members.size, sub_edges, original_ids=originals), mapping
+    return Graph(members.size, sub_edges, original_ids=g.original_ids[members]), mapping
 
 
 def stats_report(g: Graph) -> dict:

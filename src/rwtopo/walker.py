@@ -36,7 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, _read_only
 
 
 def _as_seed_tuple(seed) -> tuple[int, ...]:
@@ -52,13 +52,6 @@ def walker_seed(seed, walker_id: int) -> tuple[int, ...]:
     identical traces whether they are run serially or in parallel.
     """
     return _as_seed_tuple(seed) + (int(walker_id),)
-
-
-def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    # Cached tables are handed out by reference; keep callers from editing them.
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
 
 
 def _mask(size: int, ids: np.ndarray) -> np.ndarray:

@@ -28,6 +28,14 @@ def test_stats_reports_summary(pa_file, capsys):
     }
 
 
+def test_stats_reads_an_edge_list_with_a_byte_order_mark(tmp_path, capsys):
+    path = tmp_path / "bom.txt"
+    path.write_bytes(b"\xef\xbb\xbf1 2\n2 3\n")
+    assert cli.main(["stats", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["n"], report["m"]) == (3, 2)
+
+
 def test_stats_rejects_a_node_id_beyond_int64(tmp_path, capsys):
     path = tmp_path / "big.txt"
     path.write_text("99999999999999999999 1\n")

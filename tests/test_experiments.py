@@ -22,7 +22,7 @@ from rwtopo import (
     rwsp,
     score_pairs,
 )
-from rwtopo.graph import bfs_distances
+from rwtopo.graph import Graph, bfs_distances, giant_component, stats_report
 from rwtopo.coverage import expected_edge_fraction
 from rwtopo.walker import retrace_to_start
 from rwtopo.rwsp import routing_tree
@@ -484,6 +484,51 @@ def test_run_invariant_names_the_first_bad_pair_in_i_major_order(monkeypatch):
     cfg = ExperimentConfig(seed=1, h=3, beta=0.5, runs=1, fixed_starts=(0, 2, 4))
     with pytest.raises(InvariantViolation, match=r"^run 0: discovered 5 hops vs true -1 for pair \(1,2\)$"):
         experiments._one_run_records(g, cfg, cfg.budget(g.n), experiments._start_pool(g, cfg), 0)
+
+
+@pytest.fixture
+def component_labellings(monkeypatch):
+    """Step-0 floods run so far on each live graph, keyed by ``id``.
+
+    Only a component labelling floods with step 0, once per component with
+    an edge, so on a connected graph this counts its labellings."""
+    counts = {}
+    flood = rwtopo.graph._flood
+
+    def counting_flood(g, labels, source, step, edge_mask=None):
+        if step == 0:
+            counts[id(g)] = counts.get(id(g), 0) + 1
+        return flood(g, labels, source, step, edge_mask)
+
+    monkeypatch.setattr(rwtopo.graph, "_flood", counting_flood)
+    return counts
+
+
+def run_every_driver(g):
+    cfg = ExperimentConfig(seed=3, h=2, beta=0.05, runs=3)
+    run_experiment(g, cfg)
+    run_experiment(g, replace(cfg, h=3))
+    coverage_validation(g, cfg, [0.02, 0.05])
+    crossing_rate(g, cfg)
+    stats_report(g)
+
+
+def test_a_connected_graph_is_labelled_once_by_every_driver(component_labellings):
+    g = preferential_attachment(200, 2, seed=6)
+    assert giant_component(g)[0] is g
+    run_every_driver(g)
+    assert component_labellings[id(g)] == 1  # the protocol also labels its h-node meeting graphs
+
+
+def test_a_rebuilt_giant_component_is_labelled_at_most_once(component_labellings):
+    pa = preferential_attachment(200, 2, seed=6)
+    raw = Graph(203, np.concatenate([pa.edges, [[200, 201]]]))
+    gc, _ = giant_component(raw)
+    assert gc is not raw and gc.n == 200
+    for _ in range(2):
+        run_every_driver(gc)
+    assert component_labellings[id(raw)] == 2  # one flood per component with an edge
+    assert component_labellings.get(id(gc), 0) <= 1
 
 
 def test_names_patched_by_the_benchmark_exist():

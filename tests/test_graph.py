@@ -17,7 +17,7 @@ from rwtopo import (
     stats_report,
     write_edge_list,
 )
-from rwtopo.graph import DegreeMoments, bfs_distances
+from rwtopo.graph import DegreeMoments, bfs_distances, component_labels
 from helpers import degree_multiset, star, triangle, two_triangles
 
 
@@ -43,6 +43,27 @@ class TestLoadEdgeList:
         g = load_edge_list(b"7 3\n3 20\n")
         assert g.original_ids.tolist() == [7, 3, 20]
         assert (g.n, g.m) == (3, 2)
+
+    def test_leading_byte_order_mark_is_skipped(self, tmp_path):
+        plain = "7 3\n3 20\n"
+        path = tmp_path / "bom.txt"
+        path.write_bytes(b"\xef\xbb\xbf" + plain.encode())
+        want = load_edge_list(plain.encode())
+        for source in (b"\xef\xbb\xbf" + plain.encode(), path, str(path), io.StringIO("\ufeff" + plain),
+                       io.BytesIO(b"\xef\xbb\xbf" + plain.encode())):
+            got = load_edge_list(source)
+            for name in ("n", "m", "edges", "indptr", "adj", "adj_edge_ids", "original_ids"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), (source, name)
+
+    @pytest.mark.parametrize("data, line", [(b"\xef\xbb\xbf\xef\xbb\xbf1 2\n", 1), (b"1 2\n\xef\xbb\xbf2 3\n", 2),
+                                            (b"1 \xef\xbb\xbf2\n", 1)])
+    def test_byte_order_mark_elsewhere_is_an_error_on_its_line(self, data, line):
+        with pytest.raises(EdgeListParseError, match=f"line {line}: non-integer node id"):
+            load_edge_list(data)
+
+    def test_original_ids_default_to_dense_ids(self):
+        g = Graph(4, [[0, 1], [2, 3]])
+        assert g.original_ids.dtype == np.int64 and g.original_ids.tolist() == [0, 1, 2, 3]
 
     def test_malformed_token_reports_line_number(self):
         with pytest.raises(EdgeListParseError, match="line 2"):
@@ -155,22 +176,30 @@ class TestGiantComponent:
 
     @pytest.mark.parametrize("labelled", [False, True])
     def test_connected_graph_shares_its_arrays_with_the_rebuilt_graph(self, labelled):
-        if labelled:  # sparse labels, so original_ids is set
+        if labelled:  # sparse labels, given by the edge list
             lines = (b"%d %d\n" % (7 * u + 3, 7 * v + 3) for u, v in grid_2d(6, 5).edges)
             g = load_edge_list(b"".join(lines))
         else:
             g = preferential_attachment(300, 2, seed=4)
         gc, mapping = giant_component(g)
-        labels = g.original_ids if labelled else np.arange(g.n)
-        rebuilt = Graph(g.n, g.edges, original_ids=labels)
+        assert gc is g  # a connected graph is its own giant component
+        rebuilt = Graph(g.n, g.edges, original_ids=g.original_ids) if labelled else Graph(g.n, g.edges)
         for name in ("edges", "indptr", "adj", "adj_edge_ids", "original_ids"):
             got, want = getattr(gc, name), getattr(rebuilt, name)
             assert got.dtype == want.dtype and np.array_equal(got, want), name
-        for name in ("edges", "indptr", "adj", "adj_edge_ids"):
-            assert getattr(gc, name) is getattr(g, name), name
         assert (gc.n, gc.m) == (g.n, g.m)
         assert mapping.dtype == np.int64 and mapping.tolist() == list(range(g.n))
-        assert (g.original_ids is None) != labelled  # g itself is left as it was
+
+    def test_components_are_labelled_once_and_read_only(self):
+        g = Graph(5, [[0, 1], [1, 2], [3, 4]])
+        labels, sizes = component_labels(g)
+        assert labels.tolist() == [0, 0, 0, 1, 1] and sizes.tolist() == [3, 2]
+        again = component_labels(g)
+        assert again[0] is labels and again[1] is sizes
+        for a in (labels, sizes):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 1
 
     def test_tie_break_prefers_component_of_node_zero(self):
         g = Graph(4, [[0, 1], [2, 3]])

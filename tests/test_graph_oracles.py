@@ -87,10 +87,6 @@ def to_nx(g: Graph, mask=None):
     return h
 
 
-def originals(g: Graph) -> np.ndarray:
-    return g.original_ids if g.original_ids is not None else np.arange(g.n)
-
-
 @settings(max_examples=100, deadline=None)
 @given(masked_searches())
 def test_bfs_distances_match_networkx_on_the_masked_subgraph(case):
@@ -146,12 +142,13 @@ def test_component_labels_match_networkx(g):
 @settings(max_examples=100, deadline=None)
 @given(graphs())
 def test_giant_component_is_the_largest_with_the_smallest_original_id(g):
-    orig = originals(g)
+    orig = g.original_ids
     best = max(nx.connected_components(to_nx(g)), key=lambda c: (len(c), -min(orig[v] for v in c)))
     members = giant_members(g)
     assert members.tolist() == sorted(best)
 
     sub, mapping = giant_component(g)
+    assert (sub is g) == (len(best) == g.n)
     assert sub.n == len(best)
     assert np.flatnonzero(mapping >= 0).tolist() == members.tolist()
     assert mapping[members].tolist() == list(range(sub.n))

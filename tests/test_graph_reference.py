@@ -35,8 +35,7 @@ def reference_graph(n, edges, original_ids=None):
         else:
             edges = edges.reshape(-1, 2)
     m = int(edges.shape[0])
-    if original_ids is not None:
-        original_ids = np.asarray(original_ids, dtype=np.int64)
+    original_ids = np.asarray(np.arange(n) if original_ids is None else original_ids, dtype=np.int64)
     deg = np.bincount(edges.ravel(), minlength=n)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(deg, out=indptr[1:])
