@@ -388,7 +388,7 @@ def main(argv=None) -> int:
     except InvariantViolation as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

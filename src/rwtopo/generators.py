@@ -36,6 +36,8 @@ class PowerLawParams:
             raise ValueError("k_min must be at least 1")
         if self.n < 2:
             raise ValueError("n must be at least 2")
+        if self.k_min > self.n - 1:
+            raise ValueError("k_min must be at most n - 1")
 
     @property
     def k_cap(self) -> int:
@@ -89,6 +91,12 @@ def configuration_model(degrees, seed) -> Graph:
     return Graph(degrees.size, stubs.reshape(-1, 2))
 
 
+# Bounds on how many nodes draw their targets in one array call; a block
+# halves after a node whose draws repeat a target and doubles otherwise.
+_PA_BLOCK_MIN = 16
+_PA_BLOCK_MAX = 4096
+
+
 def preferential_attachment(n: int, m0: int, seed) -> Graph:
     """Degree-proportional growth from an (m0+1)-clique.
 
@@ -96,25 +104,84 @@ def preferential_attachment(n: int, m0: int, seed) -> Graph:
     probability proportional to their current degree (Barabasi-Albert style
     growth), which yields a power-law degree tail.  The result is always
     simple and connected.
+
+    A node draws positions in ``repeated``, one entry per edge endpoint, until
+    it holds ``m0`` distinct targets.  The draws of a block of nodes come from
+    one ``rng.integers`` call and consume the stream exactly as one call per
+    draw would, so a given ``(n, m0, seed)`` yields the same graph as drawing
+    one target at a time.
     """
     if m0 < 1:
         raise ValueError("m0 must be at least 1")
     if n <= m0:
         raise ValueError("n must exceed m0")
-    rng = np.random.default_rng(seed)
     clique = m0 + 1
-    edges = [(i, j) for i in range(clique) for j in range(i + 1, clique)]
-    # One entry per edge endpoint: sampling from it is degree-proportional.
-    repeated: list[int] = [v for e in edges for v in e]
-    for new in range(clique, n):
-        targets: set[int] = set()
-        while len(targets) < m0:
-            targets.add(repeated[rng.integers(len(repeated))])
-        for t in sorted(targets):
-            edges.append((new, t))
-            repeated.append(t)
-        repeated.extend([new] * m0)
-    return Graph(n, np.asarray(edges, dtype=np.int64))
+    width = 2 * m0  # entries each new node adds to `repeated`
+    start = clique * m0
+    repeated = np.empty(start + width * (n - clique), dtype=np.int64)
+    lo, hi = np.triu_indices(clique, 1)
+    clique_edges = np.stack([lo, hi], axis=1)
+    repeated[:start] = clique_edges.ravel()
+    # Row j - clique is node j's segment: its sorted targets, then j m0 times.
+    # Node j draws from the first start + width * (j - clique) entries.
+    grown = repeated[start:].reshape(n - clique, width)
+    grown[:, m0:] = np.arange(clique, n, dtype=np.int64)[:, None]
+    rng = np.random.default_rng(seed)
+    row, block = 0, _PA_BLOCK_MIN
+    while row < n - clique:
+        rows = min(block, n - clique - row)
+        base = start + width * row
+        highs = np.repeat(base + width * np.arange(rows, dtype=np.int64), m0)
+        state = rng.bit_generator.state
+        drawn = _block_targets(repeated, rng.integers(0, highs).reshape(rows, m0), base)
+        # Accept the nodes before the first one whose draws repeat a target.
+        repeats = (drawn[:, 1:] == drawn[:, :-1]).any(axis=1)
+        accepted = int(repeats.argmax()) if repeats.any() else rows
+        grown[row : row + accepted, :m0] = drawn[:accepted]
+        row += accepted
+        if accepted == rows:
+            block = min(2 * block, _PA_BLOCK_MAX)
+            continue
+        # Replay the accepted nodes' draws, then draw the repeating node's
+        # targets one at a time against the extended `repeated`.
+        rng.bit_generator.state = state
+        rng.integers(0, highs[: accepted * m0])
+        high = start + width * row
+        chosen: set[int] = set()
+        while len(chosen) < m0:
+            chosen.add(int(repeated[rng.integers(high)]))
+        grown[row, :m0] = sorted(chosen)
+        row += 1
+        block = max(block // 2, _PA_BLOCK_MIN)
+    grown_edges = np.stack([grown[:, m0:].ravel(), grown[:, :m0].ravel()], axis=1)
+    return Graph(n, np.concatenate([clique_edges, grown_edges]))
+
+
+def _block_targets(repeated, pos, base):
+    """Sorted targets of a block of new nodes from the positions they drew.
+
+    Row r of ``pos`` holds the draws of the block's r-th node, whose segment
+    starts at ``base + 2 * m0 * r``.  ``repeated`` already holds every entry
+    below ``base`` and every node's own m0 entries.  A draw of one of the
+    block's target slots reads the earlier row's sorted targets once that row
+    is resolved; rows point only backwards, so each pass resolves at least
+    the first unresolved row.
+    """
+    m0 = pos.shape[1]
+    src, slot = np.divmod(pos - base, 2 * m0)
+    pending = (pos >= base) & (slot < m0)
+    values = repeated[pos]
+    out = np.empty_like(pos)
+    ready = ~pending.any(axis=1)
+    out[ready] = np.sort(values[ready], axis=1)
+    while not ready.all():
+        hit = pending & ready[np.where(pending, src, 0)]
+        values[hit] = out[src[hit], slot[hit]]
+        pending &= ~hit
+        fresh = ~ready & ~pending.any(axis=1)
+        out[fresh] = np.sort(values[fresh], axis=1)
+        ready |= fresh
+    return out
 
 
 def grid_2d(rows: int, cols: int) -> Graph:
@@ -153,7 +220,10 @@ def from_spec(spec: str, seed) -> Graph:
             key, sep, value = item.partition("=")
             if not sep or not key.strip() or not value.strip():
                 raise ValueError(f"bad generator spec {spec!r}: {_SPEC_HELP}")
-            args[key.strip().lower()] = value.strip()
+            key = key.strip().lower()
+            if key in args:
+                raise ValueError(f"generator spec {spec!r} gives {key!r} twice")
+            args[key] = value.strip()
 
     def take(key: str, default: str | None = None) -> str:
         if key in args:

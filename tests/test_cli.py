@@ -328,6 +328,24 @@ def test_input_errors_exit_one(capsys):
     assert cli.main(["synth", "mystery:n=5", "-o", "/tmp/x", "--seed", "1"]) == 1
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        # each needs hundreds of terabytes or more, so its allocation fails at once
+        "pa:n=100000000000000,m0=3",
+        "plconfig:n=100000000000000,alpha=2.5",
+        "grid:rows=100000000,cols=100000000",
+    ],
+)
+def test_synth_of_an_impossible_size_is_a_one_line_error(spec, tmp_path, capsys):
+    out = tmp_path / "g.txt"
+    assert cli.main(["synth", spec, "-o", str(out), "--seed", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_invariant_violations_exit_two(monkeypatch, tmp_path, capsys):
     def boom(*args, **kwargs):
         raise InvariantViolation("planted for the exit-code contract")

@@ -49,6 +49,10 @@ class TestPowerLawDegrees:
             PowerLawParams(alpha=2.5, k_min=0, n=100)
         with pytest.raises(ValueError):
             PowerLawParams(alpha=2.5, k_min=2, n=1)
+        # no simple graph on n nodes has a degree above n - 1
+        with pytest.raises(ValueError, match="k_min must be at most n - 1"):
+            PowerLawParams(alpha=2.5, k_min=200, n=100)
+        assert PowerLawParams(alpha=2.5, k_min=99, n=100).k_min == 99
 
     def test_deterministic_given_seed(self):
         params = PowerLawParams(alpha=2.2, k_min=1, n=200)
@@ -170,3 +174,7 @@ class TestFromSpec:
             from_spec("grid:rows=2,cols=2,depth=2", seed=0)
         with pytest.raises(ValueError, match="bad generator spec"):
             from_spec("pa:n", seed=0)
+        with pytest.raises(ValueError, match="gives 'n' twice"):
+            from_spec("pa:n=10,n=20,m0=2", seed=0)
+        with pytest.raises(ValueError, match="gives 'kmin' twice"):
+            from_spec("plconfig:n=100,alpha=2.5,kmin=2,KMIN=2", seed=0)
