@@ -44,8 +44,8 @@ def expected_edge_fraction(moments: DegreeMoments, tau: float) -> float:
     steady-state probability that an independent walker stands on covered
     territory, so it feeds the crossing bound directly.
     """
-    if tau < 0:
-        raise ValueError("tau must be non-negative")
+    if not 0 <= tau < math.inf:
+        raise ValueError(f"tau must be finite and non-negative, got {tau}")
     # -expm1 keeps precision when the exponent is tiny.
     return -math.expm1(-coverage_rate(moments) * tau)
 
@@ -144,7 +144,7 @@ class CrossingBoundParams:
             raise ValueError("n must be positive")
         if self.delta < 1:
             raise ValueError("delta must be at least 1 step")
-        if self.c <= 0 or self.gamma_bar <= 0:
+        if not (self.c > 0 and self.gamma_bar > 0):
             raise ValueError("c and gamma_bar must be positive")
         if self.c * self.gamma_bar > 1:
             raise ValueError("c * gamma_bar > 1 makes the bound ill-formed")

@@ -304,7 +304,7 @@ def score_pairs(g: Graph, run: ProtocolRun) -> tuple[np.ndarray, np.ndarray]:
     for i, union in enumerate(run.unions):
         group = [tr.walker_id for tr in union.traces]
         if len(group) > 1 and group[0] == i:  # the group's lowest id searches
-            discovered[np.ix_(group, group)] = pair_distances(union.graph, starts[group], union.edge_ids)
+            discovered[np.ix_(group, group)] = pair_distances(union.graph, starts[group], union.edge_mask)
     np.fill_diagonal(discovered, 0)
     return true, discovered
 
@@ -391,7 +391,7 @@ def coverage_validation(g: Graph, cfg: ExperimentConfig, taus) -> list[CoverageV
     taus = [float(t) for t in taus]
     if not taus:
         raise ConfigError("tau grid must be non-empty")
-    if any(t < 0 or t >= 1 for t in taus):
+    if not all(0 <= t < 1 for t in taus):
         raise ConfigError("tau grid values must lie in [0, 1)")
     members = _start_pool(g, cfg)
     steps_at = [int(round(t * g.n)) for t in taus]

@@ -53,11 +53,15 @@ def power_law_degrees(params: PowerLawParams, seed) -> np.ndarray:
     sum is odd the last entry is incremented by one (an O(1/n) perturbation of
     the moments, which may push that single entry one above the cutoff).
     """
-    rng = np.random.default_rng(seed)
+    # Draw first, so that an impossible n fails before the k_cap-sized tables.
+    uniform = np.random.default_rng(seed).random(params.n)
     support = np.arange(params.k_min, params.k_cap + 1, dtype=np.int64)
     # Normalize against the smallest k so huge alphas underflow gracefully.
     weights = (support / params.k_min) ** (-params.alpha)
-    degrees = rng.choice(support, size=params.n, p=weights / weights.sum())
+    # Map the draws as Generator.choice(support, p=...) does.
+    cdf = (weights / weights.sum()).cumsum()
+    cdf /= cdf[-1]
+    degrees = support[cdf.searchsorted(uniform, side="right")]
     if int(degrees.sum()) % 2 == 1:
         degrees[-1] += 1
     return degrees

@@ -154,6 +154,8 @@ class DegreeMoments:
     second_moment: float
 
     def __post_init__(self):
+        if not np.isfinite([self.mean_degree, self.second_moment]).all():
+            raise ValueError("degree moments must be finite")
         if self.mean_degree <= 0:
             raise ValueError("mean degree must be positive (graph has no edges?)")
         if self.second_moment < self.mean_degree**2 * (1 - 1e-12):
@@ -329,21 +331,34 @@ def _distinct(values: np.ndarray, slot: np.ndarray) -> np.ndarray:
     return values[slot[values] == position]
 
 
+def _kept_arcs(g: Graph, edge_mask: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(indptr, adj) of the arcs of ``g`` whose edge has a true ``edge_mask``
+    entry, under ``g``'s own node ids; ``g``'s own CSR without a mask.
+
+    A masked call keeps the arcs in place, so each node's kept neighbors
+    stay sorted; it costs O(n + m) whatever the mask holds.
+    """
+    if edge_mask is None:
+        return g.indptr, g.adj
+    keep = edge_mask[g.adj_edge_ids]
+    kept_before = np.zeros(keep.size + 1, dtype=np.int64)
+    np.cumsum(keep, out=kept_before[1:])
+    return kept_before[g.indptr], g.adj[keep]
+
+
 def _flood(g: Graph, labels: np.ndarray, source: int, step: int, edge_mask: np.ndarray | None = None) -> None:
     """Label every unlabelled node reachable from ``source``, level by level.
 
     ``labels`` holds a negative value for unlabelled nodes and the caller has
     labelled ``source``; a node first reached at level k gets
-    ``labels[source] + k * step``.  With ``edge_mask`` only edges with a true
-    mask entry are traversed.
+    ``labels[source] + k * step``.  With ``edge_mask`` the flood runs on the
+    arcs :func:`_kept_arcs` keeps, filtered once before the first level.
     """
+    indptr, adj = _kept_arcs(g, edge_mask)
     frontier = np.array([source], dtype=np.int64)
     value = labels[source]
     while True:
-        arc_idx = g.arcs(frontier)[0]
-        if edge_mask is not None:
-            arc_idx = arc_idx[edge_mask[g.adj_edge_ids[arc_idx]]]
-        nbrs = g.adj[arc_idx]
+        nbrs = adj[_arc_positions(indptr, frontier)[0]]
         nbrs = nbrs[labels[nbrs] < 0]
         if nbrs.size == 0:
             return
@@ -356,8 +371,8 @@ def bfs_distances(g: Graph, source: int, edge_mask: np.ndarray | None = None) ->
     """Breadth-first hop distances from ``source`` (UNREACHABLE where no path exists).
 
     When ``edge_mask`` (a boolean array over edge ids) is given, only edges
-    with a true mask entry are traversed, i.e. the search runs on a subgraph
-    of ``g`` sharing its node ids.
+    with a true mask entry are traversed, i.e. the search runs on the arcs
+    :func:`_kept_arcs` keeps, a subgraph of ``g`` sharing its node ids.
     """
     # One source does not fill pair_distances' 64-bit words: its level loop
     # pays for the word scatter, the deduplication and the full-arc pulls
@@ -370,24 +385,6 @@ def bfs_distances(g: Graph, source: int, edge_mask: np.ndarray | None = None) ->
     return dist
 
 
-def _edge_csr(g: Graph, edge_ids: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(indptr, adj, local ids of ``nodes``) of the subgraph of ``g`` with the
-    edges ``edge_ids``, on those edges' endpoints and ``nodes`` renumbered
-    ``0..k-1``.  Nothing of size n or m is scanned, so the cost grows with
-    ``len(edge_ids) + len(nodes)`` alone."""
-    ends = g.edges[edge_ids]
-    touched = np.concatenate([ends.ravel(), nodes])
-    slot = np.empty(g.n, dtype=np.int64)
-    ids = _distinct(touched, slot)
-    slot[ids] = np.arange(ids.size)
-    local = slot[touched]
-    src = local[: ends.size]  # arcs lo -> hi and hi -> lo, interleaved
-    dst = local[: ends.size].reshape(-1, 2)[:, ::-1].ravel()
-    indptr = np.zeros(ids.size + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=ids.size), out=indptr[1:])
-    return indptr, dst[np.argsort(src)], local[ends.size :]
-
-
 # A pair_distances level pushes from its frontier when the frontier's arcs are
 # at most this share of the searched subgraph's arcs, and pulls otherwise.  A
 # pushed arc (scatter with np.bitwise_or.at, then deduplication) costs several
@@ -397,15 +394,17 @@ def _edge_csr(g: Graph, edge_ids: np.ndarray, nodes: np.ndarray) -> tuple[np.nda
 _PUSH_SHARE = 0.1
 
 
-def pair_distances(g: Graph, nodes, edge_ids: np.ndarray | None = None) -> np.ndarray:
+def pair_distances(g: Graph, nodes, edge_mask: np.ndarray | None = None) -> np.ndarray:
     """Hop distances among ``nodes`` as a k x k matrix (UNREACHABLE where no path exists).
 
     Entry ``[a, b]`` is the distance between ``nodes[a]`` and ``nodes[b]``.
-    With ``edge_ids`` only the edges with those ids are traversed; the
-    search then runs on a compact copy of that subgraph, so its cost grows
-    with the number of those edges, not with the size of ``g``.  Up to 64
-    sources are searched at once, one bit per source in a ``uint64`` word per
-    node (Then et al., "The More the Merrier", PVLDB 2014).  Each level
+    With ``edge_mask`` (a boolean array over edge ids, as for
+    :func:`bfs_distances`) the search runs on the arcs :func:`_kept_arcs`
+    keeps, under ``g``'s own node ids.  That filter costs O(n + m) however
+    few edges the mask holds: a protocol run pays it for at most h/2 searched
+    groups, beside the h full-graph searches of its true distances.  Up to
+    64 sources are searched at once, one bit per source in a ``uint64`` word
+    per node (Then et al., "The More the Merrier", PVLDB 2014).  Each level
     pushes from the frontier while the frontier's arcs are a small share of
     the searched arcs, and otherwise pulls into every node with an arc
     (Beamer et al., SC'12).  A block of sources stops once every one of
@@ -415,20 +414,16 @@ def pair_distances(g: Graph, nodes, edge_ids: np.ndarray | None = None) -> np.nd
     nodes = np.asarray(nodes, dtype=np.int64).reshape(-1)
     if nodes.size and not (0 <= nodes.min() and nodes.max() < g.n):
         raise ValueError("node id out of range")
-    if edge_ids is None:
-        indptr, adj = g.indptr, g.adj
-    else:
-        indptr, adj, nodes = _edge_csr(g, np.asarray(edge_ids, dtype=np.int64), nodes)
-    n = indptr.size - 1
+    indptr, adj = _kept_arcs(g, edge_mask)
     deg = np.diff(indptr)
     pullers = np.flatnonzero(deg)
     pull_starts = indptr[pullers]
     push_limit = _PUSH_SHARE * adj.size
 
-    seen = np.zeros(n, dtype=np.uint64)
-    frontier = np.zeros(n, dtype=np.uint64)
-    pushed = np.zeros(n, dtype=np.uint64)
-    park = np.empty(n, dtype=np.int64)
+    seen = np.zeros(g.n, dtype=np.uint64)
+    frontier = np.zeros(g.n, dtype=np.uint64)
+    pushed = np.zeros(g.n, dtype=np.uint64)
+    park = np.empty(g.n, dtype=np.int64)
     gathered = np.empty(adj.size, dtype=np.uint64)
     pulled = np.empty(pullers.size, dtype=np.uint64)
     unseen = np.empty(pullers.size, dtype=np.uint64)

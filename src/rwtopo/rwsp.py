@@ -53,7 +53,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .graph import Graph, _distinct, bfs_distances, component_labels
-from .walker import WalkTrace, _mask, _read_only, run_walks, walker_seed
+from .walker import WalkTrace, _covered_edge_mask, _read_only, run_walks, walker_seed
 
 # Meeting key of a pair that never met.
 _NEVER = np.iinfo(np.int64).max
@@ -89,10 +89,12 @@ class UnionSubgraph:
     Only the group's walk traces are stored, and every member of the group
     holds this same object.  A walker reads the whole neighbor list of each
     node it visits, so G* is the group's visited ``nodes`` and every edge
-    incident to one of them (``edge_ids``, the union of the walks' covered
-    edges).  Both are derived from the steps on first use and cached, like
-    :attr:`WalkTrace.first_visits`; the dense ``edge_mask`` is built on
-    access.  Covered edges may lead to unvisited endpoints; those are
+    incident to one of them, the union of the walks' covered edges.
+    ``nodes`` is derived from the steps on first use and cached, like
+    :attr:`WalkTrace.first_visits`; ``edge_mask``, the dense mask that
+    searches of G* read, is built from ``nodes`` on each access by the rule
+    of :attr:`WalkTrace.covered_edges`, so a union keeps nothing m-sized.
+    Covered edges may lead to unvisited endpoints; those are
     legitimate route hops because a walker read them off a visited node's
     neighbor list.
     """
@@ -109,16 +111,9 @@ class UnionSubgraph:
         steps = np.concatenate([tr.steps for tr in self.traces])
         return _read_only(np.sort(_distinct(steps, np.empty(self.graph.n, dtype=np.int64))))[0]
 
-    @cached_property
-    def edge_ids(self) -> np.ndarray:
-        """Ids of the edges incident to ``nodes``, ascending."""
-        g = self.graph
-        eids = g.adj_edge_ids[g.arcs(self.nodes)[0]]
-        return _read_only(np.sort(_distinct(eids, np.empty(g.m, dtype=np.int64))))[0]
-
     @property
     def edge_mask(self) -> np.ndarray:
-        return _mask(self.graph.m, self.edge_ids)
+        return _covered_edge_mask(self.graph, self.nodes)
 
 
 @dataclass(frozen=True)

@@ -61,6 +61,12 @@ def _mask(size: int, ids: np.ndarray) -> np.ndarray:
     return mask
 
 
+def _covered_edge_mask(g: Graph, nodes: np.ndarray) -> np.ndarray:
+    """Dense mask of the edges of ``g`` with an endpoint in ``nodes``: what a
+    walker that visited ``nodes`` read off their neighbor lists."""
+    return _mask(g.m, g.adj_edge_ids[g.arcs(nodes)[0]])
+
+
 @dataclass(frozen=True)
 class WalkTrace:
     """One finished walk: its step sequence and the views derived from it.
@@ -132,8 +138,7 @@ class WalkTrace:
     @property
     def covered_edges(self) -> np.ndarray:
         """Dense edge membership mask (built on access)."""
-        g = self.graph
-        return _mask(g.m, g.adj_edge_ids[g.arcs(self.visited_nodes())[0]])
+        return _covered_edge_mask(self.graph, self.visited_nodes())
 
 
 @dataclass(frozen=True)

@@ -101,6 +101,27 @@ def test_predict_rejects_fewer_than_one_edge(capsys, edges):
     assert "--num-edges must be at least 1" in captured.err
 
 
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        # each printed a nan or inf-derived row, or wrote NaN into crossing.json, and exited 0
+        ("predict --mean-degree nan --second-moment 10 --num-edges 100", "degree moments must be finite"),
+        ("predict --mean-degree 2 --second-moment inf --num-edges 100", "degree moments must be finite"),
+        ("predict --graph {graph} --taus 0.01,nan", "tau must be finite and non-negative, got nan"),
+        ("eval --graph {graph} --seed 1 -o {out} --runs 2 --crossing --c nan", "c and gamma_bar must be positive"),
+        # exited 1, but with "cannot convert float NaN to integer"
+        ("eval --graph {graph} --seed 1 -o {out} --runs 2 --coverage-taus 0.01,nan", "tau grid values must lie in [0, 1)"),
+    ],
+    ids=["mean-degree", "second-moment", "predict-taus", "crossing-c", "coverage-taus"],
+)
+def test_non_finite_numbers_are_one_line_input_errors(pa_file, tmp_path, capsys, command, message):
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert cli.main(command.format(graph=pa_file, out=out).split()) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
 def test_predict_has_no_tau_grid_flag(pa_file, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["predict", "--graph", str(pa_file), "--tau-grid", "0.01", "0.1", "10"])

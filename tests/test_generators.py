@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -59,6 +64,22 @@ class TestPowerLawDegrees:
         a = power_law_degrees(params, seed=5)
         b = power_law_degrees(params, seed=5)
         assert (a == b).all()
+
+    def test_an_impossible_n_fails_before_the_degree_table_is_built(self):
+        # The n draws are asked for first, so their MemoryError comes before
+        # the k_cap-sized support, weights and CDF (10**7 entries each here).
+        script = (
+            "import resource\n"
+            "from rwtopo import PowerLawParams, power_law_degrees\n"
+            "try:\n"
+            "    power_law_degrees(PowerLawParams(2.5, 1, 10**14), seed=1)\n"
+            "except MemoryError:\n"
+            "    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < 150 * 1024  # KiB
 
 
 class TestConfigurationModel:

@@ -1,4 +1,4 @@
-"""Differential tests of preferential attachment against the loop it replaced.
+"""Differential tests of the generators against the code they replaced.
 
 ``preferential_attachment`` draws the targets of a block of new nodes with
 one ``rng.integers(0, highs)`` call and resolves them with array passes.  The
@@ -7,6 +7,10 @@ per draw, kept verbatim but for an optional per-node draw count.  Every
 graph must match it, which rests on numpy consuming the bit stream for an
 array of bounds exactly as for one scalar call per bound; that is pinned
 here too, so a numpy change fails loudly instead of changing every graph.
+
+``power_law_degrees`` draws its uniforms before it builds the degree table
+and maps them as ``Generator.choice`` does; ``rng.choice`` itself is its
+oracle.
 """
 
 import numpy as np
@@ -14,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rwtopo import Graph, preferential_attachment
+from rwtopo import Graph, PowerLawParams, power_law_degrees, preferential_attachment
 from rwtopo.generators import _PA_BLOCK_MAX, _PA_BLOCK_MIN
 
 
@@ -122,3 +126,28 @@ def test_array_bounds_consume_the_stream_like_scalar_calls(seed, highs):
     values = batched.integers(0, np.asarray(highs, dtype=np.int64))
     assert values.tolist() == [int(scalar.integers(h)) for h in highs]
     assert batched.bit_generator.state == scalar.bit_generator.state
+
+
+def reference_power_law_degrees(params, seed):
+    """The rng.choice draw that power_law_degrees replaced, verbatim."""
+    rng = np.random.default_rng(seed)
+    support = np.arange(params.k_min, params.k_cap + 1, dtype=np.int64)
+    weights = (support / params.k_min) ** (-params.alpha)
+    degrees = rng.choice(support, size=params.n, p=weights / weights.sum())
+    if int(degrees.sum()) % 2 == 1:
+        degrees[-1] += 1
+    return degrees
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(2, 5000),
+    st.floats(1.01, 12.0) | st.sampled_from([2.0, 2.5, 3.5, 40.0, 800.0]),
+    st.integers(1, 20),
+    st.integers(0, 2**63 - 1) | st.tuples(st.integers(0, 99), st.integers(0, 99)),
+)
+def test_power_law_degrees_match_rng_choice(n, alpha, k_min, seed):
+    params = PowerLawParams(alpha, min(k_min, n - 1), n)
+    got = power_law_degrees(params, seed)
+    want = reference_power_law_degrees(params, seed)
+    assert got.dtype == want.dtype and np.array_equal(got, want)

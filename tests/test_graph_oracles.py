@@ -2,8 +2,10 @@
 
 Random G(n, p) graphs run from edgeless to dense, so they carry isolated
 nodes, many small components and equal-size largest components; some have
-remapped original ids, and searches run under random edge masks.  Pair-distance searches also run on
-long path-like graphs and on source sets that cross the 64-source blocks.
+remapped original ids, and searches run under edge masks: random ones,
+and G*-shaped ones holding every edge incident to a random node set.
+Pair-distance searches also run on long path-like graphs and on source
+sets that cross the 64-source blocks.
 """
 
 from unittest import mock
@@ -62,22 +64,33 @@ def path_like_graphs(draw):
 
 
 @st.composite
+def edge_masks(draw, g: Graph):
+    """No mask, a random one, or a G*-shaped one: every edge incident to a
+    random node set, as a group of walks covers."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    keep = draw(st.none() | st.sampled_from([0.3, 0.6, 0.9]))
+    if keep is None:
+        return None
+    if draw(st.booleans()):
+        return rng.random(g.m) < keep
+    visited = rng.random(g.n) < keep / 3
+    return visited[g.edges].any(axis=1)
+
+
+@st.composite
 def pair_searches(draw):
     """A graph, k nodes (k crossing the 64-source blocks) and an optional edge mask."""
     g = draw(graphs() | path_like_graphs())
     k = draw(st.sampled_from([1, 2, 63, 64, 65, 130]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     nodes = rng.choice(g.n, size=k, replace=k > g.n)
-    keep = draw(st.none() | st.sampled_from([0.3, 0.6, 0.9]))
-    return g, nodes, None if keep is None else rng.random(g.m) < keep
+    return g, nodes, draw(edge_masks(g))
 
 
 @st.composite
 def masked_searches(draw):
     g = draw(graphs())
-    keep = draw(st.none() | st.sampled_from([0.3, 0.6, 0.9]))
-    mask = None if keep is None else np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random(g.m) < keep
-    return g, draw(st.integers(0, g.n - 1)), mask
+    return g, draw(st.integers(0, g.n - 1)), draw(edge_masks(g))
 
 
 def to_nx(g: Graph, mask=None):
@@ -103,9 +116,8 @@ def test_bfs_distances_match_networkx_on_the_masked_subgraph(case):
 def test_pair_distances_match_one_search_per_source(push_share, case):
     g, nodes, mask = case
     expected = [bfs_distances(g, int(s), mask)[nodes].tolist() for s in nodes]
-    edge_ids = None if mask is None else np.flatnonzero(mask)
     with mock.patch.object(graph_module, "_PUSH_SHARE", push_share):
-        assert pair_distances(g, nodes, edge_ids).tolist() == expected
+        assert pair_distances(g, nodes, mask).tolist() == expected
 
 
 def test_pair_distances_across_components_and_isolated_sources():
@@ -122,8 +134,9 @@ def test_pair_distances_across_components_and_isolated_sources():
         [u, u, u, u, u, u, 0],
     ]
     without_7_8 = ~(g.edges == [7, 8]).all(axis=1)
-    assert pair_distances(g, [6, 8], np.flatnonzero(without_7_8)).tolist() == [[0, u], [u, 0]]
-    assert pair_distances(g, [9, 6, 9], []).tolist() == [[0, u, 0], [u, 0, u], [0, u, 0]]
+    assert pair_distances(g, [6, 8], without_7_8).tolist() == [[0, u], [u, 0]]
+    nothing = np.zeros(g.m, dtype=bool)
+    assert pair_distances(g, [9, 6, 9], nothing).tolist() == [[0, u, 0], [u, 0, u], [0, u, 0]]
     assert pair_distances(g, []).shape == (0, 0)
     with pytest.raises(ValueError, match="out of range"):
         pair_distances(g, [0, 11])

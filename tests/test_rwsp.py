@@ -268,7 +268,7 @@ def test_retained_state_scales_with_the_walks_not_the_graph():
     try:
         run = run_rwsp(g, starts, 10, seed=67)
         for union in run.unions:
-            union.edge_ids  # cached on the union, so retained too
+            union.nodes  # cached on the union, so retained too
         # The cached accounting and its first-visit table are retained too.
         run.states, run.meetings, run.direct_peers, run.pair_advertise_hops, run.pair_transfer_hops
         retained = tracemalloc.get_traced_memory()[0]
@@ -394,7 +394,6 @@ def test_first_visit_replay_matches_the_per_step_scan():
         assert run.pair_transfer_hops == ref["pair_transfer_hops"]
         for i, union in enumerate(run.unions):
             assert np.array_equal(union.nodes, np.flatnonzero(ref["node_masks"][i]))
-            assert np.array_equal(union.edge_ids, np.flatnonzero(ref["edge_masks"][i]))
             assert (union.edge_mask == ref["edge_masks"][i]).all()
     assert ties >= 20  # same-round, lower-id-first collisions are exercised
 
@@ -489,7 +488,7 @@ def assert_same_protocol_run(run: ProtocolRun, ref: ProtocolRun) -> None:
         visited = np.any([tr.visited for tr in union.traces], axis=0)
         covered = np.any([tr.covered_edges for tr in union.traces], axis=0)
         assert np.array_equal(union.nodes, np.flatnonzero(visited))
-        assert np.array_equal(union.edge_ids, np.flatnonzero(covered))
+        assert np.array_equal(union.edge_mask, covered)
 
     def shared(r):  # which walkers hold the same union object
         return [[u is v for v in r.unions] for u in r.unions]
