@@ -29,8 +29,10 @@ from .experiments import (
     ConfigError,
     ExperimentConfig,
     InvariantViolation,
+    _crossing_params,
     _draw_starts,
     _start_pool,
+    _tau_grid,
     coverage_validation,
     crossing_rate,
     emit_reports,
@@ -295,12 +297,18 @@ def _cmd_eval(args) -> int:
         graph_source=source,
         **_given(settings, ("h", "beta", "runs", "rescale_budget", "workers")),
     )
+    # Check the later phases' inputs before the first run.
+    if "coverage_taus" in settings:
+        _tau_grid(settings["coverage_taus"])
+    if settings.get("crossing"):
+        cross_cfg = cfg if cfg.h == 2 else replace(cfg, h=2, fixed_starts=None, workers=1)
+        cross_args = _given(settings, ("c", "delta"))
+        _crossing_params(g, cross_cfg.budget(g.n), **cross_args)
     result = run_experiment(g, cfg)
     if "coverage_taus" in settings:
         result = replace(result, coverage=coverage_validation(g, cfg, settings["coverage_taus"]))
     if settings.get("crossing"):
-        cross_cfg = cfg if cfg.h == 2 else replace(cfg, h=2, fixed_starts=None, workers=1)
-        crossing = crossing_rate(g, cross_cfg, **_given(settings, ("c", "delta")))
+        crossing = crossing_rate(g, cross_cfg, **cross_args)
         result = replace(result, crossing=crossing)
     written = emit_reports(result, fmt=args.format, destination=args.out)
     summary = result.summary

@@ -380,6 +380,16 @@ def run_experiment(g: Graph, cfg: ExperimentConfig) -> ExperimentResult:
     )
 
 
+def _tau_grid(taus) -> list[float]:
+    """``taus`` as floats, checked as :func:`coverage_validation` reads them."""
+    taus = [float(t) for t in taus]
+    if not taus:
+        raise ConfigError("tau grid must be non-empty")
+    if not all(0 <= t < 1 for t in taus):
+        raise ConfigError("tau grid values must lie in [0, 1)")
+    return taus
+
+
 def coverage_validation(g: Graph, cfg: ExperimentConfig, taus) -> list[CoverageValidationRow]:
     """Single-walker covered-edge fractions versus the closed-form curve.
 
@@ -388,11 +398,7 @@ def coverage_validation(g: Graph, cfg: ExperimentConfig, taus) -> list[CoverageV
     point, and pairs the sample mean/std with the prediction.  ``tau = 0``
     rows are the boundary case: zero edges before the walk exists.
     """
-    taus = [float(t) for t in taus]
-    if not taus:
-        raise ConfigError("tau grid must be non-empty")
-    if not all(0 <= t < 1 for t in taus):
-        raise ConfigError("tau grid values must lie in [0, 1)")
+    taus = _tau_grid(taus)
     members = _start_pool(g, cfg)
     steps_at = [int(round(t * g.n)) for t in taus]
     budget = max(1, max(steps_at))
@@ -419,6 +425,19 @@ def coverage_validation(g: Graph, cfg: ExperimentConfig, taus) -> list[CoverageV
     return rows
 
 
+def _crossing_params(g: Graph, budget: int, c: float = 1.0, delta: int | None = None) -> CrossingBoundParams:
+    """The inputs of :func:`crossing_rate`'s bound for walks of ``budget``
+    steps on ``g``, all checked before any walk runs; ``delta`` defaults to
+    ``ceil(n / 100)``."""
+    if delta is None:
+        delta = max(1, math.ceil(g.n / 100))
+    if delta < 1:
+        raise ConfigError("delta must be at least 1")
+    beta = budget / g.n
+    gamma_bar = expected_edge_fraction(degree_moments(g), beta)
+    return CrossingBoundParams(beta=beta, n=g.n, delta=delta, c=c, gamma_bar=gamma_bar)
+
+
 def crossing_rate(
     g: Graph, cfg: ExperimentConfig, c: float = 1.0, delta: int | None = None
 ) -> CrossingRateResult:
@@ -435,10 +454,8 @@ def crossing_rate(
         raise ConfigError("crossing rate is defined for h=2 walker pairs")
     members = _start_pool(g, cfg)
     budget = cfg.budget(g.n)
-    if delta is None:
-        delta = max(1, math.ceil(g.n / 100))
-    if delta < 1:
-        raise ConfigError("delta must be at least 1")
+    params = _crossing_params(g, budget, c, delta)
+    delta = params.delta
     never = 0
     cond_num = 0
     cond_den = 0
@@ -462,16 +479,12 @@ def crossing_rate(
                 after = in_set[delta:]
                 cond_den += int(np.count_nonzero(~before))
                 cond_num += int(np.count_nonzero(~before & after))
-    gamma_bar = expected_edge_fraction(degree_moments(g), budget / g.n)
-    params = CrossingBoundParams(
-        beta=budget / g.n, n=g.n, delta=delta, c=c, gamma_bar=gamma_bar
-    )
     bound, exponent = crossing_probability_bound(params)
     return CrossingRateResult(
         runs=cfg.runs,
         budget=budget,
         non_crossing_rate=never / cfg.runs,
-        gamma_bar=gamma_bar,
+        gamma_bar=params.gamma_bar,
         empirical_gamma=gamma_sum / cfg.runs,
         c=c,
         delta=delta,

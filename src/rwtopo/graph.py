@@ -136,8 +136,14 @@ def _arc_positions(indptr: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, n
     """:meth:`Graph.arcs` over any CSR row pointer ``indptr``."""
     starts = indptr[nodes]
     counts = indptr[nodes + 1] - starts
+    return _span_positions(starts, counts, int(counts.sum())), counts
+
+
+def _span_positions(starts: np.ndarray, counts: np.ndarray, total: int) -> np.ndarray:
+    """The positions ``starts[i] .. starts[i] + counts[i] - 1``, span after
+    span; ``total`` is ``counts.sum()``."""
     base = np.cumsum(counts) - counts
-    return np.repeat(starts - base, counts) + np.arange(int(counts.sum())), counts
+    return np.repeat(starts - base, counts) + np.arange(total)
 
 
 @dataclass(frozen=True)
@@ -353,16 +359,44 @@ def _flood(g: Graph, labels: np.ndarray, source: int, step: int, edge_mask: np.n
     labelled ``source``; a node first reached at level k gets
     ``labels[source] + k * step``.  With ``edge_mask`` the flood runs on the
     arcs :func:`_kept_arcs` keeps, filtered once before the first level.
+
+    Each level either pushes or pulls (Beamer et al., SC'12).  The flood
+    counts the unlabelled arcs as the searched arcs minus the arcs of the
+    nodes it has labelled: exact when only ``source`` was labelled, and an
+    upper bound when earlier floods labelled others.  While the frontier's
+    arcs are at most the unlabelled arcs the level pushes: it gathers the
+    frontier's neighbors and labels the unlabelled ones.  Otherwise it pulls:
+    every unlabelled node with an arc into the frontier (a node labelled
+    with the frontier's value) joins.  The flood ends at a level that labels
+    nothing, or once no unlabelled arc is left.
     """
     indptr, adj = _kept_arcs(g, edge_mask)
+    unlabelled = adj.size
     frontier = np.array([source], dtype=np.int64)
     value = labels[source]
     while True:
-        nbrs = adj[_arc_positions(indptr, frontier)[0]]
-        nbrs = nbrs[labels[nbrs] < 0]
-        if nbrs.size == 0:
+        starts = indptr[frontier]
+        counts = indptr[frontier + 1] - starts
+        arcs = int(counts.sum())
+        unlabelled -= arcs
+        if arcs <= unlabelled:
+            nbrs = adj[_span_positions(starts, counts, arcs)]
+            nbrs = nbrs[labels[nbrs] < 0]
+            if nbrs.size == 0:
+                return
+            frontier = _distinct(nbrs, labels)  # every parked node is labelled next
+        elif unlabelled <= 0:
             return
-        frontier = _distinct(nbrs, labels)  # every parked node is labelled next
+        else:
+            candidates = np.flatnonzero(labels < 0)
+            positions, counts = _arc_positions(indptr, candidates)
+            # hits[k]: arcs among the candidates' first k that reach the frontier
+            hits = np.zeros(positions.size + 1, dtype=np.int64)
+            np.cumsum(labels[adj[positions]] == value, out=hits[1:])
+            ends = np.cumsum(counts)
+            frontier = candidates[hits[ends] > hits[ends - counts]]
+            if frontier.size == 0:
+                return
         value += step
         labels[frontier] = value
 
@@ -374,9 +408,9 @@ def bfs_distances(g: Graph, source: int, edge_mask: np.ndarray | None = None) ->
     with a true mask entry are traversed, i.e. the search runs on the arcs
     :func:`_kept_arcs` keeps, a subgraph of ``g`` sharing its node ids.
     """
-    # One source does not fill pair_distances' 64-bit words: its level loop
-    # pays for the word scatter, the deduplication and the full-arc pulls
-    # with one bit in use, and is slower than this plain flood.
+    # One source fills one bit of pair_distances' 64-bit words, whose pushes
+    # scatter words and whose pulls OR every searched arc; _flood's pushes and
+    # pulls move plain labels and pull over the unlabelled nodes' arcs alone.
     if not 0 <= source < g.n:
         raise ValueError(f"source {source} out of range")
     dist = np.full(g.n, UNREACHABLE, dtype=np.int64)

@@ -122,6 +122,30 @@ def test_non_finite_numbers_are_one_line_input_errors(pa_file, tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        ("--crossing --c nan", "c and gamma_bar must be positive"),
+        ("--crossing --c 0", "c and gamma_bar must be positive"),
+        ("--crossing --delta 0", "delta must be at least 1"),
+        ("--coverage-taus 0.01,nan", "tau grid values must lie in [0, 1)"),
+    ],
+    ids=["crossing-c-nan", "crossing-c-zero", "crossing-delta", "coverage-taus"],
+)
+def test_eval_checks_every_input_before_the_first_run(pa_file, tmp_path, capsys, monkeypatch, flags, message):
+    def no_run(g, cfg):
+        raise AssertionError("run_experiment ran before the inputs were checked")
+
+    monkeypatch.setattr(cli, "run_experiment", no_run)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert cli.main(["eval", "--graph", str(pa_file), "--seed", "1", "-o", str(out), "--runs", "2", *flags.split()]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {message}"]
+    assert not out.exists()
+
+
 def test_predict_has_no_tau_grid_flag(pa_file, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["predict", "--graph", str(pa_file), "--tau-grid", "0.01", "0.1", "10"])

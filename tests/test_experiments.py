@@ -257,6 +257,21 @@ class TestCrossingRate:
         with pytest.raises(ConfigError):
             crossing_rate(star(9), cfg)
 
+    @pytest.mark.parametrize(
+        "c, delta, message",
+        [(float("nan"), None, "c and gamma_bar must be positive"), (0.0, None, "c and gamma_bar must be positive"),
+         (1e9, None, "c \\* gamma_bar > 1"), (1.0, 0, "delta must be at least 1")],
+        ids=["c-nan", "c-zero", "c-too-large", "delta-zero"],
+    )
+    def test_checks_the_bound_inputs_before_any_walk(self, monkeypatch, c, delta, message):
+        def no_walks(*args):
+            raise AssertionError("walked before the bound inputs were checked")
+
+        monkeypatch.setattr(experiments, "run_walks", no_walks)
+        cfg = ExperimentConfig(seed=1, h=2, beta=0.4, runs=5)
+        with pytest.raises(ValueError, match=message):
+            crossing_rate(star(9), cfg, c=c, delta=delta)
+
     def test_calibrated_bound_dominates_measured_rate(self):
         # calibrate c from the measured conditional hit rate, then the
         # geometric bound must sit above the measured non-crossing rate

@@ -4,6 +4,8 @@ Random G(n, p) graphs run from edgeless to dense, so they carry isolated
 nodes, many small components and equal-size largest components; some have
 remapped original ids, and searches run under edge masks: random ones,
 and G*-shaped ones holding every edge incident to a random node set.
+Hub-heavy graphs (small preferential-attachment graphs and stars) make the
+single-source flood pull.
 Pair-distance searches also run on long path-like graphs and on source
 sets that cross the 64-source blocks.
 """
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rwtopo import UNREACHABLE, Graph, giant_component
+from rwtopo import UNREACHABLE, Graph, giant_component, preferential_attachment
 from rwtopo.graph import bfs_distances, component_labels
 from rwtopo import graph as graph_module
 from rwtopo.graph import giant_members, pair_distances
@@ -64,6 +66,19 @@ def path_like_graphs(draw):
 
 
 @st.composite
+def hub_heavy_graphs(draw):
+    """Small preferential-attachment graphs, and stars beside isolated nodes
+    under shuffled ids: a hub's level outweighs the unlabelled arcs, so the
+    flood pulls."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    if draw(st.booleans()):
+        return preferential_attachment(draw(st.integers(5, 300)), draw(st.integers(1, 3)), seed=seed)
+    leaves, isolated = draw(st.integers(1, 40)), draw(st.integers(0, 10))
+    ids = np.random.default_rng(seed).permutation(leaves + 1 + isolated)
+    return Graph(ids.size, ids[[[0, i] for i in range(1, leaves + 1)]].reshape(-1, 2))
+
+
+@st.composite
 def edge_masks(draw, g: Graph):
     """No mask, a random one, or a G*-shaped one: every edge incident to a
     random node set, as a group of walks covers."""
@@ -89,7 +104,7 @@ def pair_searches(draw):
 
 @st.composite
 def masked_searches(draw):
-    g = draw(graphs())
+    g = draw(graphs() | hub_heavy_graphs())
     return g, draw(st.integers(0, g.n - 1)), draw(edge_masks(g))
 
 
@@ -143,7 +158,7 @@ def test_pair_distances_across_components_and_isolated_sources():
 
 
 @settings(max_examples=100, deadline=None)
-@given(graphs() | mostly_isolated_graphs())
+@given(graphs() | mostly_isolated_graphs() | hub_heavy_graphs())
 def test_component_labels_match_networkx(g):
     labels, sizes = component_labels(g)
     components = sorted(nx.connected_components(to_nx(g)), key=min)

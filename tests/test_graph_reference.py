@@ -1,22 +1,36 @@
-"""Differential tests of graph set-up against the code it replaced.
+"""Differential tests of graph set-up and search against the code they replaced.
 
 ``load_edge_list`` parses plain ASCII edge lists in one vectorized pass and
 falls back to a per-line parse for anything else; ``Graph`` deduplicates and
-orders arcs by sorting.  The oracles below are the earlier implementations,
-kept verbatim: a per-line parser with a dict remap, and a constructor built
-on ``np.unique`` and ``np.lexsort``.  Every array of the result must match
-them, and every malformed input must raise the same error.
+orders arcs by sorting; ``_flood`` pulls into the unlabelled nodes once the
+frontier outweighs them.  The oracles below are the earlier implementations,
+kept verbatim: a per-line parser with a dict remap, a constructor built on
+``np.unique`` and ``np.lexsort``, and a flood that only pushes.  Every array
+of the result must match them, and every malformed input must raise the same
+error.
 """
 
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rwtopo import EdgeListParseError, Graph, load_edge_list
+from rwtopo import (
+    EdgeListParseError,
+    Graph,
+    PowerLawParams,
+    configuration_model,
+    grid_2d,
+    load_edge_list,
+    power_law_degrees,
+    preferential_attachment,
+)
+from rwtopo import graph as graph_module
+from rwtopo.graph import _arc_positions, _distinct, _kept_arcs, bfs_distances, component_labels
 
 
 def reference_graph(n, edges, original_ids=None):
@@ -259,3 +273,137 @@ def test_loading_peaks_below_the_per_line_parser():
     load_edge_list(data)  # warm up imports and caches outside the trace
     reference_load(data)
     assert traced_peak(load_edge_list, data) < traced_peak(reference_load, data)
+
+
+def reference_flood(g: Graph, labels: np.ndarray, source: int, step: int, edge_mask: np.ndarray | None = None) -> None:
+    """The push-only flood: every level gathers the frontier's neighbors."""
+    indptr, adj = _kept_arcs(g, edge_mask)
+    frontier = np.array([source], dtype=np.int64)
+    value = labels[source]
+    while True:
+        nbrs = adj[_arc_positions(indptr, frontier)[0]]
+        nbrs = nbrs[labels[nbrs] < 0]
+        if nbrs.size == 0:
+            return
+        frontier = _distinct(nbrs, labels)  # every parked node is labelled next
+        value += step
+        labels[frontier] = value
+
+
+def reference_bfs(g: Graph, source: int, edge_mask=None) -> np.ndarray:
+    dist = np.full(g.n, -1, dtype=np.int64)
+    dist[source] = 0
+    reference_flood(g, dist, source, 1, edge_mask)
+    return dist
+
+
+def reference_components(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """component_labels of a fresh copy of ``g``, flooded by the oracle."""
+    with mock.patch.object(graph_module, "_flood", reference_flood):
+        return component_labels(Graph(g.n, g.edges))
+
+
+def pulls(search) -> int:
+    """Levels that ``search()`` pulled: the pull step alone calls np.flatnonzero."""
+    with mock.patch.object(np, "flatnonzero", wraps=np.flatnonzero) as spy:
+        search()
+    return spy.call_count
+
+
+def star_with_isolated(leaves: int, isolated: int, seed: int) -> Graph:
+    """A star on ``leaves + 1`` nodes beside ``isolated`` isolated ones, under shuffled ids."""
+    ids = np.random.default_rng(seed).permutation(leaves + 1 + isolated)
+    return Graph(ids.size, ids[[[0, i] for i in range(1, leaves + 1)]].reshape(-1, 2))
+
+
+def path_like(n: int, chords: int, seed: int) -> Graph:
+    """A random Hamiltonian path plus a few chords."""
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(n)
+    return Graph(n, np.concatenate([np.stack([order[:-1], order[1:]], axis=1), rng.integers(0, n, size=(chords, 2))]))
+
+
+def plconfig(n: int, alpha: float, k_min: int, seed: int) -> Graph:
+    return configuration_model(power_law_degrees(PowerLawParams(alpha, k_min, n), seed=seed), seed=seed + 1)
+
+
+@st.composite
+def flood_graphs(draw):
+    """PA (n <= 3000), stars beside isolated nodes, power-law configuration
+    graphs, grids and path-like graphs."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    family = draw(st.sampled_from(["pa", "star", "plconfig", "grid", "path"]))
+    if family == "pa":
+        return preferential_attachment(draw(st.integers(5, 3000)), draw(st.integers(1, 4)), seed=seed)
+    if family == "star":
+        return star_with_isolated(draw(st.integers(1, 60)), draw(st.integers(0, 20)), seed)
+    if family == "plconfig":
+        return plconfig(draw(st.integers(10, 3000)), draw(st.sampled_from([2.1, 2.5, 3.0])), draw(st.integers(1, 2)), seed)
+    if family == "grid":
+        return grid_2d(draw(st.integers(1, 40)), draw(st.integers(1, 40)))
+    return path_like(draw(st.integers(1, 500)), draw(st.integers(0, 4)), seed)
+
+
+def edge_mask(g: Graph, kind: str, seed: int):
+    """No mask, a random one keeping 90% of the edges, or a G*-shaped one:
+    every edge incident to a random third of the nodes."""
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        return rng.random(g.m) < 0.9
+    if kind == "gstar":
+        return (rng.random(g.n) < 1 / 3)[g.edges].any(axis=1)
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(flood_graphs(), st.sampled_from(["none", "random", "gstar"]), st.integers(0, 2**32 - 1))
+def test_bfs_distances_match_the_push_only_flood(g, kind, seed):
+    mask = edge_mask(g, kind, seed)
+    source = int(np.random.default_rng(seed).integers(g.n))
+    assert np.array_equal(bfs_distances(g, source, mask), reference_bfs(g, source, mask))
+
+
+@settings(max_examples=100, deadline=None)
+@given(flood_graphs())
+def test_component_labels_match_the_push_only_flood(g):
+    got, want = component_labels(g), reference_components(g)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+FAMILIES = {
+    "star": (star_with_isolated(30, 5, seed=1), None),
+    "pa": (preferential_attachment(2000, 2, seed=3), 1999),
+    "plconfig": (plconfig(2000, 2.5, 2, seed=5), 0),
+    "grid": (grid_2d(30, 30), 0),
+    "path": (path_like(300, 2, seed=7), 0),
+}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("kind", ["none", "random", "gstar"])
+def test_bfs_distances_pull_and_match_the_push_only_flood(family, kind):
+    g, source = FAMILIES[family]
+    mask = edge_mask(g, kind, seed=11)
+    if source is None:  # a leaf of the star
+        source = int(np.flatnonzero(g.degrees == 1)[0])
+    if kind == "gstar":  # an endpoint of a kept edge
+        source = int(g.edges[mask][0, 0])
+    assert np.array_equal(bfs_distances(g, source, mask), reference_bfs(g, source, mask))
+    # A mask that cuts a grid or a path into pieces leaves the pieces out of
+    # reach but in the unlabelled arcs, so those searches only push.
+    if kind == "none" or family not in ("grid", "path"):
+        assert pulls(lambda: bfs_distances(g, source, mask)) >= 1
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_component_labels_pull_and_match_the_push_only_flood(family):
+    g = Graph(FAMILIES[family][0].n, FAMILIES[family][0].edges)  # not yet labelled
+    assert pulls(lambda: component_labels(g)) >= 2  # one more call lists the seeds
+    assert all(np.array_equal(a, b) for a, b in zip(component_labels(g), reference_components(g)))
+
+
+def test_a_star_searched_from_a_leaf_pulls_once_at_level_2():
+    g = Graph(9, [[0, i] for i in range(1, 9)])
+    assert pulls(lambda: bfs_distances(g, 1)) == 1  # level 1 pushes to the hub; level 2 pulls the 7 other leaves
+    assert bfs_distances(g, 1).tolist() == [1, 0, 2, 2, 2, 2, 2, 2, 2]
+    assert pulls(lambda: bfs_distances(g, 0)) == 0  # from the hub, level 1 labels every arc
