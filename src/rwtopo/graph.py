@@ -408,9 +408,9 @@ def bfs_distances(g: Graph, source: int, edge_mask: np.ndarray | None = None) ->
     with a true mask entry are traversed, i.e. the search runs on the arcs
     :func:`_kept_arcs` keeps, a subgraph of ``g`` sharing its node ids.
     """
-    # One source fills one bit of pair_distances' 64-bit words, whose pushes
-    # scatter words and whose pulls OR every searched arc; _flood's pushes and
-    # pulls move plain labels and pull over the unlabelled nodes' arcs alone.
+    # One source would fill one bit of pair_distances' 64-bit words, whose
+    # levels pull over every arc of g; _flood's pushes and pulls move plain
+    # labels and pull over the unlabelled nodes' arcs alone.
     if not 0 <= source < g.n:
         raise ValueError(f"source {source} out of range")
     dist = np.full(g.n, UNREACHABLE, dtype=np.int64)
@@ -419,87 +419,134 @@ def bfs_distances(g: Graph, source: int, edge_mask: np.ndarray | None = None) ->
     return dist
 
 
-# A pair_distances level pushes from its frontier when the frontier's arcs are
-# at most this share of the searched subgraph's arcs, and pulls otherwise.  A
-# pushed arc (scatter with np.bitwise_or.at, then deduplication) costs several
-# times a pulled one (gather plus np.bitwise_or.reduceat), but a pull scans
-# every arc of the subgraph: the wide middle levels of a power-law search are
-# cheaper to pull, the many small levels of a path-like one (a grid) to push.
+# A level of pair_distances pushes its whole frontier (scatters each word
+# over its node's arcs with np.bitwise_or.at) while the frontier's arcs are at
+# most this share of the graph's arcs.  Otherwise it pulls the bits on
+# allowed nodes over every arc; the bits stranded on fringe nodes (outside
+# their source's visited set), which may only enter visited nodes, are again
+# pushed while their arcs are within this share and pulled otherwise.  A
+# pushed arc costs several times a pulled one, but a pull scans them all.
 _PUSH_SHARE = 0.1
 
 
-def pair_distances(g: Graph, nodes, edge_mask: np.ndarray | None = None) -> np.ndarray:
-    """Hop distances among ``nodes`` as a k x k matrix (UNREACHABLE where no path exists).
+def _allowed_words(allowed: np.ndarray, visited, lo: int, hi: int) -> None:
+    """Fill ``allowed[u]`` with the bits ``a - lo`` of the sources ``lo <= a <
+    hi`` whose ``visited[a]`` holds ``u``, one index pass per distinct array."""
+    allowed.fill(0)
+    words: dict[int, list] = {}
+    for a in range(lo, hi):
+        words.setdefault(id(visited[a]), [visited[a], 0])[1] |= 1 << (a - lo)
+    for ids, word in words.values():
+        ids = np.asarray(ids, dtype=np.int64).reshape(-1)
+        if ids.size and not (0 <= ids.min() and ids.max() < allowed.size):
+            raise ValueError("visited node id out of range")
+        allowed[ids] |= np.uint64(word)
 
-    Entry ``[a, b]`` is the distance between ``nodes[a]`` and ``nodes[b]``.
-    With ``edge_mask`` (a boolean array over edge ids, as for
-    :func:`bfs_distances`) the search runs on the arcs :func:`_kept_arcs`
-    keeps, under ``g``'s own node ids.  That filter costs O(n + m) however
-    few edges the mask holds: a protocol run pays it for at most h/2 searched
-    groups, beside the h full-graph searches of its true distances.  Up to
-    64 sources are searched at once, one bit per source in a ``uint64`` word
-    per node (Then et al., "The More the Merrier", PVLDB 2014).  Each level
-    pushes from the frontier while the frontier's arcs are a small share of
-    the searched arcs, and otherwise pulls into every node with an arc
-    (Beamer et al., SC'12).  A block of sources stops once every one of
-    ``nodes`` has been reached from all of them, or once a level reaches
-    nothing new.
+
+def pair_distances(g: Graph, nodes, visited=None) -> np.ndarray:
+    """Hop distances among ``nodes`` as a k x k matrix, each source searching
+    only its own discovered subgraph (UNREACHABLE where no route exists).
+
+    ``visited[a]`` is the node-id array of source a's visited set: G*'s nodes
+    for a meeting group, whose members pass the same array object.  Source a
+    may cross arc u->v only when u or v is in ``visited[a]``, the rule of
+    :attr:`rwtopo.walker.WalkTrace.covered_edges`, and entry ``[a, b]``, its
+    distance to ``nodes[b]``, is reported only where ``nodes[b]`` is in
+    ``visited[a]``; elsewhere it is UNREACHABLE.  Without ``visited`` every
+    source searches all of ``g``.
+
+    Up to 64 sources are searched at once over ``g``'s own CSR, one bit per
+    source in a ``uint64`` word per node (Then et al., "The More the
+    Merrier", PVLDB 2014).  ``allowed[u]`` ORs the bits of the sources whose
+    set holds u, so a bit crosses arc u->v when it is in ``allowed[u]`` or
+    ``allowed[v]``.  A level with few frontier arcs pushes each frontier
+    word over its node's arcs; a larger one pulls ``frontier & allowed``
+    into every node with an arc, and pushes or pulls the bits stranded on
+    fringe nodes, which may only enter allowed nodes, as their arcs' share
+    of the graph decides (Beamer et al., SC'12).  A block of sources stops
+    once every one of ``nodes`` holds all of its allowed bits, or once a
+    level reaches nothing new.
+
+    Raises ValueError when ``nodes[a]`` is not in ``visited[a]``.
     """
     nodes = np.asarray(nodes, dtype=np.int64).reshape(-1)
     if nodes.size and not (0 <= nodes.min() and nodes.max() < g.n):
         raise ValueError("node id out of range")
-    indptr, adj = _kept_arcs(g, edge_mask)
-    deg = np.diff(indptr)
+    if visited is not None and len(visited) != nodes.size:
+        raise ValueError("visited needs one node-id array per node")
+    indptr, adj = g.indptr, g.adj
+    deg = g.degrees
     pullers = np.flatnonzero(deg)
     pull_starts = indptr[pullers]
     push_limit = _PUSH_SHARE * adj.size
 
-    seen = np.zeros(g.n, dtype=np.uint64)
-    frontier = np.zeros(g.n, dtype=np.uint64)
-    pushed = np.zeros(g.n, dtype=np.uint64)
-    park = np.empty(g.n, dtype=np.int64)
+    allowed = np.empty(g.n, dtype=np.uint64)
+    seen = np.empty(g.n, dtype=np.uint64)
+    frontier = np.empty(g.n, dtype=np.uint64)  # nonzero only at ``front``
+    incoming = np.zeros(g.n, dtype=np.uint64)  # only pullers are ever written
+    words = np.empty(g.n, dtype=np.uint64)
+    slot = np.empty(g.n, dtype=np.int64)
     gathered = np.empty(adj.size, dtype=np.uint64)
     pulled = np.empty(pullers.size, dtype=np.uint64)
-    unseen = np.empty(pullers.size, dtype=np.uint64)
     dist = np.full((nodes.size, nodes.size), UNREACHABLE, dtype=np.int64)
 
     for lo in range(0, nodes.size, 64):
         block = nodes[lo : lo + 64]
         shifts = np.arange(block.size, dtype=np.uint64)
         bits = np.left_shift(np.uint64(1), shifts)
-        everyone = np.bitwise_or.reduce(bits)
+        if visited is None:
+            allowed.fill(np.bitwise_or.reduce(bits))
+        else:
+            _allowed_words(allowed, visited, lo, lo + block.size)
+        outside = np.flatnonzero((allowed[block] >> shifts) & np.uint64(1) == 0)
+        if outside.size:
+            a = lo + int(outside[0])
+            raise ValueError(f"node {nodes[a]} (entry {a}) is not in its visited set")
+        need = allowed[nodes]
+        frontier.fill(0)
         np.bitwise_or.at(frontier, block, bits)
-        active = np.unique(block)
-        seen.fill(0)
-        seen[active] = frontier[active]
+        seen[:] = frontier
+        front = np.unique(block)
         level = 0
         while True:
-            reached = frontier[nodes]
+            reached = frontier[nodes] & need
             if reached.any():
-                rows, cols = np.nonzero((reached[:, None] >> shifts) & np.uint64(1))
-                dist[rows, lo + cols] = level
-            if active.size == 0 or (seen[nodes] == everyone).all():
+                targets, sources = np.nonzero((reached[:, None] >> shifts) & np.uint64(1))
+                dist[lo + sources, targets] = level
+            if ((seen[nodes] & need) == need).all():
                 break
             level += 1
-            if deg[active].sum() <= push_limit:
-                arcs, counts = _arc_positions(indptr, active)
-                targets = adj[arcs]
-                np.bitwise_or.at(pushed, targets, np.repeat(frontier[active], counts))
-                touched = _distinct(targets, park)
-                words = pushed[touched] & ~seen[touched]
-                pushed[touched] = 0
+            if deg[front].sum() <= push_limit:
+                arcs, counts = _arc_positions(indptr, front)
+                heads = adj[arcs]
+                crossing = np.repeat(frontier[front], counts) & (np.repeat(allowed[front], counts) | allowed[heads])
+                crossing &= ~seen[heads]
+                new = np.flatnonzero(crossing)
+                frontier[front] = 0
+                np.bitwise_or.at(frontier, heads[new], crossing[new])
+                front = _distinct(heads[new], slot)
             else:
-                np.take(frontier, adj, out=gathered)
+                np.bitwise_and(frontier, allowed, out=words)
+                np.take(words, adj, out=gathered)
                 np.bitwise_or.reduceat(gathered, pull_starts, out=pulled)
-                np.take(seen, pullers, out=unseen)
-                np.invert(unseen, out=unseen)
-                touched, words = pullers, np.bitwise_and(pulled, unseen, out=pulled)
-            frontier[active] = 0
-            hit = np.flatnonzero(words)
-            active = touched[hit]
-            frontier[active] = words[hit]
-            seen[active] |= frontier[active]
-        frontier[active] = 0
+                incoming[pullers] = pulled
+                np.bitwise_xor(frontier, words, out=words)  # the bits on fringe nodes
+                stranded = np.flatnonzero(words)
+                if deg[stranded].sum() > push_limit:
+                    np.take(words, adj, out=gathered)
+                    np.bitwise_or.reduceat(gathered, pull_starts, out=pulled)
+                    pulled &= allowed[pullers]
+                    incoming[pullers] |= pulled
+                elif stranded.size:
+                    arcs, counts = _arc_positions(indptr, stranded)
+                    heads = adj[arcs]
+                    np.bitwise_or.at(incoming, heads, np.repeat(words[stranded], counts) & allowed[heads])
+                np.invert(seen, out=words)
+                np.bitwise_and(incoming, words, out=frontier)
+                front = np.flatnonzero(frontier)
+            if not front.size:
+                break
+            seen[front] |= frontier[front]
     return dist
 
 

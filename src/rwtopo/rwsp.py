@@ -91,9 +91,11 @@ class UnionSubgraph:
     node it visits, so G* is the group's visited ``nodes`` and every edge
     incident to one of them, the union of the walks' covered edges.
     ``nodes`` is derived from the steps on first use and cached, like
-    :attr:`WalkTrace.first_visits`; ``edge_mask``, the dense mask that
-    searches of G* read, is built from ``nodes`` on each access by the rule
-    of :attr:`WalkTrace.covered_edges`, so a union keeps nothing m-sized.
+    :attr:`WalkTrace.first_visits`; scoring's pair-distance search reads it
+    as the group's visited set.  ``edge_mask``, the dense mask that
+    :func:`routing_tree` reads, is built from ``nodes`` on each access by
+    the rule of :attr:`WalkTrace.covered_edges`, so a union keeps nothing
+    m-sized.
     Covered edges may lead to unvisited endpoints; those are
     legitimate route hops because a walker read them off a visited node's
     neighbor list.

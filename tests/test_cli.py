@@ -3,7 +3,7 @@ import json
 import pytest
 
 from rwtopo import UNREACHABLE, ExperimentConfig, cli, load_edge_list
-from rwtopo.experiments import InvariantViolation, _one_run_records, _start_pool
+from rwtopo.experiments import InvariantViolation, _block_records, _start_pool
 
 
 @pytest.fixture
@@ -92,6 +92,17 @@ def test_predict_rejects_moments_given_with_a_graph(pa_file, capsys):
     assert "error: give either --graph or --mean-degree, not both" in captured.err
 
 
+@pytest.mark.parametrize(
+    "source", [["--graph", "{graph}"], ["--mean-degree", "2", "--second-moment", "6", "--num-edges", "10"]]
+)
+def test_predict_rejects_an_empty_tau_grid(pa_file, capsys, source):
+    # used to print only the CSV header and exit 0
+    args = ["predict", *(a.format(graph=pa_file) for a in source), "--taus", ","]
+    capsys.readouterr()
+    assert cli.main(args) == 1
+    assert capsys.readouterr() == ("", "error: tau grid must be non-empty\n")
+
+
 @pytest.mark.parametrize("edges", ["0", "-5"])  # 0 divided by zero, -5 printed negative counts
 def test_predict_rejects_fewer_than_one_edge(capsys, edges):
     args = ["predict", "--mean-degree", "2", "--second-moment", "6", "--num-edges", edges, "--taus", "0.1"]
@@ -177,8 +188,10 @@ def test_rwsp_random_starts_replays_eval_run_zero(pa_file, capsys):
     assert cli.main(args) == 0
     out = json.loads(capsys.readouterr().out)
     g = load_edge_list(pa_file)
-    cfg = ExperimentConfig(seed=17, h=5, beta=0.1, runs=1)
-    expected = _one_run_records(g, cfg, cfg.budget(g.n), _start_pool(g, cfg), 0)
+    # run 0 as scored inside eval's first block: runs 0..11 at h=5
+    cfg = ExperimentConfig(seed=17, h=5, beta=0.1, runs=12)
+    block = _block_records(g, cfg, cfg.budget(g.n), _start_pool(g, cfg), range(12))
+    expected = block[: 5 * 4]
     recorded = [
         [UNREACHABLE if p[key] is None else p[key] for key in ("true_spl", "rwsp_spl")]
         for p in out["pairs"]

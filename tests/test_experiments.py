@@ -156,12 +156,12 @@ class TestRunExperiment:
         "workers, runs, cpus, pool",
         [
             (5000, 1, 64, 1),
-            (5000, 20, 64, 3),
+            (5000, 20, 64, 20),
             (5000, 100, 2, 2),
             (5000, 100, 1, 1),
             (4, 100, 64, 4),
-            (3, 9, 64, 2),
-            (2, 4, 64, 1),
+            (3, 9, 64, 3),
+            (2, 4, 64, 2),
             (1, 100, 64, None),
         ],
     )
@@ -179,20 +179,37 @@ class TestRunExperiment:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, iterable, chunksize):
-                assert chunksize == 8
+            def map(self, fn, iterable):  # one block of runs per task
                 return map(fn, iterable)
 
         monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
         monkeypatch.setattr(experiments, "_POOL_CTX", None)
         g = preferential_attachment(100, 2, seed=5)
-        cfg = ExperimentConfig(seed=3, h=3, beta=0.1, runs=runs, workers=workers)
+        # h=8: blocks of at most 64 // 8 = 8 runs, and of at most runs /
+        # min(workers, cpus), so each process gets a block
+        cfg = ExperimentConfig(seed=3, h=8, beta=0.1, runs=runs, workers=workers)
         result = run_experiment(g, cfg)
         assert made == ([] if pool is None else [pool])
         assert result.config.workers == workers  # reported as given
         serial = run_experiment(g, replace(cfg, workers=1))
         assert np.array_equal(result.stretch.counts, serial.stretch.counts)
+
+    @pytest.mark.parametrize(
+        "h, budget, runs, workers, size",
+        [
+            (4, 1250, 200, 1, 16),  # one 64-bit word of walkers
+            (130, 5, 200, 1, 1),
+            (4, 1250, 200, 2, 16),
+            (4, 1250, 20, 2, 10),  # a block for each process
+            (4, 1250, 20, 64, 1),
+            (2, 50_000, 200, 1, 5),  # 2 x 50k node ids a run, under 4 MiB a block
+            (2, 500_000, 200, 1, 1),
+            (4, 1 << 17, 200, 1, 1),
+        ],
+    )
+    def test_block_size_fills_a_word_within_the_workers_and_the_bytes(self, h, budget, runs, workers, size):
+        assert experiments._block_size(h, budget, runs, workers) == size
 
     def test_usable_cpus_counts_at_least_one(self):
         assert experiments._usable_cpus() >= 1
@@ -434,10 +451,10 @@ def test_score_pairs_matches_one_routing_tree_per_walker(kind, h, budget, monkey
     starts = np.random.default_rng(h).choice(g.n, size=h, replace=False)
     run = run_rwsp(g, starts, budget, seed=(3, h))
     groups = {frozenset(s.known_peers | {i}) for i, s in enumerate(run.states)}
-    searched = [grp for grp in groups if len(grp) > 1]
-    singletons = len(groups) - len(searched)
+    linked = [grp for grp in groups if len(grp) > 1]
+    singletons = len(groups) - len(linked)
     if budget == 5 and h >= 65:  # several groups beside walkers that met nobody
-        assert len(searched) > 1 and singletons > 0
+        assert len(linked) > 1 and singletons > 0
     if budget == 60 and h >= 65:  # one group wider than a 64-source block
         assert max(map(len, groups)) > 64
 
@@ -458,7 +475,7 @@ def test_score_pairs_matches_one_routing_tree_per_walker(kind, h, budget, monkey
     expected_true, expected_discovered = tree_scored_matrices(g, run)
     assert true.dtype == discovered.dtype == np.int64
     assert np.array_equal(true, expected_true) and np.array_equal(discovered, expected_discovered)
-    assert calls == {"bfs_distances": h, "pair_distances": len(searched)}
+    assert calls == {"bfs_distances": h, "pair_distances": 1}  # one search for the whole run
 
 
 def test_score_pairs_builds_no_per_walk_tables():
@@ -490,15 +507,88 @@ def test_scoring_builds_no_protocol_accounting(monkeypatch):
         run.meetings
 
 
+U = UNREACHABLE
+# (1,2) and (2,0) are both impossible under BAD_TRUE; GOOD_TRUE is consistent.
+PLANTED_DISCOVERED = np.array([[0, 2, U], [2, 0, 5], [2, 4, 0]])
+GOOD_TRUE = np.array([[0, 2, 3], [2, 0, 4], [2, 4, 0]])
+BAD_TRUE = np.array([[0, 2, 3], [2, 0, U], [3, 4, 0]])
+
+
+def plant_scores(monkeypatch, bad_runs):
+    """Score every run as PLANTED_DISCOVERED, with BAD_TRUE for ``bad_runs``.
+
+    The planted functions are module attributes, so forked pool workers
+    inherit them."""
+    one_run = experiments._one_run_records
+
+    def planted_run(g, cfg, budget, members, run_index):
+        run, _ = one_run(g, cfg, budget, members, run_index)
+        return run, BAD_TRUE if run_index in bad_runs else GOOD_TRUE
+
+    monkeypatch.setattr(experiments, "_one_run_records", planted_run)
+    monkeypatch.setattr(experiments, "_discovered_distances", lambda g, runs: [PLANTED_DISCOVERED] * len(runs))
+
+
 def test_run_invariant_names_the_first_bad_pair_in_i_major_order(monkeypatch):
-    u = UNREACHABLE
-    true = np.array([[0, 2, 3], [2, 0, u], [3, 4, 0]])
-    discovered = np.array([[0, 2, u], [2, 0, 5], [2, 4, 0]])  # (1,2) and (2,0) are both impossible
-    monkeypatch.setattr(experiments, "score_pairs", lambda g, run: (true, discovered))
+    plant_scores(monkeypatch, {0})
     g = path_graph(6)
     cfg = ExperimentConfig(seed=1, h=3, beta=0.5, runs=1, fixed_starts=(0, 2, 4))
     with pytest.raises(InvariantViolation, match=r"^run 0: discovered 5 hops vs true -1 for pair \(1,2\)$"):
-        experiments._one_run_records(g, cfg, cfg.budget(g.n), experiments._start_pool(g, cfg), 0)
+        run_experiment(g, cfg)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_block_invariant_names_the_lowest_bad_run(monkeypatch, workers):
+    # h=3: runs 0..20 form one block, so runs 5 and 9 are scored together;
+    # run 30 lies in the next block.
+    plant_scores(monkeypatch, {9, 5, 30})
+    g = path_graph(6)
+    cfg = ExperimentConfig(seed=1, h=3, beta=0.5, runs=40, fixed_starts=(0, 2, 4), workers=workers)
+    with pytest.raises(InvariantViolation, match=r"^run 5: discovered 5 hops vs true -1 for pair \(1,2\)$"):
+        run_experiment(g, cfg)
+
+
+def alone_records(g, run):
+    """One run's records from score_pairs of that run alone, i-major."""
+    true, discovered = score_pairs(g, run)
+    off_diagonal = ~np.eye(run.h, dtype=bool)
+    return np.column_stack((true[off_diagonal], discovered[off_diagonal]))
+
+
+@pytest.mark.parametrize("budget", [5, 60])
+@pytest.mark.parametrize("fixed", [False, True], ids=["random", "fixed"])
+@pytest.mark.parametrize("h", [2, 3, 4, 5, 16, 33, 65, 130])
+def test_each_run_scores_in_its_block_as_alone(h, fixed, budget):
+    g = preferential_attachment(1500, 2, seed=11)
+    size = max(1, 64 // h)
+    starts = tuple(np.random.default_rng(h).choice(g.n, size=h, replace=False).tolist()) if fixed else None
+    cfg = ExperimentConfig(
+        seed=h, h=h, beta=budget / g.n, runs=size + 2 if size > 1 else 3, fixed_starts=starts
+    )
+    members = experiments._start_pool(g, cfg)
+    assert cfg.budget(g.n) == budget
+    in_blocks, alone = [], []
+    for lo in range(0, cfg.runs, size):
+        block = range(lo, min(lo + size, cfg.runs))
+        in_blocks.append(experiments._block_records(g, cfg, budget, members, block))
+        for r in block:
+            run, _ = experiments._one_run_records(g, cfg, budget, members, r)
+            alone.append(alone_records(g, run))
+    assert np.array_equal(np.concatenate(in_blocks), np.concatenate(alone))
+    assert sum(map(len, alone)) == cfg.runs * h * (h - 1)
+    expected = StretchMatrix.from_pairs(np.concatenate(alone)).counts
+    for workers in (1, 2):
+        result = run_experiment(g, replace(cfg, workers=workers))
+        assert np.array_equal(result.stretch.counts, expected)
+
+
+def test_a_block_keeps_no_step_table_of_its_runs():
+    g = preferential_attachment(300, 2, seed=4)
+    run = run_rwsp(g, [0, 5, 9, 40], 80, seed=2)
+    starts, visited = experiments._visited_sets(run)
+    assert starts.tolist() == list(run.starts)
+    assert [v is u.nodes for v, u in zip(visited, run.unions)] == [True] * 4
+    assert not any(np.shares_memory(a, run.steps) for a in [starts, *visited])
 
 
 @pytest.fixture

@@ -6,8 +6,9 @@ remapped original ids, and searches run under edge masks: random ones,
 and G*-shaped ones holding every edge incident to a random node set.
 Hub-heavy graphs (small preferential-attachment graphs and stars) make the
 single-source flood pull.
-Pair-distance searches also run on long path-like graphs and on source
-sets that cross the 64-source blocks.
+Pair-distance searches also run on long path-like graphs, on source sets
+that cross the 64-source blocks, and under visited sets that groups of
+sources share.
 """
 
 from unittest import mock
@@ -93,13 +94,31 @@ def edge_masks(draw, g: Graph):
 
 
 @st.composite
+def visited_sets(draw, g: Graph, nodes: np.ndarray):
+    """None, or one node-id array per source: sources are dealt into groups,
+    members of a group share one array object, and each array holds its
+    members' nodes plus random others (none at all for some groups)."""
+    if draw(st.booleans()):
+        return None
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    group = rng.integers(0, draw(st.integers(1, 5)), size=nodes.size)
+    arrays = {}
+    for label in np.unique(group).tolist():
+        inside = rng.random(g.n) < draw(st.sampled_from([0.0, 0.05, 0.3, 0.9]))
+        inside[nodes[group == label]] = True
+        arrays[label] = np.flatnonzero(inside)
+    return [arrays[label] for label in group.tolist()]
+
+
+@st.composite
 def pair_searches(draw):
-    """A graph, k nodes (k crossing the 64-source blocks) and an optional edge mask."""
+    """A graph, k nodes (k crossing the 64-source blocks, with repeats when k
+    exceeds n) and their visited sets."""
     g = draw(graphs() | path_like_graphs())
     k = draw(st.sampled_from([1, 2, 63, 64, 65, 130]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     nodes = rng.choice(g.n, size=k, replace=k > g.n)
-    return g, nodes, draw(edge_masks(g))
+    return g, nodes, draw(visited_sets(g, nodes))
 
 
 @st.composite
@@ -125,14 +144,30 @@ def test_bfs_distances_match_networkx_on_the_masked_subgraph(case):
     assert bfs_distances(g, source, mask).tolist() == expected.tolist()
 
 
+def one_search_per_source(g: Graph, nodes, visited) -> list[list[int]]:
+    """pair_distances' reference: a masked BFS from each source over the
+    edges incident to its visited set, UNREACHABLE at nodes outside the set."""
+    rows = []
+    for a, source in enumerate(nodes):
+        if visited is None:
+            rows.append(bfs_distances(g, int(source))[nodes].tolist())
+            continue
+        inside = np.zeros(g.n, dtype=bool)
+        inside[np.asarray(visited[a], dtype=np.int64)] = True
+        row = bfs_distances(g, int(source), inside[g.edges].any(axis=1))[nodes]
+        row[~inside[nodes]] = UNREACHABLE
+        rows.append(row.tolist())
+    return rows
+
+
 @pytest.mark.parametrize("push_share", [0.0, graph_module._PUSH_SHARE, np.inf], ids=["pull", "switch", "push"])
 @settings(max_examples=60, deadline=None)
 @given(case=pair_searches())
 def test_pair_distances_match_one_search_per_source(push_share, case):
-    g, nodes, mask = case
-    expected = [bfs_distances(g, int(s), mask)[nodes].tolist() for s in nodes]
+    g, nodes, visited = case
+    expected = one_search_per_source(g, nodes, visited)
     with mock.patch.object(graph_module, "_PUSH_SHARE", push_share):
-        assert pair_distances(g, nodes, mask).tolist() == expected
+        assert pair_distances(g, nodes, visited).tolist() == expected
 
 
 def test_pair_distances_across_components_and_isolated_sources():
@@ -148,13 +183,60 @@ def test_pair_distances_across_components_and_isolated_sources():
         [u, u, 2, u, u, 0, u],
         [u, u, u, u, u, u, 0],
     ]
-    without_7_8 = ~(g.edges == [7, 8]).all(axis=1)
-    assert pair_distances(g, [6, 8], without_7_8).tolist() == [[0, u], [u, 0]]
-    nothing = np.zeros(g.m, dtype=bool)
-    assert pair_distances(g, [9, 6, 9], nothing).tolist() == [[0, u, 0], [u, 0, u], [0, u, 0]]
-    assert pair_distances(g, []).shape == (0, 0)
+    everything = np.arange(g.n)
+    assert pair_distances(g, [9, 0, 8, 2], [everything] * 4).tolist() == pair_distances(g, [9, 0, 8, 2]).tolist()
+    # Each set holds only its source's node: 7 is reached but never left.
+    assert pair_distances(g, [6, 8], [[6], [8]]).tolist() == [[0, u], [u, 0]]
+    # 6 and 8 visited, 7 not: a bit stranded on 7 may still enter 8.
+    assert pair_distances(g, [6, 8], [[6, 8], [8]]).tolist() == [[0, 2], [u, 0]]
+    assert pair_distances(g, [9, 6, 9], [[9], [6], [9]]).tolist() == [[0, u, 0], [u, 0, u], [0, u, 0]]
+    assert pair_distances(g, [], []).shape == pair_distances(g, []).shape == (0, 0)
     with pytest.raises(ValueError, match="out of range"):
         pair_distances(g, [0, 11])
+    with pytest.raises(ValueError, match="out of range"):
+        pair_distances(g, [0], [[0, 11]])
+    with pytest.raises(ValueError, match=r"node 0 \(entry 1\) is not in its visited set"):
+        pair_distances(g, [1, 0], [[0, 1], [1]])
+    with pytest.raises(ValueError, match=r"node 9 \(entry 0\) is not in its visited set"):
+        pair_distances(g, [9], [np.array([], dtype=np.int64)])
+
+
+# A star: hub 0 with leaves 1..40, and a path 41-42-43 beside it.
+STAR_AND_PATH = Graph(44, [[0, i] for i in range(1, 41)] + [[41, 42], [42, 43]])
+
+
+@pytest.mark.parametrize(
+    "g, nodes, visited, pushes",
+    [
+        # a path with every other node visited: level k's frontier is
+        # {k, 198 - k} (and 199 at level 1), so every level pushes it
+        (
+            Graph(200, [[i, i + 1] for i in range(199)]),
+            [0, 198],
+            [np.arange(0, 200, 2)] * 2,
+            [[0, 198]] + [sorted({k, 198 - k} | ({199} if k == 1 else set())) for k in range(1, 198)],
+        ),
+        # the sources' level is pushed; the unvisited hub's 40 of 80 arcs are
+        # pulled, and so are its stranded bits
+        (Graph(41, [[0, i] for i in range(1, 41)]), [1, 2], [np.arange(1, 41)] * 2, [[1, 2]]),
+        # the visited hub's 40 arcs make both levels pull; the bits stranded on
+        # 42 have 2 of 84 arcs and are pushed
+        (STAR_AND_PATH, [0, 41, 43], [np.arange(41)] + [np.array([41, 43])] * 2, [[42]]),
+    ],
+    ids=["frontier-pushed", "frontier-pulled", "stranded-pushed"],
+)
+def test_levels_push_or_pull_by_their_share_of_the_arcs(g, nodes, visited, pushes):
+    pushed = []
+    arc_positions = graph_module._arc_positions
+
+    def spy(indptr, frontier):
+        pushed.append(sorted(frontier.tolist()))
+        return arc_positions(indptr, frontier)
+
+    with mock.patch.object(graph_module, "_arc_positions", spy):
+        dist = pair_distances(g, nodes, visited)
+    assert dist.tolist() == one_search_per_source(g, nodes, visited)
+    assert pushed == pushes
 
 
 @settings(max_examples=100, deadline=None)
