@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, _int64s
 
 
 @dataclass(frozen=True)
@@ -81,13 +81,12 @@ def configuration_model(degrees, seed) -> Graph:
     seed : int or sequence of int
         Seed for the matching permutation.
     """
-    degrees = np.asarray(degrees, dtype=np.int64)
+    degrees = _int64s(degrees, "degrees")
     if degrees.ndim != 1 or degrees.size < 1:
         raise ValueError("degrees must be a non-empty 1-D sequence")
     if (degrees < 0).any():
         raise ValueError("degrees must be non-negative")
-    total = int(degrees.sum())
-    if total % 2 == 1:
+    if int(degrees.sum()) % 2 == 1:
         raise ValueError("degree sum must be even")
     rng = np.random.default_rng(seed)
     stubs = np.repeat(np.arange(degrees.size, dtype=np.int64), degrees)
@@ -229,22 +228,23 @@ def from_spec(spec: str, seed) -> Graph:
                 raise ValueError(f"generator spec {spec!r} gives {key!r} twice")
             args[key] = value.strip()
 
-    def take(key: str, default: str | None = None) -> str:
-        if key in args:
-            return args.pop(key)
-        if default is not None:
-            return default
-        raise ValueError(f"generator spec {spec!r} is missing {key!r}")
+    def take(key: str, parse=int, default: str | None = None):
+        value = args.pop(key, default)
+        if value is None:
+            raise ValueError(f"generator spec {spec!r} is missing {key!r}")
+        try:
+            return parse(value)
+        except ValueError:
+            kind = "an integer" if parse is int else "a number"
+            raise ValueError(f"generator spec {spec!r}: {key} must be {kind}, got {value!r}") from None
 
     if model == "pa":
-        g = preferential_attachment(int(take("n")), int(take("m0")), seed)
+        g = preferential_attachment(take("n"), take("m0"), seed)
     elif model == "plconfig":
-        params = PowerLawParams(
-            alpha=float(take("alpha")), k_min=int(take("kmin", "1")), n=int(take("n"))
-        )
+        params = PowerLawParams(alpha=take("alpha", float), k_min=take("kmin", int, "1"), n=take("n"))
         g = configuration_model(power_law_degrees(params, seed), seed)
     elif model == "grid":
-        g = grid_2d(int(take("rows")), int(take("cols")))
+        g = grid_2d(take("rows"), take("cols"))
     else:
         raise ValueError(f"unknown generator model {model!r}: {_SPEC_HELP}")
     if args:

@@ -36,9 +36,23 @@ def _run_starts(ordered: np.ndarray) -> np.ndarray:
     return starts
 
 
+def _int64s(values, what: str) -> np.ndarray:
+    """``values`` as an int64 array, uncopied when it already is one.
+
+    A value the cast would change (``1.7``, NaN, ``"3"``, a uint64 beyond
+    int64) raises ValueError naming ``what``, instead of being truncated.
+    """
+    values = np.asarray(values)
+    with np.errstate(invalid="ignore"):
+        ints = values.astype(np.int64, copy=False)
+    if not np.array_equal(ints, values):
+        raise ValueError(f"{what} must be integral, got {values[ints != values].flat[0].item()!r}")
+    return ints
+
+
 def _canonical_edges(n: int, edges: np.ndarray) -> np.ndarray:
     """Drop self-loops, deduplicate, and return edges as sorted (lo, hi) pairs."""
-    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    edges = _int64s(edges, "edge endpoints").reshape(-1, 2)
     if edges.size == 0:
         return edges
     if edges.min() < 0 or edges.max() >= n:
@@ -73,12 +87,12 @@ class Graph:
     __slots__ = ("n", "m", "edges", "indptr", "adj", "adj_edge_ids", "original_ids", "_components")
 
     def __init__(self, n: int, edges, original_ids=None):
-        if n < 1:
+        self.n = int(_int64s(n, "n"))
+        if self.n < 1:
             raise ValueError("graph needs at least one node")
-        self.n = int(n)
         self.edges = _canonical_edges(self.n, edges)
         self.m = int(self.edges.shape[0])
-        self.original_ids = np.asarray(np.arange(self.n) if original_ids is None else original_ids, dtype=np.int64)
+        self.original_ids = np.arange(self.n) if original_ids is None else _int64s(original_ids, "original_ids")
         if self.original_ids.shape != (self.n,):
             raise ValueError("original_ids must have one entry per node")
         self._components = None
@@ -352,70 +366,54 @@ def _kept_arcs(g: Graph, edge_mask: np.ndarray | None = None) -> tuple[np.ndarra
     return kept_before[g.indptr], g.adj[keep]
 
 
-def _flood(g: Graph, labels: np.ndarray, source: int, step: int, edge_mask: np.ndarray | None = None) -> None:
-    """Label every unlabelled node reachable from ``source``, level by level.
-
-    ``labels`` holds a negative value for unlabelled nodes and the caller has
-    labelled ``source``; a node first reached at level k gets
-    ``labels[source] + k * step``.  With ``edge_mask`` the flood runs on the
-    arcs :func:`_kept_arcs` keeps, filtered once before the first level.
-
-    Each level either pushes or pulls (Beamer et al., SC'12).  The flood
-    counts the unlabelled arcs as the searched arcs minus the arcs of the
-    nodes it has labelled: exact when only ``source`` was labelled, and an
-    upper bound when earlier floods labelled others.  While the frontier's
-    arcs are at most the unlabelled arcs the level pushes: it gathers the
-    frontier's neighbors and labels the unlabelled ones.  Otherwise it pulls:
-    every unlabelled node with an arc into the frontier (a node labelled
-    with the frontier's value) joins.  The flood ends at a level that labels
-    nothing, or once no unlabelled arc is left.
-    """
-    indptr, adj = _kept_arcs(g, edge_mask)
-    unlabelled = adj.size
-    frontier = np.array([source], dtype=np.int64)
-    value = labels[source]
-    while True:
-        starts = indptr[frontier]
-        counts = indptr[frontier + 1] - starts
-        arcs = int(counts.sum())
-        unlabelled -= arcs
-        if arcs <= unlabelled:
-            nbrs = adj[_span_positions(starts, counts, arcs)]
-            nbrs = nbrs[labels[nbrs] < 0]
-            if nbrs.size == 0:
-                return
-            frontier = _distinct(nbrs, labels)  # every parked node is labelled next
-        elif unlabelled <= 0:
-            return
-        else:
-            candidates = np.flatnonzero(labels < 0)
-            positions, counts = _arc_positions(indptr, candidates)
-            # hits[k]: arcs among the candidates' first k that reach the frontier
-            hits = np.zeros(positions.size + 1, dtype=np.int64)
-            np.cumsum(labels[adj[positions]] == value, out=hits[1:])
-            ends = np.cumsum(counts)
-            frontier = candidates[hits[ends] > hits[ends - counts]]
-            if frontier.size == 0:
-                return
-        value += step
-        labels[frontier] = value
-
-
 def bfs_distances(g: Graph, source: int, edge_mask: np.ndarray | None = None) -> np.ndarray:
     """Breadth-first hop distances from ``source`` (UNREACHABLE where no path exists).
 
     When ``edge_mask`` (a boolean array over edge ids) is given, only edges
     with a true mask entry are traversed, i.e. the search runs on the arcs
-    :func:`_kept_arcs` keeps, a subgraph of ``g`` sharing its node ids.
+    :func:`_kept_arcs` keeps, a subgraph of ``g`` sharing its node ids,
+    filtered once before the first level.
+
+    Each level either pushes or pulls (Beamer et al., SC'12).  The search
+    keeps the count of the unreached nodes' arcs: the searched arcs minus
+    the arcs of every node reached so far.  While the frontier's arcs are at
+    most that count the level pushes: it gathers the frontier's neighbors
+    and keeps the unreached ones.  Otherwise it pulls: every unreached node
+    with an arc into the frontier (a node at the last level's distance)
+    joins.  The search ends at a level that reaches nothing, or once no
+    unreached node has an arc left.
     """
     # One source would fill one bit of pair_distances' 64-bit words, whose
-    # levels pull over every arc of g; _flood's pushes and pulls move plain
-    # labels and pull over the unlabelled nodes' arcs alone.
+    # levels pull over every arc of g; this search moves plain distances and
+    # pulls over the unreached nodes' arcs alone.
     if not 0 <= source < g.n:
         raise ValueError(f"source {source} out of range")
+    indptr, adj = _kept_arcs(g, edge_mask)
     dist = np.full(g.n, UNREACHABLE, dtype=np.int64)
     dist[source] = 0
-    _flood(g, dist, source, 1, edge_mask)
+    unreached = adj.size
+    frontier = np.array([source], dtype=np.int64)
+    level = 0
+    while frontier.size:
+        starts = indptr[frontier]
+        counts = indptr[frontier + 1] - starts
+        arcs = int(counts.sum())
+        unreached -= arcs
+        if arcs <= unreached:
+            nbrs = adj[_span_positions(starts, counts, arcs)]
+            frontier = _distinct(nbrs[dist[nbrs] < 0], dist)  # every parked node is reached next
+        elif unreached == 0:
+            break
+        else:
+            candidates = np.flatnonzero(dist < 0)
+            positions, counts = _arc_positions(indptr, candidates)
+            # hits[k]: arcs among the candidates' first k that reach the frontier
+            hits = np.zeros(positions.size + 1, dtype=np.int64)
+            np.cumsum(dist[adj[positions]] == level, out=hits[1:])
+            ends = np.cumsum(counts)
+            frontier = candidates[hits[ends] > hits[ends - counts]]
+        level += 1
+        dist[frontier] = level
     return dist
 
 
@@ -550,33 +548,47 @@ def pair_distances(g: Graph, nodes, visited=None) -> np.ndarray:
     return dist
 
 
+def _components(n: int, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Connected components of nodes ``0..n-1`` linked by the pairs
+    ``(a[k], b[k])``, as (labels, sizes) numbered by smallest member.
+
+    ``a`` and ``b`` are int arrays; their pairs may come in any order,
+    repeat, or link a node to itself.  Each round hooks roots by the classic
+    hook-and-shortcut scheme (Shiloach & Vishkin, J. Algorithms 1982): the
+    larger root of every pair of distinct roots points at the smallest root
+    it is paired with, full pointer jumping flattens every tree back to one
+    level, and every pair becomes its two roots, the pairs inside one tree
+    dropped.
+
+    A root only ever hooks under a smaller root, so every parent pointer
+    decreases and each tree's root is its smallest member; numbering the
+    roots in id order therefore numbers components by smallest member.  A
+    tree with a neighbor hooks or is hooked within two rounds, so the trees
+    of a component at least halve every two rounds: O(log n) rounds, each
+    one pass over the pairs plus a few jumping passes over the nodes,
+    whatever the number or shape of the components.
+    """
+    parent = np.arange(n)
+    while a.size:
+        np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
+        while not np.array_equal(grand := parent[parent], parent):
+            parent = grand
+        cross = parent[a] != parent[b]
+        a, b = parent[a[cross]], parent[b[cross]]
+    labels = (np.cumsum(parent == np.arange(n)) - 1)[parent]  # roots numbered in id order
+    return labels, np.bincount(labels)
+
+
 def component_labels(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     """Connected components as read-only (labels, sizes).
 
     Labels are numbered in order of each component's smallest node id;
     ``sizes[c]`` is the node count of component ``c``.  The graph is
-    labelled on the first call only and the pair is kept on it.
+    labelled by :func:`_components` over its edges on the first call only,
+    and the pair is kept on it.
     """
-    if g._components is not None:  # threads that label at once store equal pairs
-        return g._components
-    # Provisional label: the component's smallest member.  Isolated nodes
-    # label themselves; every other component is flooded from its smallest
-    # member, the first unlabelled node in id order.
-    ids = np.arange(g.n)
-    labels = np.where(g.degrees == 0, ids, -1)
-    # Most candidates are labelled by an earlier flood by the time the loop
-    # reaches them; memoryviews yield plain ints, and ``current`` sees the
-    # floods' writes.
-    current = memoryview(labels)
-    for seed in memoryview(np.flatnonzero(labels < 0)):
-        if current[seed] < 0:
-            labels[seed] = seed
-            _flood(g, labels, seed, 0)
-    # Renumber densely: a component's number is the count of smaller members
-    # that are smallest in their own component.
-    number = np.cumsum(labels == ids) - 1
-    labels = number[labels]
-    g._components = _read_only(labels, np.bincount(labels))
+    if g._components is None:  # threads that label at once store equal pairs
+        g._components = _read_only(*_components(g.n, g.edges[:, 0], g.edges[:, 1]))
     return g._components
 
 

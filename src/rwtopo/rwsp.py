@@ -52,7 +52,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graph import Graph, _distinct, bfs_distances, component_labels
+from .graph import Graph, _components, _distinct, bfs_distances
 from .walker import WalkTrace, _covered_edge_mask, _read_only, run_walks, walker_seed
 
 # Meeting key of a pair that never met.
@@ -274,7 +274,7 @@ class ProtocolRun:
         """
         v = self._visits
         link = np.flatnonzero(v.node[1:] == v.node[:-1])
-        labels, sizes = component_labels(Graph(self.h, np.column_stack((v.walker[link], v.walker[link + 1]))))
+        labels, sizes = _components(self.h, v.walker[link], v.walker[link + 1])
         members = np.split(np.argsort(labels, kind="stable"), np.cumsum(sizes)[:-1])
         unions = [UnionSubgraph(tuple(self._traces[i] for i in group)) for group in members]
         return [unions[label] for label in labels.tolist()]

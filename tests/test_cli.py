@@ -386,6 +386,14 @@ def test_input_errors_exit_one(capsys):
     assert cli.main(["synth", "mystery:n=5", "-o", "/tmp/x", "--seed", "1"]) == 1
 
 
+def test_synth_of_a_non_integer_size_is_a_one_line_error(tmp_path, capsys):
+    out = tmp_path / "g.txt"
+    assert cli.main(["synth", "pa:n=1e5,m0=3", "-o", str(out), "--seed", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: generator spec 'pa:n=1e5,m0=3': n must be an integer, got '1e5'\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "spec",
     [

@@ -593,20 +593,21 @@ def test_a_block_keeps_no_step_table_of_its_runs():
 
 @pytest.fixture
 def component_labellings(monkeypatch):
-    """Step-0 floods run so far on each live graph, keyed by ``id``.
+    """The number of labellings run so far of a graph, as a function of it.
 
-    Only a component labelling floods with step 0, once per component with
-    an edge, so on a connected graph this counts its labellings."""
-    counts = {}
-    flood = rwtopo.graph._flood
+    ``component_labels`` hands ``graph._components`` two columns of the
+    graph's edge array, so a call labels the graph whose edges it reads.
+    The protocol's meeting groups, which pass walker ids, count under no
+    graph."""
+    calls = []
+    components = rwtopo.graph._components
 
-    def counting_flood(g, labels, source, step, edge_mask=None):
-        if step == 0:
-            counts[id(g)] = counts.get(id(g), 0) + 1
-        return flood(g, labels, source, step, edge_mask)
+    def counting_components(n, a, b):
+        calls.append(a)
+        return components(n, a, b)
 
-    monkeypatch.setattr(rwtopo.graph, "_flood", counting_flood)
-    return counts
+    monkeypatch.setattr(rwtopo.graph, "_components", counting_components)
+    return lambda g: sum(np.shares_memory(a, g.edges) for a in calls)
 
 
 def run_every_driver(g):
@@ -622,7 +623,7 @@ def test_a_connected_graph_is_labelled_once_by_every_driver(component_labellings
     g = preferential_attachment(200, 2, seed=6)
     assert giant_component(g)[0] is g
     run_every_driver(g)
-    assert component_labellings[id(g)] == 1  # the protocol also labels its h-node meeting graphs
+    assert component_labellings(g) == 1
 
 
 def test_a_rebuilt_giant_component_is_labelled_at_most_once(component_labellings):
@@ -632,8 +633,8 @@ def test_a_rebuilt_giant_component_is_labelled_at_most_once(component_labellings
     assert gc is not raw and gc.n == 200
     for _ in range(2):
         run_every_driver(gc)
-    assert component_labellings[id(raw)] == 2  # one flood per component with an edge
-    assert component_labellings.get(id(gc), 0) <= 1
+    assert component_labellings(raw) == 1
+    assert component_labellings(gc) <= 1
 
 
 def test_names_patched_by_the_benchmark_exist():

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -112,6 +113,10 @@ class TestConfigurationModel:
         with pytest.raises(ValueError, match="even"):
             configuration_model([1, 1, 1], seed=0)
 
+    def test_non_integral_degrees_rejected(self):
+        with pytest.raises(ValueError, match="degrees must be integral, got 2.5"):
+            configuration_model([2.5, 1.5], seed=0)
+
     def test_deterministic_given_seed(self):
         d = [3, 2, 2, 1, 2, 2]
         a = configuration_model(d, seed=9)
@@ -199,3 +204,16 @@ class TestFromSpec:
             from_spec("pa:n=10,n=20,m0=2", seed=0)
         with pytest.raises(ValueError, match="gives 'kmin' twice"):
             from_spec("plconfig:n=100,alpha=2.5,kmin=2,KMIN=2", seed=0)
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("pa:n=1e5,m0=3", "'pa:n=1e5,m0=3': n must be an integer, got '1e5'"),
+            ("grid:rows=4,cols=5.0", "cols must be an integer, got '5.0'"),
+            ("plconfig:n=100,alpha=two", "alpha must be a number, got 'two'"),
+            ("plconfig:n=100,alpha=2.5,kmin=x", "kmin must be an integer, got 'x'"),
+        ],
+    )
+    def test_bad_values_name_the_spec_and_the_key(self, spec, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            from_spec(spec, seed=0)

@@ -1,4 +1,5 @@
 import io
+import time
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from rwtopo import (
     stats_report,
     write_edge_list,
 )
+from rwtopo import graph as graph_module
 from rwtopo.graph import DegreeMoments, bfs_distances, component_labels
 from helpers import degree_multiset, star, triangle, two_triangles
 
@@ -120,6 +122,26 @@ class TestGraphStructure:
         for leaf in range(1, 5):
             assert incident[leaf].size == 1
 
+    @pytest.mark.parametrize(
+        "n, edges, original_ids, message",
+        [
+            (3, [[0, 1.7]], None, "edge endpoints must be integral, got 1.7"),
+            (2.5, [[0, 1]], None, "n must be integral, got 2.5"),
+            (2, [[0, 1]], [10.5, 11], "original_ids must be integral, got 10.5"),
+            (3, [[0, np.nan]], None, "edge endpoints must be integral, got nan"),
+        ],
+    )
+    def test_non_integral_values_are_rejected_not_truncated(self, n, edges, original_ids, message):
+        with pytest.raises(ValueError, match=message):
+            Graph(n, edges, original_ids=original_ids)
+
+    def test_whole_floats_are_accepted_and_integer_input_is_not_copied(self):
+        assert Graph(3.0, [[0.0, 1.0], [1.0, 2.0]]).edges.tolist() == [[0, 1], [1, 2]]
+        edges, original_ids = np.array([[0, 1], [1, 2]]), np.array([7, 5, 6])
+        g = Graph(3, edges, original_ids=original_ids)
+        assert g.original_ids is original_ids
+        assert graph_module._int64s(edges, "edges") is edges
+
 
 @settings(max_examples=60, deadline=None)
 @given(
@@ -200,6 +222,14 @@ class TestGiantComponent:
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[0] = 1
+
+    def test_100k_two_node_components_are_labelled_in_under_a_second(self):
+        g = Graph(200_000, np.arange(200_000).reshape(-1, 2))
+        start = time.perf_counter()
+        labels, sizes = component_labels(g)
+        elapsed = time.perf_counter() - start
+        assert np.array_equal(labels, np.arange(200_000) // 2) and (sizes == 2).all()
+        assert elapsed < 1.0, f"{elapsed:.2f} s to label 100,000 two-node components"
 
     def test_tie_break_prefers_component_of_node_zero(self):
         g = Graph(4, [[0, 1], [2, 3]])

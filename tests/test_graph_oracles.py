@@ -5,7 +5,8 @@ nodes, many small components and equal-size largest components; some have
 remapped original ids, and searches run under edge masks: random ones,
 and G*-shaped ones holding every edge incident to a random node set.
 Hub-heavy graphs (small preferential-attachment graphs and stars) make the
-single-source flood pull.
+single-source search pull.  Component labelling also runs on raw node pairs
+in any order.
 Pair-distance searches also run on long path-like graphs, on source sets
 that cross the 64-source blocks, and under visited sets that groups of
 sources share.
@@ -15,7 +16,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rwtopo import UNREACHABLE, Graph, giant_component, preferential_attachment
@@ -244,6 +245,32 @@ def test_levels_push_or_pull_by_their_share_of_the_arcs(g, nodes, visited, pushe
 def test_component_labels_match_networkx(g):
     labels, sizes = component_labels(g)
     components = sorted(nx.connected_components(to_nx(g)), key=min)
+    assert sizes.tolist() == [len(c) for c in components]
+    for label, members in enumerate(components):  # numbered by smallest member
+        assert np.flatnonzero(labels == label).tolist() == sorted(members)
+
+
+@st.composite
+def node_pairs(draw):
+    """n nodes and pairs among them in any order: repeated, reversed, or
+    linking a node to itself."""
+    n = draw(st.integers(1, 60))
+    node = st.integers(0, n - 1)
+    return n, draw(st.lists(st.tuples(node, node), max_size=90))
+
+
+@settings(max_examples=200, deadline=None)
+@given(node_pairs())
+@example((1, []))
+@example((1, [(0, 0), (0, 0)]))
+@example((4, []))
+def test_components_of_any_pairs_match_networkx(case):
+    n, pairs = case
+    a, b = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    labels, sizes = graph_module._components(n, a, b)
+    multigraph = nx.MultiGraph(pairs)
+    multigraph.add_nodes_from(range(n))
+    components = sorted(nx.connected_components(multigraph), key=min)
     assert sizes.tolist() == [len(c) for c in components]
     for label, members in enumerate(components):  # numbered by smallest member
         assert np.flatnonzero(labels == label).tolist() == sorted(members)

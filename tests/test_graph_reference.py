@@ -2,12 +2,13 @@
 
 ``load_edge_list`` parses plain ASCII edge lists in one vectorized pass and
 falls back to a per-line parse for anything else; ``Graph`` deduplicates and
-orders arcs by sorting; ``_flood`` pulls into the unlabelled nodes once the
-frontier outweighs them.  The oracles below are the earlier implementations,
+orders arcs by sorting; ``bfs_distances`` pulls into the unreached nodes
+once the frontier outweighs them, and ``component_labels`` hooks roots
+instead of flooding.  The oracles below are the earlier implementations,
 kept verbatim: a per-line parser with a dict remap, a constructor built on
-``np.unique`` and ``np.lexsort``, and a flood that only pushes.  Every array
-of the result must match them, and every malformed input must raise the same
-error.
+``np.unique`` and ``np.lexsort``, and a flood that only pushes, run from
+each unlabelled node in id order to label components.  Every array of the
+result must match them, and every malformed input must raise the same error.
 """
 
 import tracemalloc
@@ -29,7 +30,6 @@ from rwtopo import (
     power_law_degrees,
     preferential_attachment,
 )
-from rwtopo import graph as graph_module
 from rwtopo.graph import _arc_positions, _distinct, _kept_arcs, bfs_distances, component_labels
 
 
@@ -298,9 +298,16 @@ def reference_bfs(g: Graph, source: int, edge_mask=None) -> np.ndarray:
 
 
 def reference_components(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """component_labels of a fresh copy of ``g``, flooded by the oracle."""
-    with mock.patch.object(graph_module, "_flood", reference_flood):
-        return component_labels(Graph(g.n, g.edges))
+    """(labels, sizes) of ``g``'s components: one push-only flood from each
+    node still unlabelled in id order, so each is numbered by smallest member."""
+    labels = np.full(g.n, -1, dtype=np.int64)
+    count = 0
+    for seed in range(g.n):
+        if labels[seed] < 0:
+            labels[seed] = count
+            reference_flood(g, labels, seed, 0)
+            count += 1
+    return labels, np.bincount(labels)
 
 
 def pulls(search) -> int:
@@ -390,7 +397,7 @@ def test_bfs_distances_pull_and_match_the_push_only_flood(family, kind):
         source = int(g.edges[mask][0, 0])
     assert np.array_equal(bfs_distances(g, source, mask), reference_bfs(g, source, mask))
     # A mask that cuts a grid or a path into pieces leaves the pieces out of
-    # reach but in the unlabelled arcs, so those searches only push.
+    # reach but in the unreached arcs, so those searches only push.
     if kind == "none" or family not in ("grid", "path"):
         assert pulls(lambda: bfs_distances(g, source, mask)) >= 1
 
@@ -398,7 +405,6 @@ def test_bfs_distances_pull_and_match_the_push_only_flood(family, kind):
 @pytest.mark.parametrize("family", FAMILIES)
 def test_component_labels_pull_and_match_the_push_only_flood(family):
     g = Graph(FAMILIES[family][0].n, FAMILIES[family][0].edges)  # not yet labelled
-    assert pulls(lambda: component_labels(g)) >= 2  # one more call lists the seeds
     assert all(np.array_equal(a, b) for a, b in zip(component_labels(g), reference_components(g)))
 
 
