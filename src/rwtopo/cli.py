@@ -74,6 +74,10 @@ def _cmd_stats(args) -> int:
 
 def _cmd_synth(args) -> int:
     g = from_spec(args.spec, args.seed)
+    if g.m == 0:
+        raise ValueError(
+            f"generator spec {args.spec!r} gives a graph with no edges, which an edge list cannot hold"
+        )
     write_edge_list(g, args.output)
     print(f"wrote {g.n} nodes / {g.m} edges to {args.output}")
     return 0

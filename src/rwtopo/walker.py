@@ -19,20 +19,24 @@ just the start node.
 
 A trace caches two budget-sized tables, the first-visit table and the
 per-step covered-edge counts, and builds every other view on access.  The
-edge counts sort nothing: each covered edge is counted once, on the arc
-that leaves whichever endpoint was visited first.
+edge counts sort nothing: a transient node-indexed table takes each node's
+first visit with ``np.minimum.at``, each covered edge is counted once, on
+the arc that leaves whichever endpoint was visited first, and one running
+sum over those arcs, in first-visit order, gives the count after each
+first visit.  The visited mask is written straight from the steps.
 
 :func:`run_walks` is the one walk kernel: it draws each lane's moves from
 that lane's own seed and picks its stepping from the lane count, a loop over
-plain ints for a few lanes and one array operation per move for all lanes
-from ``_LOCKSTEP_LANES`` on.  The stepping never changes the steps, and
-:func:`run_walk` is its one-lane case.
+plain ints, written into a preallocated row, for a few lanes and one array
+operation per move for all lanes from ``_LOCKSTEP_LANES`` on.  The stepping
+never changes the steps, and :func:`run_walk` is its one-lane case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import floor
 
 import numpy as np
 
@@ -79,8 +83,9 @@ class WalkTrace:
     id.  ``edge_count_per_step[t-1]`` and ``node_count_per_step[t-1]`` give
     the covered-edge and visited-node counts after step ``t``, which is what
     coverage-curve measurements read.  ``edge_count_per_step`` needs one
-    transient node-indexed lookup and no sort; ``covered_edge_count`` is its
-    last entry.
+    transient node-indexed first-visit table, filled by ``np.minimum.at``,
+    and no sort; ``covered_edge_count`` is its last entry.  ``visited`` is
+    written from ``steps`` directly, and only ``first_visits`` sorts.
     """
 
     walker_id: int
@@ -107,16 +112,24 @@ class WalkTrace:
 
     @cached_property
     def edge_count_per_step(self) -> np.ndarray:
-        nodes, first = self.first_visits
-        arc_idx, counts = self.graph.arcs(nodes)
-        near = np.repeat(first, counts)
+        budget = self.budget
+        t = np.arange(budget)
+        # Each node's first visit, ``budget`` for nodes never visited, and
+        # the steps that are first visits, ascending.
+        at = np.full(self.graph.n, budget, dtype=np.int64)
+        np.minimum.at(at, self.steps, t)
+        first = np.flatnonzero(at[self.steps] == t)
+        arc_idx, counts = self.graph.arcs(self.steps[first])
         # An edge is first covered at the earlier first visit of its two
         # endpoints, so exactly one of its arcs counts: the one leaving that
         # endpoint.  Unvisited far ends read as visited after the last step.
-        at = np.full(self.graph.n, self.budget, dtype=np.int64)
-        at[nodes] = first
-        later = at[self.graph.adj[arc_idx]] > near
-        return _read_only(np.cumsum(np.bincount(near[later], minlength=self.budget)))[0]
+        later = at[self.graph.adj[arc_idx]] > np.repeat(first, counts)
+        # The arcs come grouped by node in first-visit order, so the running
+        # sum at a node's last arc is the count after its first visit, which
+        # holds until the next first visit.  A walk visits no isolated node,
+        # so every group has a last arc.
+        covered = np.cumsum(later)[np.cumsum(counts) - 1]
+        return _read_only(np.repeat(covered, np.diff(first, append=budget)))[0]
 
     @property
     def unique_nodes(self) -> int:
@@ -133,7 +146,7 @@ class WalkTrace:
     @property
     def visited(self) -> np.ndarray:
         """Dense node membership mask (built on access)."""
-        return _mask(self.graph.n, self.visited_nodes())
+        return _mask(self.graph.n, self.steps)
 
     @property
     def covered_edges(self) -> np.ndarray:
@@ -176,6 +189,9 @@ def run_walk(g: Graph, start: int, budget: int, seed, walker_id: int = 0):
 
 # Lane count from which one array step for all lanes beats walking them one by one.
 _LOCKSTEP_LANES = 16
+# Uniforms a lane walked one by one draws per call, so its transient floats
+# and ints stay small next to its 8-byte steps.
+_DRAW_CHUNK = 4096
 
 
 def run_walks(g: Graph, starts, budget: int, seeds) -> np.ndarray:
@@ -187,7 +203,12 @@ def run_walks(g: Graph, starts, budget: int, seeds) -> np.ndarray:
     returned ``(len(starts), budget)`` int64 array is lane ``r``'s steps.
 
     Fewer than ``_LOCKSTEP_LANES`` lanes are walked one by one over plain
-    ints; more step in lockstep, one array operation per move for all lanes,
+    ints: a move reads ``lo = indptr[cur]`` and ``hi = indptr[cur + 1]``
+    once and goes to ``adj[min(lo + floor(u * (hi - lo)), hi - 1)]``, the
+    same rule.  The uniforms are drawn ``_DRAW_CHUNK`` at a time, and each
+    chunk's steps are copied into the lane's preallocated int64 row, so a
+    lane holds about 8 bytes a step.
+    More lanes step in lockstep, one array operation per move for all lanes,
     whose fixed cost of several numpy calls a move pays off from about that
     many lanes.  Lockstep draws all uniforms up front, so its memory is
     about three times ``len(starts) * budget * 8`` bytes.
@@ -208,19 +229,23 @@ def run_walks(g: Graph, starts, budget: int, seeds) -> np.ndarray:
         # memoryviews index to plain ints, which the loop handles much
         # faster than numpy scalars.
         indptr, adj = memoryview(g.indptr), memoryview(g.adj)
-        walks = []
-        for cur, seed in zip(starts, seeds):
-            walk = [cur]
-            append = walk.append
-            for u in np.random.default_rng(_as_seed_tuple(seed)).random(budget - 1).tolist():
-                lo = indptr[cur]
-                deg = indptr[cur + 1] - lo
-                pick = int(u * deg)
-                # The guard catches the (measure-zero) float edge case u*deg == deg.
-                cur = adj[lo + (pick if pick < deg else deg - 1)]
-                append(cur)
-            walks.append(walk)
-        return np.array(walks, dtype=np.int64).reshape(len(starts), budget)
+        steps = np.empty((len(starts), budget), dtype=np.int64)
+        steps[:, 0] = starts
+        for row, cur, seed in zip(steps, starts, seeds):
+            rng = np.random.default_rng(_as_seed_tuple(seed))
+            # Chunked draws concatenate to the same stream as one draw.
+            for t0 in range(1, budget, _DRAW_CHUNK):
+                chunk = []
+                append = chunk.append
+                for u in rng.random(min(_DRAW_CHUNK, budget - t0)).tolist():
+                    lo = indptr[cur]
+                    hi = indptr[cur + 1]
+                    k = lo + floor(u * (hi - lo))
+                    # The guard catches the (measure-zero) float edge case u*deg == deg.
+                    cur = adj[k if k < hi else hi - 1]
+                    append(cur)
+                row[t0 : t0 + len(chunk)] = chunk
+        return steps
 
     drawn = np.empty((len(starts), budget - 1))
     for row, seed in zip(drawn, seeds):

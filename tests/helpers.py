@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 from rwtopo import Graph, naive_route, score_pairs
+from rwtopo.graph import _read_only
 
 
 def triangle() -> Graph:
@@ -49,3 +52,18 @@ def naive_length(run, i: int, j: int):
     """Hops of the breadcrumb route between walkers i and j, None if they never met."""
     route = naive_route(run.states[i].trace, run.states[j].trace)
     return None if route is None else len(route) - 1
+
+
+def sorted_edge_counts(trace) -> np.ndarray:
+    """The sorted kernel that ``WalkTrace.edge_count_per_step`` replaced: first
+    visits from ``np.unique``, then one ``bincount`` of the counted arcs."""
+    nodes, first = np.unique(trace.steps, return_index=True)
+    arc_idx, counts = trace.graph.arcs(nodes)
+    near = np.repeat(first, counts)
+    # An edge is first covered at the earlier first visit of its two
+    # endpoints, so exactly one of its arcs counts: the one leaving that
+    # endpoint.  Unvisited far ends read as visited after the last step.
+    at = np.full(trace.graph.n, trace.budget, dtype=np.int64)
+    at[nodes] = first
+    later = at[trace.graph.adj[arc_idx]] > near
+    return _read_only(np.cumsum(np.bincount(near[later], minlength=trace.budget)))[0]

@@ -394,6 +394,17 @@ def test_synth_of_a_non_integer_size_is_a_one_line_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_synth_of_an_edgeless_graph_is_a_one_line_error(tmp_path, capsys):
+    out = tmp_path / "g.txt"
+    assert cli.main(["synth", "grid:rows=1,cols=1", "-o", str(out), "--seed", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        "error: generator spec 'grid:rows=1,cols=1' gives a graph with no edges, "
+        "which an edge list cannot hold\n"
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "spec",
     [

@@ -9,16 +9,27 @@ from hypothesis import strategies as st
 
 from rwtopo import (
     Graph,
+    PowerLawParams,
+    configuration_model,
     crossing_time,
     grid_2d,
     naive_route,
+    power_law_degrees,
     preferential_attachment,
     run_walk,
     walker_seed,
 )
 from rwtopo.graph import bfs_distances
 from rwtopo.walker import retrace_to_start, run_walks
-from helpers import assert_valid_path, cycle, path_graph, star, triangle, two_triangles
+from helpers import (
+    assert_valid_path,
+    cycle,
+    path_graph,
+    sorted_edge_counts,
+    star,
+    triangle,
+    two_triangles,
+)
 
 
 def brute_covered_edges(g: Graph, nodes) -> set[int]:
@@ -272,13 +283,59 @@ def sorted_adjacency(g: Graph) -> list[list[int]]:
     return [sorted(nbrs) for nbrs in adjacency]
 
 
+# (start, seed) of four 5000-step walks on preferential_attachment(2000, 3, seed=5)
+HUB_WALKS = [(0, 1), (1999, 2), (17, (3, 4)), (500, walker_seed((8, 9), 5))]
+
+
 def test_run_walk_equals_a_reference_walk_through_hubs():
     g = preferential_attachment(2000, 3, seed=5)
     adjacency = sorted_adjacency(g)
-    for start, seed in [(0, 1), (1999, 2), (17, (3, 4)), (500, walker_seed((8, 9), 5))]:
+    for start, seed in HUB_WALKS:
         trace, _ = run_walk(g, start, 5000, seed)
         assert g.degrees[trace.steps].max() > 100  # the walk crosses hub rows
         assert trace.steps.tolist() == reference_walk(adjacency, start, 5000, seed)
+
+
+def oracle_walks(case: str) -> list:
+    if case == "pa2000-hubs":
+        g = preferential_attachment(2000, 3, seed=5)
+        return [run_walk(g, start, 5000, seed)[0] for start, seed in HUB_WALKS]
+    if case == "plconfig20k":
+        g = configuration_model(power_law_degrees(PowerLawParams(alpha=2.5, k_min=2, n=20_000), 3), 3)
+        return [run_walk(g, int(np.argmax(g.degrees)), 20_000, 11)[0]]
+    if case == "star":
+        # Every other step returns to the hub, so almost every step revisits.
+        return [run_walk(star(40), start, 3000, 4)[0] for start in (0, 7)]
+    return [run_walk(path_graph(60), start, 4000, 5)[0] for start in (0, 31)]
+
+
+@pytest.mark.parametrize("case", ["pa2000-hubs", "plconfig20k", "star", "path"])
+def test_edge_counts_equal_the_sorted_kernel(case):
+    for trace in oracle_walks(case):
+        counts = trace.edge_count_per_step
+        assert counts.dtype == np.int64 and not counts.flags.writeable
+        assert counts.tolist() == sorted_edge_counts(trace).tolist()
+        mask = np.zeros(trace.graph.n, dtype=bool)
+        mask[trace.visited_nodes()] = True
+        assert np.array_equal(trace.visited, mask)
+        if case == "star":
+            assert trace.unique_nodes < trace.budget // 20
+
+
+def test_a_long_walk_holds_eight_bytes_per_step():
+    # The uniforms are drawn a chunk at a time and each chunk's steps are
+    # copied into the int64 row, so the peak is the row plus a fixed slack.
+    g = grid_2d(300, 300)
+    run_walk(g, 0, 1000, seed=1)  # warm-up: first-call allocations of numpy/RNG
+    budget = 200_000
+    tracemalloc.start()
+    try:
+        trace, _ = run_walk(g, 0, budget, seed=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert trace.steps.nbytes == 8 * budget
+    assert peak < 8 * budget + 512 * 1024
 
 
 def test_walker_seed_streams_are_stable_and_distinct():
