@@ -113,6 +113,12 @@ def _seed(text: str) -> int:
     return int(text)
 
 
+# Start nodes are read, and reported, as the dense ids a loaded graph gives
+# its nodes, not as the edge list's own labels.
+_DENSE_IDS = "dense node ids 0..n-1, numbered by first appearance in the edge list, not its labels"
+_STARTS_HELP = f"comma-separated start nodes, {_DENSE_IDS}"
+
+
 def _node_ids(text: str) -> tuple[int, ...]:
     """A comma-separated start list such as ``0,5,10`` (``--starts``/``starts=``)."""
     try:
@@ -349,7 +355,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("walk", help="run one budgeted random walk")
     p.add_argument("--graph", required=True)
-    p.add_argument("--start", type=int, required=True)
+    p.add_argument("--start", type=int, required=True, help=f"start node, one of the {_DENSE_IDS}")
     p.add_argument("--budget", type=int, required=True)
     p.add_argument("--seed", type=_seed, required=True)
     p.set_defaults(func=_cmd_walk)
@@ -372,7 +378,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--graph", required=True)
     p.add_argument("--h", type=int)
     policy = p.add_mutually_exclusive_group(required=True)
-    policy.add_argument("--starts", type=_node_ids, help="comma-separated start nodes")
+    policy.add_argument("--starts", type=_node_ids, help=_STARTS_HELP)
     policy.add_argument("--random-starts", action="store_true")
     p.add_argument("--beta", type=float)
     p.add_argument("--seed", type=_seed, required=True)
@@ -388,7 +394,7 @@ def _build_parser() -> _Parser:
         if parse is _truthy:
             p.add_argument(flag, action="store_true", default=None, dest=key)
         else:
-            p.add_argument(flag, type=parse, dest=key)
+            p.add_argument(flag, type=parse, dest=key, help=_STARTS_HELP if key == "starts" else None)
     p.set_defaults(func=_cmd_eval)
 
     return parser

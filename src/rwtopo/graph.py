@@ -356,41 +356,65 @@ def _kept_arcs(g: Graph, edge_mask: np.ndarray | None = None) -> tuple[np.ndarra
     entry, under ``g``'s own node ids; ``g``'s own CSR without a mask.
 
     A masked call keeps the arcs in place, so each node's kept neighbors
-    stay sorted; it costs O(n + m) whatever the mask holds.
+    stay sorted; it costs O(n + m) whatever the mask holds.  A mask that is
+    not a bool array of shape ``(m,)`` raises ValueError: an integer array
+    would index edges instead of marking them.
     """
     if edge_mask is None:
         return g.indptr, g.adj
+    edge_mask = np.asarray(edge_mask)
+    if edge_mask.dtype != bool or edge_mask.shape != (g.m,):
+        raise ValueError(
+            f"edge_mask must be a bool array of shape ({g.m},), got {edge_mask.dtype} of shape {edge_mask.shape}"
+        )
     keep = edge_mask[g.adj_edge_ids]
     kept_before = np.zeros(keep.size + 1, dtype=np.int64)
     np.cumsum(keep, out=kept_before[1:])
     return kept_before[g.indptr], g.adj[keep]
 
 
+# A level of bfs_distances that pushes at least this share of n arcs marks
+# their heads in an n-sized bool table and takes its frontier with one
+# np.flatnonzero; a smaller one dedupes its heads with _distinct instead.
+# The table costs a few passes over n bytes whatever the level holds, and
+# _distinct costs several times more per arc than a table pass per node, so
+# a long path or a grid, whose levels are all small, never pays O(n) a level.
+_TABLE_SHARE = 1 / 8
+
+
 def bfs_distances(g: Graph, source: int, edge_mask: np.ndarray | None = None) -> np.ndarray:
     """Breadth-first hop distances from ``source`` (UNREACHABLE where no path exists).
 
-    When ``edge_mask`` (a boolean array over edge ids) is given, only edges
-    with a true mask entry are traversed, i.e. the search runs on the arcs
-    :func:`_kept_arcs` keeps, a subgraph of ``g`` sharing its node ids,
-    filtered once before the first level.
+    When ``edge_mask`` (a bool array of shape ``(m,)``, one entry per edge
+    id) is given, only edges with a true mask entry are traversed, i.e. the
+    search runs on the arcs :func:`_kept_arcs` keeps, a subgraph of ``g``
+    sharing its node ids, filtered once before the first level.  Any other
+    mask, and a non-integral or out-of-range ``source``, raises ValueError.
 
     Each level either pushes or pulls (Beamer et al., SC'12).  The search
     keeps the count of the unreached nodes' arcs: the searched arcs minus
     the arcs of every node reached so far.  While the frontier's arcs are at
     most that count the level pushes: it gathers the frontier's neighbors
-    and keeps the unreached ones.  Otherwise it pulls: every unreached node
-    with an arc into the frontier (a node at the last level's distance)
-    joins.  The search ends at a level that reaches nothing, or once no
-    unreached node has an arc left.
+    and keeps the unreached ones, deduplicated in an n-sized bool table
+    once they number ``_TABLE_SHARE * n`` or more.  Otherwise it pulls:
+    every unreached node with an arc into a reached node joins.  The search
+    ends at a level that reaches nothing, or once no unreached node has an
+    arc left.
     """
     # One source would fill one bit of pair_distances' 64-bit words, whose
-    # levels pull over every arc of g; this search moves plain distances and
-    # pulls over the unreached nodes' arcs alone.
+    # levels pull over every arc of g; this search keeps bool reach tables
+    # and pulls over the unreached nodes' arcs alone.  A large pushed
+    # level's frontier is np.flatnonzero of its table, so it comes distinct
+    # and ascending, and the next level reads indptr and adj in order.
+    source = int(_int64s(source, "source"))
     if not 0 <= source < g.n:
         raise ValueError(f"source {source} out of range")
     indptr, adj = _kept_arcs(g, edge_mask)
     dist = np.full(g.n, UNREACHABLE, dtype=np.int64)
     dist[source] = 0
+    fresh = np.ones(g.n, dtype=bool)  # the unreached nodes
+    fresh[source] = False
+    hit = np.empty(g.n, dtype=bool)
     unreached = adj.size
     frontier = np.array([source], dtype=np.int64)
     level = 0
@@ -401,18 +425,27 @@ def bfs_distances(g: Graph, source: int, edge_mask: np.ndarray | None = None) ->
         unreached -= arcs
         if arcs <= unreached:
             nbrs = adj[_span_positions(starts, counts, arcs)]
-            frontier = _distinct(nbrs[dist[nbrs] < 0], dist)  # every parked node is reached next
+            if arcs < _TABLE_SHARE * g.n:
+                frontier = _distinct(nbrs[fresh[nbrs]], dist)  # every parked node is reached next
+            else:
+                hit.fill(False)
+                hit[nbrs] = True
+                hit &= fresh
+                frontier = np.flatnonzero(hit)
         elif unreached == 0:
             break
         else:
-            candidates = np.flatnonzero(dist < 0)
+            # An unreached node's reached neighbors are all on the last
+            # level: any earlier one would have reached it already.
+            candidates = np.flatnonzero(fresh)
             positions, counts = _arc_positions(indptr, candidates)
-            # hits[k]: arcs among the candidates' first k that reach the frontier
-            hits = np.zeros(positions.size + 1, dtype=np.int64)
-            np.cumsum(dist[adj[positions]] == level, out=hits[1:])
+            # reached[k]: arcs among the candidates' first k that reach a reached node
+            reached = np.zeros(positions.size + 1, dtype=np.int64)
+            np.cumsum(~fresh[adj[positions]], out=reached[1:])
             ends = np.cumsum(counts)
-            frontier = candidates[hits[ends] > hits[ends - counts]]
+            frontier = candidates[reached[ends] > reached[ends - counts]]
         level += 1
+        fresh[frontier] = False
         dist[frontier] = level
     return dist
 

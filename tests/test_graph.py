@@ -279,6 +279,26 @@ class TestBfs:
         dist = bfs_distances(g, 0, edge_mask=mask)
         assert dist.tolist() == [0, 1, UNREACHABLE]
 
+    @pytest.mark.parametrize(
+        "mask",
+        [np.ones(4, dtype=int), np.ones(5, dtype=bool), np.ones(3, dtype=bool), np.ones((2, 2), dtype=bool)],
+        ids=["int", "longer", "shorter", "2d"],
+    )
+    def test_edge_mask_other_than_bool_of_shape_m_is_rejected(self, mask):
+        g = Graph(5, [[0, 1], [1, 2], [2, 3], [3, 4]])
+        with pytest.raises(ValueError, match=r"edge_mask must be a bool array of shape \(4,\)"):
+            bfs_distances(g, 0, mask)
+
+    @pytest.mark.parametrize("source", [1.5, np.float64(0.5), "1"])
+    def test_non_integral_source_is_rejected(self, source):
+        with pytest.raises(ValueError, match="source must be integral"):
+            bfs_distances(star(4), source)
+
+    @pytest.mark.parametrize("source", [-1, 5])
+    def test_source_out_of_range_is_rejected(self, source):
+        with pytest.raises(ValueError, match="out of range"):
+            bfs_distances(star(4), source)
+
     def test_subgraph_distances_never_beat_full_graph(self):
         g = load_edge_list(b"0 1\n1 2\n2 3\n3 0\n0 2\n2 4\n4 5\n5 0\n")
         full = bfs_distances(g, 0)

@@ -20,11 +20,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rwtopo.graph
 from rwtopo import (
     EdgeListParseError,
     Graph,
     PowerLawParams,
     configuration_model,
+    from_spec,
     grid_2d,
     load_edge_list,
     power_law_degrees,
@@ -256,10 +258,11 @@ def test_graph_matches_the_unique_and_lexsort_constructor(case):
     assert_same_arrays(arrays(Graph(n, edges, original_ids=originals)), reference_graph(n, edges, originals))
 
 
-def traced_peak(load, data: bytes) -> int:
+def traced_peak(call, *args) -> int:
+    """Peak bytes traced by tracemalloc during ``call(*args)``."""
     tracemalloc.start()
     try:
-        load(data)
+        call(*args)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -311,8 +314,8 @@ def reference_components(g: Graph) -> tuple[np.ndarray, np.ndarray]:
 
 
 def pulls(search) -> int:
-    """Levels that ``search()`` pulled: the pull step alone calls np.flatnonzero."""
-    with mock.patch.object(np, "flatnonzero", wraps=np.flatnonzero) as spy:
+    """Levels that ``search()`` pulled: the pull step alone calls graph._arc_positions."""
+    with mock.patch.object(rwtopo.graph, "_arc_positions", wraps=_arc_positions) as spy:
         search()
     return spy.call_count
 
@@ -406,6 +409,14 @@ def test_bfs_distances_pull_and_match_the_push_only_flood(family, kind):
 def test_component_labels_pull_and_match_the_push_only_flood(family):
     g = Graph(FAMILIES[family][0].n, FAMILIES[family][0].edges)  # not yet labelled
     assert all(np.array_equal(a, b) for a, b in zip(component_labels(g), reference_components(g)))
+
+
+def test_bfs_distances_peaks_below_twice_the_graph_arrays():
+    """One search allocates O(n + m): at most twice the bytes of an int64
+    per node and per arc, which its dist table and pull buffers stay under."""
+    g = from_spec("pa:n=50000,m0=3", seed=1)
+    bfs_distances(g, 0)  # warm up outside the trace
+    assert traced_peak(bfs_distances, g, 0) < 2 * (g.n + g.adj.size) * 8
 
 
 def test_a_star_searched_from_a_leaf_pulls_once_at_level_2():
