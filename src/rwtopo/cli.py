@@ -239,7 +239,12 @@ def _cmd_rwsp(args) -> int:
 
 
 def _truthy(s: str) -> bool:
-    return s.lower() in ("1", "true", "yes")
+    """A config-file boolean: ``1/true/yes`` or ``0/false/no``, in any case."""
+    if s.lower() in ("1", "true", "yes"):
+        return True
+    if s.lower() in ("0", "false", "no"):
+        return False
+    raise ValueError(f"expected 1/true/yes or 0/false/no, got {s!r}")
 
 
 # eval settings: config-file key (also the flag, with dashes) -> value parser.

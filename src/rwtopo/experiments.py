@@ -29,6 +29,7 @@ from .coverage import (
 from .graph import (
     Graph,
     UNREACHABLE,
+    _int64s,
     bfs_distances,
     degree_moments,
     giant_component,  # noqa: F401  (not called here; rwbench/tracing.py wraps it by name)
@@ -60,6 +61,15 @@ class ConfigError(ValueError):
     """Invalid experiment configuration."""
 
 
+def _integral(value, field: str) -> np.ndarray:
+    """``value`` as int64 (:func:`rwtopo.graph._int64s`), a non-integral one
+    being a ConfigError that names ``field``."""
+    try:
+        return _int64s(value, field)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment: h walkers, budget fraction beta, repeated ``runs`` times.
@@ -80,6 +90,12 @@ class ExperimentConfig:
     graph_source: str | None = None
 
     def __post_init__(self):
+        # Counts and node ids are stored as plain ints: metadata.json is
+        # asdict(config), and the walk loop steps over plain ints.
+        for field in ("h", "runs", "workers"):
+            object.__setattr__(self, field, int(_integral(getattr(self, field), field)))
+        if self.fixed_starts is not None:
+            object.__setattr__(self, "fixed_starts", tuple(_integral(self.fixed_starts, "fixed_starts").tolist()))
         if self.h < 2:
             raise ConfigError("h must be at least 2")
         if self.h > _START_STREAM:
@@ -92,10 +108,8 @@ class ExperimentConfig:
             raise ConfigError("runs must be at least 1")
         if self.workers < 1:
             raise ConfigError("workers must be at least 1")
-        if self.fixed_starts is not None:
-            object.__setattr__(self, "fixed_starts", tuple(int(s) for s in self.fixed_starts))
-            if len(self.fixed_starts) != self.h:
-                raise ConfigError("fixed_starts must list exactly h nodes")
+        if self.fixed_starts is not None and len(self.fixed_starts) != self.h:
+            raise ConfigError("fixed_starts must list exactly h nodes")
 
     def budget(self, n: int) -> int:
         b = int(self.beta * n / self.h) if self.rescale_budget else int(self.beta * n)
@@ -284,34 +298,43 @@ def _draw_starts(cfg: ExperimentConfig, members: np.ndarray, run_index: int, k: 
     return [int(s) for s in rng.choice(members, size=k, replace=False)]
 
 
-def _true_distances(g: Graph, run: ProtocolRun) -> np.ndarray:
-    """h x h hop distances on ``g`` among the run's starts: one BFS per walker."""
-    starts = np.asarray(run.starts, dtype=np.int64)
-    return np.stack([bfs_distances(g, start)[starts] for start in run.starts])
+def _run_scores(g: Graph, run: ProtocolRun) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
+    """``(starts, visited, true)``: all that scoring keeps of a run, none of
+    it holding the run's step table.  ``visited`` is each walker's group's
+    ``UnionSubgraph.nodes``, one array object per group, and ``true`` the
+    h x h hop distances on ``g`` among the starts, one BFS per walker."""
+    starts = np.array(run.starts, dtype=np.int64)
+    true = np.stack([bfs_distances(g, start)[starts] for start in run.starts])
+    return starts, [union.nodes for union in run.unions], true
 
 
-def _visited_sets(run: ProtocolRun) -> tuple[np.ndarray, list[np.ndarray]]:
-    """``(starts, visited)``: all that scoring keeps of a run for the search,
-    its walkers' starts and each walker's group's ``UnionSubgraph.nodes``,
-    one array object per group.  Neither holds the run's step table."""
-    return np.array(run.starts, dtype=np.int64), [union.nodes for union in run.unions]
+def _scored(g: Graph, runs: list, first: int = 0) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each run's ``(true, discovered)`` h x h matrices, where ``runs`` holds
+    the :func:`_run_scores` of runs ``first``, ``first + 1``, ...
 
-
-def _discovered_distances(g: Graph, walks: list[tuple[np.ndarray, list[np.ndarray]]]) -> list[np.ndarray]:
-    """Each run's h x h discovered distances, from one :func:`pair_distances`
-    search over every run's starts; ``walks`` holds each run's
-    :func:`_visited_sets`.
-
-    Walker i searches its group's G*: its visited set is the group's visited
-    nodes.  G* is connected, and of its run's starts it visited exactly its
-    members', so within a run entry (i, j) is the routing-tree depth of j's
+    One :func:`pair_distances` search over every run's starts, each walker
+    searching its group's G* (the group's visited nodes), gives each run's
+    diagonal block.  G* is connected, and of its run's starts it visited
+    exactly its members', so entry (i, j) is the routing-tree depth of j's
     start from i's where i and j share a group, and UNREACHABLE otherwise.
-    Entries between runs are dropped.
+    InvariantViolation names the first run, and in it the first pair in
+    i-major order, with a route shorter than its true distance or a route
+    where no path exists.
     """
-    starts = np.concatenate([starts for starts, _ in walks])
-    dist = pair_distances(g, starts, [nodes for _, visited in walks for nodes in visited])
-    ends = np.cumsum([len(visited) for _, visited in walks]).tolist()
-    return [dist[hi - len(v) : hi, hi - len(v) : hi] for (_, v), hi in zip(walks, ends)]
+    starts = np.concatenate([starts for starts, _, _ in runs])
+    dist = pair_distances(g, starts, [nodes for _, visited, _ in runs for nodes in visited])
+    scored, hi = [], 0
+    for r, (starts, _, true) in enumerate(runs, first):
+        lo, hi = hi, hi + starts.size
+        discovered = dist[lo:hi, lo:hi]
+        bad = np.argwhere((discovered != UNREACHABLE) & ((true == UNREACHABLE) | (discovered < true)))
+        if bad.size:
+            i, j = bad[0]
+            raise InvariantViolation(
+                f"run {r}: discovered {discovered[i, j]} hops vs true {true[i, j]} for pair ({i},{j})"
+            )
+        scored.append((true, discovered))
+    return scored
 
 
 def score_pairs(g: Graph, run: ProtocolRun) -> tuple[np.ndarray, np.ndarray]:
@@ -319,18 +342,18 @@ def score_pairs(g: Graph, run: ProtocolRun) -> tuple[np.ndarray, np.ndarray]:
 
     Entry (i, j) is for the ordered pair i -> j; both diagonals are 0.
     ``true`` takes one BFS per walker on ``g``, UNREACHABLE where the starts
-    are disconnected.  ``discovered`` is the run scored as a block of one
-    (see :func:`_discovered_distances`): one :func:`pair_distances` search in
-    which every walker routes on its meeting group's union G*, UNREACHABLE
-    unless i and j are in one group.  Only ``run.unions`` is read, so
-    scoring builds none of the run's protocol accounting.
+    are disconnected.  ``discovered`` routes every walker on its meeting
+    group's union G*, UNREACHABLE unless i and j are in one group.  The run
+    is scored as a block of one by :func:`_scored`, the scorer of
+    ``run_experiment``, so an impossible route raises InvariantViolation
+    naming run 0 and the pair.  Only ``run.unions`` is read, so scoring
+    builds none of the run's protocol accounting.
     """
-    return _true_distances(g, run), _discovered_distances(g, [_visited_sets(run)])[0]
+    return _scored(g, [_run_scores(g, run)])[0]
 
 
 def _one_run_records(g: Graph, cfg: ExperimentConfig, budget: int, members: np.ndarray, run_index: int):
-    """The per-run half of a block: ``(run, true)``, the protocol run of
-    ``run_index`` and its h x h true distances (:func:`_true_distances`).
+    """The per-run half of a block: run ``run_index``'s :func:`_run_scores`.
 
     Its name and signature stay as they were when it scored a whole run,
     because rwbench's traced mode wraps it by name as one run's span, and
@@ -339,35 +362,20 @@ def _one_run_records(g: Graph, cfg: ExperimentConfig, budget: int, members: np.n
     block by :func:`_block_records`.
     """
     starts = _draw_starts(cfg, members, run_index)
-    run = run_rwsp(g, starts, budget, seed=walker_seed(cfg.seed, run_index))
-    return run, _true_distances(g, run)
+    return _run_scores(g, run_rwsp(g, starts, budget, seed=walker_seed(cfg.seed, run_index)))
 
 
 def _block_records(g: Graph, cfg: ExperimentConfig, budget: int, members: np.ndarray, runs: range) -> np.ndarray:
     """(d_true, d_discovered) of the runs ``runs``' ordered walker pairs, an
     (h·(h−1)·len(runs), 2) array in run-index, then i-major, order.
 
-    Each run, in turn, draws its starts, walks and takes its true distances
-    (:func:`_one_run_records`), and only its :func:`_visited_sets` are kept;
-    then one search scores every run's discovered routes.
-    InvariantViolation names the first pair, in that order, with a route
-    shorter than its true distance or a route where no path exists.
+    Each run, in turn, draws its starts, walks and keeps only its
+    :func:`_run_scores` (:func:`_one_run_records`); then one :func:`_scored`
+    call scores the block.
     """
-    walks, trues = [], []
-    for r in runs:
-        run, true = _one_run_records(g, cfg, budget, members, r)
-        walks.append(_visited_sets(run))
-        trues.append(true)
+    scored = _scored(g, [_one_run_records(g, cfg, budget, members, r) for r in runs], runs.start)
     off_diagonal = ~np.eye(cfg.h, dtype=bool)
-    records = []
-    for r, true, discovered in zip(runs, trues, _discovered_distances(g, walks)):
-        bad = np.argwhere((discovered != UNREACHABLE) & ((true == UNREACHABLE) | (discovered < true)))
-        if bad.size:
-            i, j = bad[0]
-            raise InvariantViolation(
-                f"run {r}: discovered {discovered[i, j]} hops vs true {true[i, j]} for pair ({i},{j})"
-            )
-        records.append(np.column_stack((true[off_diagonal], discovered[off_diagonal])))
+    records = [np.column_stack((true[off_diagonal], discovered[off_diagonal])) for true, discovered in scored]
     return np.concatenate(records)
 
 

@@ -40,11 +40,15 @@ def _int64s(values, what: str) -> np.ndarray:
     """``values`` as an int64 array, uncopied when it already is one.
 
     A value the cast would change (``1.7``, NaN, ``"3"``, a uint64 beyond
-    int64) raises ValueError naming ``what``, instead of being truncated.
+    int64) raises ValueError naming ``what``, instead of being truncated; so
+    does a Python int beyond int64, which the cast cannot take.
     """
     values = np.asarray(values)
-    with np.errstate(invalid="ignore"):
-        ints = values.astype(np.int64, copy=False)
+    try:
+        with np.errstate(invalid="ignore"):
+            ints = values.astype(np.int64, copy=False)
+    except OverflowError:
+        raise ValueError(f"{what} out of range of int64") from None
     if not np.array_equal(ints, values):
         raise ValueError(f"{what} must be integral, got {values[ints != values].flat[0].item()!r}")
     return ints
@@ -468,7 +472,7 @@ def _allowed_words(allowed: np.ndarray, visited, lo: int, hi: int) -> None:
     for a in range(lo, hi):
         words.setdefault(id(visited[a]), [visited[a], 0])[1] |= 1 << (a - lo)
     for ids, word in words.values():
-        ids = np.asarray(ids, dtype=np.int64).reshape(-1)
+        ids = _int64s(ids, "visited node ids").reshape(-1)
         if ids.size and not (0 <= ids.min() and ids.max() < allowed.size):
             raise ValueError("visited node id out of range")
         allowed[ids] |= np.uint64(word)
@@ -500,7 +504,7 @@ def pair_distances(g: Graph, nodes, visited=None) -> np.ndarray:
 
     Raises ValueError when ``nodes[a]`` is not in ``visited[a]``.
     """
-    nodes = np.asarray(nodes, dtype=np.int64).reshape(-1)
+    nodes = _int64s(nodes, "node ids").reshape(-1)
     if nodes.size and not (0 <= nodes.min() and nodes.max() < g.n):
         raise ValueError("node id out of range")
     if visited is not None and len(visited) != nodes.size:

@@ -52,7 +52,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graph import Graph, _components, _distinct, bfs_distances
+from .graph import Graph, _components, _distinct, _int64s, bfs_distances
 from .walker import WalkTrace, _covered_edge_mask, _read_only, run_walks, walker_seed
 
 # Meeting key of a pair that never met.
@@ -363,7 +363,7 @@ def run_rwsp(g: Graph, starts, budget: int, seed) -> ProtocolRun:
     budget : steps per walker (sequence length)
     seed : master seed (int or sequence of int)
     """
-    starts = [int(s) for s in starts]
+    starts = _int64s(starts, "start nodes").tolist()
     h = len(starts)
     if h < 2:
         raise ValueError("need at least two walkers")

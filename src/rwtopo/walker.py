@@ -40,7 +40,7 @@ from math import floor
 
 import numpy as np
 
-from .graph import Graph, _read_only
+from .graph import Graph, _int64s, _read_only
 
 
 def _as_seed_tuple(seed) -> tuple[int, ...]:
@@ -213,7 +213,8 @@ def run_walks(g: Graph, starts, budget: int, seeds) -> np.ndarray:
     many lanes.  Lockstep draws all uniforms up front, so its memory is
     about three times ``len(starts) * budget * 8`` bytes.
     """
-    starts = [int(s) for s in starts]
+    starts = _int64s(starts, "start nodes").tolist()
+    budget = int(_int64s(budget, "budget"))
     seeds = list(seeds)
     if len(seeds) != len(starts):
         raise ValueError(f"{len(starts)} starts but {len(seeds)} seeds")

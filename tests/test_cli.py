@@ -1,8 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
-from rwtopo import UNREACHABLE, ExperimentConfig, cli, load_edge_list
+from rwtopo import UNREACHABLE, ExperimentConfig, cli, experiments, load_edge_list
 from rwtopo.experiments import InvariantViolation, _block_records, _start_pool
 
 
@@ -200,6 +201,22 @@ def test_rwsp_random_starts_replays_eval_run_zero(pa_file, capsys):
     assert recorded == expected.tolist()
 
 
+def test_rwsp_exits_two_on_a_route_shorter_than_the_true_distance(pa_file, monkeypatch, capsys):
+    args = ["rwsp", "--graph", str(pa_file), "--h", "4", "--random-starts", "--seed", "3"]
+    assert cli.main(args) == 0
+    true = json.loads(capsys.readouterr().out)["pairs"][0]["true_spl"]
+    assert true > 1
+
+    def planted_search(g, nodes, visited=None):
+        return 1 - np.eye(len(nodes), dtype=np.int64)  # a one-hop route between every pair
+
+    monkeypatch.setattr(experiments, "pair_distances", planted_search)
+    assert cli.main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"internal invariant violation: run 0: discovered 1 hops vs true {true} for pair (0,1)\n"
+
+
 def test_rwsp_takes_h_from_the_start_list(pa_file, capsys):
     assert cli.main(["rwsp", "--graph", str(pa_file), "--starts", "0,7,50", "--beta", "0.2", "--seed", "3"]) == 0
     out = json.loads(capsys.readouterr().out)
@@ -324,6 +341,9 @@ def test_eval_rejects_unknown_config_keys(tmp_path, capsys):
         ("starts=1,x", "starts: expected comma-separated node ids, got '1,x'"),
         ("coverage_taus=0.1,y", "coverage_taus: expected comma-separated numbers, got '0.1,y'"),
         ("synth_seed=-4", "synth_seed: expected a non-negative integer, got '-4'"),
+        # both used to read as false: exit 0, no crossing census
+        ("crossing=on", "crossing: expected 1/true/yes or 0/false/no, got 'on'"),
+        ("rescale_budget=maybe", "rescale_budget: expected 1/true/yes or 0/false/no, got 'maybe'"),
     ],
 )
 def test_eval_config_value_errors_name_the_file_line_and_key(tmp_path, capsys, line, message):
@@ -331,6 +351,19 @@ def test_eval_config_value_errors_name_the_file_line_and_key(tmp_path, capsys, l
     cfg.write_text(f"synth = pa:n=50,m0=2\n{line}\n")
     assert cli.main(["eval", str(cfg), "--seed", "1", "-o", str(tmp_path / "o")]) == 1
     assert f"error: {cfg}:2: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("on, off", [("1", "0"), ("TRUE", "False"), ("Yes", "NO")])
+def test_eval_config_booleans_take_both_spellings_in_any_case(tmp_path, on, off):
+    cfg = tmp_path / "cfg.txt"
+    body = "synth = pa:n=60,m0=2\nh = 2\nbeta = 0.2\nruns = 2\n"
+    for crossing, rescale in ((on, off), (off, on)):
+        cfg.write_text(body + f"crossing = {crossing}\nrescale_budget = {rescale}\n")
+        out_dir = tmp_path / f"out-{crossing}"
+        assert cli.main(["eval", str(cfg), "--seed", "2", "-o", str(out_dir)]) == 0
+        meta = json.loads((out_dir / "metadata.json").read_text())
+        assert meta["config"]["rescale_budget"] is (rescale == on)
+        assert (out_dir / "crossing.json").exists() is (crossing == on)
 
 
 @pytest.mark.parametrize(

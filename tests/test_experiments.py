@@ -21,6 +21,7 @@ from rwtopo import (
     run_rwsp,
     rwsp,
     score_pairs,
+    walker_seed,
 )
 from rwtopo.graph import Graph, bfs_distances, giant_component, stats_report
 from rwtopo.coverage import expected_edge_fraction
@@ -42,6 +43,20 @@ class TestExperimentConfig:
             ExperimentConfig(seed=1, runs=0)
         with pytest.raises(ConfigError):
             ExperimentConfig(seed=1, h=3, fixed_starts=(0, 1))
+
+    @pytest.mark.parametrize(
+        "field, value, bad",
+        [("h", 2.5, 2.5), ("runs", 2.5, 2.5), ("workers", 1.5, 1.5), ("fixed_starts", (0, 1.5), 1.5)],
+    )
+    def test_non_integral_counts_and_starts_are_rejected(self, field, value, bad):
+        # fixed_starts was truncated to (0, 1); the counts failed late with a TypeError.
+        with pytest.raises(ConfigError, match=rf"^{field} must be integral, got {bad}$"):
+            ExperimentConfig(seed=1, **{"h": 2, field: value})
+
+    def test_integral_values_are_stored_as_plain_ints(self):
+        cfg = ExperimentConfig(seed=1, h=np.int64(2), runs=3.0, workers=np.int32(2), fixed_starts=np.array([0, 5]))
+        assert (cfg.h, cfg.runs, cfg.workers, cfg.fixed_starts) == (2, 3, 2, (0, 5))
+        assert {type(v) for v in (cfg.h, cfg.runs, cfg.workers, *cfg.fixed_starts)} == {int}
 
     def test_walker_ids_stay_below_the_start_stream_tag(self):
         # walker 0xBEEF would be seeded like the start-drawing stream
@@ -522,11 +537,17 @@ def plant_scores(monkeypatch, bad_runs):
     one_run = experiments._one_run_records
 
     def planted_run(g, cfg, budget, members, run_index):
-        run, _ = one_run(g, cfg, budget, members, run_index)
-        return run, BAD_TRUE if run_index in bad_runs else GOOD_TRUE
+        starts, visited, _ = one_run(g, cfg, budget, members, run_index)
+        return starts, visited, BAD_TRUE if run_index in bad_runs else GOOD_TRUE
+
+    def planted_search(g, nodes, visited):
+        dist = np.full((len(nodes), len(nodes)), U)
+        for lo in range(0, len(nodes), 3):
+            dist[lo : lo + 3, lo : lo + 3] = PLANTED_DISCOVERED
+        return dist
 
     monkeypatch.setattr(experiments, "_one_run_records", planted_run)
-    monkeypatch.setattr(experiments, "_discovered_distances", lambda g, runs: [PLANTED_DISCOVERED] * len(runs))
+    monkeypatch.setattr(experiments, "pair_distances", planted_search)
 
 
 def test_run_invariant_names_the_first_bad_pair_in_i_major_order(monkeypatch):
@@ -572,7 +593,7 @@ def test_each_run_scores_in_its_block_as_alone(h, fixed, budget):
         block = range(lo, min(lo + size, cfg.runs))
         in_blocks.append(experiments._block_records(g, cfg, budget, members, block))
         for r in block:
-            run, _ = experiments._one_run_records(g, cfg, budget, members, r)
+            run = run_rwsp(g, experiments._draw_starts(cfg, members, r), budget, walker_seed(cfg.seed, r))
             alone.append(alone_records(g, run))
     assert np.array_equal(np.concatenate(in_blocks), np.concatenate(alone))
     assert sum(map(len, alone)) == cfg.runs * h * (h - 1)
@@ -585,10 +606,10 @@ def test_each_run_scores_in_its_block_as_alone(h, fixed, budget):
 def test_a_block_keeps_no_step_table_of_its_runs():
     g = preferential_attachment(300, 2, seed=4)
     run = run_rwsp(g, [0, 5, 9, 40], 80, seed=2)
-    starts, visited = experiments._visited_sets(run)
+    starts, visited, true = experiments._run_scores(g, run)
     assert starts.tolist() == list(run.starts)
     assert [v is u.nodes for v, u in zip(visited, run.unions)] == [True] * 4
-    assert not any(np.shares_memory(a, run.steps) for a in [starts, *visited])
+    assert not any(np.shares_memory(a, run.steps) for a in [starts, *visited, true])
 
 
 @pytest.fixture

@@ -202,6 +202,16 @@ def test_pair_distances_across_components_and_isolated_sources():
         pair_distances(g, [9], [np.array([], dtype=np.int64)])
 
 
+def test_pair_distances_rejects_non_integral_node_ids():
+    # Both were truncated to node 1, which is in the set.
+    g = Graph(3, [[0, 1], [1, 2]])
+    with pytest.raises(ValueError, match="node ids must be integral, got 1.5"):
+        pair_distances(g, [0, 1.5])
+    with pytest.raises(ValueError, match="visited node ids must be integral, got 1.5"):
+        pair_distances(g, [0, 1], [np.array([0.0, 1.5]), [1]])
+    assert pair_distances(g, [0.0, 2.0], [np.array([0.0, 1.0, 2.0])] * 2).tolist() == [[0, 2], [2, 0]]
+
+
 # A star: hub 0 with leaves 1..40, and a path 41-42-43 beside it.
 STAR_AND_PATH = Graph(44, [[0, i] for i in range(1, 41)] + [[41, 42], [42, 43]])
 

@@ -67,6 +67,54 @@ def test_the_check_sees_unused_and_kept_imports():
     assert unused_imports(source) == [(1, "os"), (4, "b")]
 
 
+def dead_private_names(sources: dict[str, str]) -> list[tuple[str, str]]:
+    """(module, name) of every module-level private ``_name`` that no other
+    top-level statement of any of ``sources`` (module -> text) refers to."""
+    defined, refers = [], []
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            names = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+            refers.append((stmt, names))
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                bound = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                bound = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                bound = []
+            defined += [(module, stmt, name) for name in bound if name.startswith("_") and not name.startswith("__")]
+    return [
+        (module, name)
+        for module, stmt, name in defined
+        if not any(name in names for other, names in refers if other is not stmt)
+    ]
+
+
+def test_no_dead_private_helpers():
+    package = ROOT / "src" / "rwtopo"
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(package.glob("*.py"))}
+    assert dead_private_names(sources) == []
+
+
+def test_the_check_sees_dead_private_helpers():
+    sources = {
+        "a": (
+            "_LIMIT = 3\n"
+            "def _used(x):\n    return x + _LIMIT\n"
+            "def _recursive(x):\n    return _recursive(x - 1)\n"
+            "def _dead():\n    pass\n"
+            "def public():\n    return _used(1)\n"
+        ),
+        "b": "class _Owner:\n    pass\nprint(a._Owner, a._LIMIT)\n",
+    }
+    assert dead_private_names(sources) == [("a", "_recursive"), ("a", "_dead")]
+
+
 TOP_LEVEL = {
     "__version__", "UNREACHABLE", "Graph", "EdgeListParseError", "ConfigError", "InvariantViolation",
     "load_edge_list", "write_edge_list", "degree_moments", "giant_component", "stats_report",

@@ -242,6 +242,12 @@ class TestProtocolDeterminismAndScheduling:
         with pytest.raises(ValueError, match="isolated"):
             run_rwsp(isolated, [0, 3], 3, seed=1)
 
+    def test_non_integral_starts_are_rejected(self):
+        # [0.5, 1.7] used to run from [0, 1].
+        with pytest.raises(ValueError, match="start nodes must be integral, got 0.5"):
+            run_rwsp(triangle(), [0.5, 1.7], 3, seed=1)
+        assert run_rwsp(triangle(), np.array([0.0, 2.0]), 3, seed=1).starts == [0, 2]
+
 
 def test_generous_budget_makes_every_pair_mutually_known():
     g = preferential_attachment(50, 2, seed=9)

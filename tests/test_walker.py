@@ -404,3 +404,16 @@ def test_run_walks_rejects_what_run_walk_rejects():
         run_walks(g, [0, 1], 0, [1, 2])
     with pytest.raises(ValueError, match="2 starts but 1 seeds"):
         run_walks(g, [0, 1], 3, [1])
+
+
+def test_walks_reject_non_integral_starts_and_budgets():
+    # Each was truncated (node 1, budget 3) or failed late with a TypeError.
+    g = Graph(4, [[0, 1], [1, 2], [2, 3]])
+    with pytest.raises(ValueError, match="start nodes must be integral, got 1.5"):
+        run_walk(g, 1.5, 3, 1)
+    with pytest.raises(ValueError, match="start nodes must be integral, got 1.5"):
+        run_walks(g, [0, 1.5], 3, [1, 2])
+    with pytest.raises(ValueError, match="budget must be integral, got 3.5"):
+        run_walks(g, [0, 1], 3.5, [1, 2])
+    trace, _ = run_walk(g, np.int64(1), 3.0, 1)
+    assert type(trace.start) is int and trace.budget == 3
