@@ -61,15 +61,6 @@ class ConfigError(ValueError):
     """Invalid experiment configuration."""
 
 
-def _integral(value, field: str) -> np.ndarray:
-    """``value`` as int64 (:func:`rwtopo.graph._int64s`), a non-integral one
-    being a ConfigError that names ``field``."""
-    try:
-        return _int64s(value, field)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment: h walkers, budget fraction beta, repeated ``runs`` times.
@@ -92,10 +83,13 @@ class ExperimentConfig:
     def __post_init__(self):
         # Counts and node ids are stored as plain ints: metadata.json is
         # asdict(config), and the walk loop steps over plain ints.
-        for field in ("h", "runs", "workers"):
-            object.__setattr__(self, field, int(_integral(getattr(self, field), field)))
-        if self.fixed_starts is not None:
-            object.__setattr__(self, "fixed_starts", tuple(_integral(self.fixed_starts, "fixed_starts").tolist()))
+        try:
+            for field in ("h", "runs", "workers"):
+                object.__setattr__(self, field, int(_int64s(getattr(self, field), field)))
+            if self.fixed_starts is not None:
+                object.__setattr__(self, "fixed_starts", tuple(_int64s(self.fixed_starts, "fixed_starts").tolist()))
+        except ValueError as exc:  # a non-integral value, named by _int64s
+            raise ConfigError(str(exc)) from None
         if self.h < 2:
             raise ConfigError("h must be at least 2")
         if self.h > _START_STREAM:
