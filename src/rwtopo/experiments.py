@@ -38,7 +38,7 @@ from .graph import (
 )
 from .rwsp import ProtocolRun, run_rwsp
 from .rwsp import routing_tree  # noqa: F401  (not called here; rwbench/tracing.py wraps it by name)
-from .walker import WalkTrace, run_walk, run_walks, walker_seed
+from .walker import WalkTrace, _as_seed_tuple, run_walk, run_walks, walker_seed
 
 # Stream tag for start-node sampling; must not collide with walker ids, so h
 # may not exceed it.  Run r's seed is walker_seed(cfg.seed, r): walker i
@@ -82,13 +82,15 @@ class ExperimentConfig:
 
     def __post_init__(self):
         # Counts and node ids are stored as plain ints: metadata.json is
-        # asdict(config), and the walk loop steps over plain ints.
+        # asdict(config), and the walk loop steps over plain ints.  The seed
+        # is only checked: it may exceed int64, or be a sequence.
         try:
+            _as_seed_tuple(self.seed)
             for field in ("h", "runs", "workers"):
                 object.__setattr__(self, field, int(_int64s(getattr(self, field), field)))
             if self.fixed_starts is not None:
                 object.__setattr__(self, "fixed_starts", tuple(_int64s(self.fixed_starts, "fixed_starts").tolist()))
-        except ValueError as exc:  # a non-integral value, named by _int64s
+        except ValueError as exc:  # a bad value, named by _int64s or _as_seed_tuple
             raise ConfigError(str(exc)) from None
         if self.h < 2:
             raise ConfigError("h must be at least 2")
@@ -487,8 +489,10 @@ def _crossing_params(g: Graph, budget: int, c: float = 1.0, delta: int | None = 
     """The inputs of :func:`crossing_rate`'s bound for walks of ``budget``
     steps on ``g``, all checked before any walk runs; ``delta`` defaults to
     ``ceil(n / 100)``."""
-    if delta is None:
-        delta = max(1, math.ceil(g.n / 100))
+    try:
+        delta = max(1, math.ceil(g.n / 100)) if delta is None else int(_int64s(delta, "delta"))
+    except ValueError as exc:  # a non-integral delta, named by _int64s
+        raise ConfigError(str(exc)) from None
     if delta < 1:
         raise ConfigError("delta must be at least 1")
     beta = budget / g.n

@@ -386,6 +386,48 @@ def _kept_arcs(g: Graph, edge_mask: np.ndarray | None = None) -> tuple[np.ndarra
 _TABLE_SHARE = 1 / 8
 
 
+def _pull(indptr: np.ndarray, adj: np.ndarray, fresh: np.ndarray) -> np.ndarray:
+    """The nodes marked in ``fresh`` with an arc into an unmarked node,
+    ascending: one pulled level of :func:`bfs_distances`.
+
+    A candidate stops at its first such arc (Beamer et al.'s bottom-up
+    early exit).  Round k tests the k-th arc of every candidate still open
+    with one gather; a hit joins, and a candidate whose arcs run out leaves.
+    A round that hits fewer than half of the candidates it tested ends the
+    rounds, and the candidates still open are scanned over their untested
+    arcs at once.  Every round before that removes at least half of its
+    candidates, so the rounds test fewer than twice as many arcs as there
+    are candidates, and a pull stays within the candidates' arcs.
+    """
+    candidates = np.flatnonzero(fresh)
+    pos = indptr[candidates]
+    end = indptr[candidates + 1]
+    armed = pos < end  # a candidate with no arc, say masked away, cannot join
+    if not armed.all():
+        candidates, pos, end = candidates[armed], pos[armed], end[armed]
+    joined = np.zeros(candidates.size, dtype=bool)
+    open_ = np.arange(candidates.size)  # the candidates still in the rounds
+    while open_.size:
+        missed = fresh[adj[pos]]
+        joined[open_] = ~missed  # no open candidate has joined yet
+        tested = open_.size
+        misses = int(np.count_nonzero(missed))
+        pos += 1
+        missed &= pos < end
+        stay = np.flatnonzero(missed)
+        open_, pos, end = open_[stay], pos[stay], end[stay]
+        if 2 * misses > tested:  # fewer than half hit
+            break
+    if open_.size:
+        counts = end - pos
+        # reached[k]: arcs among the open candidates' first k that reach an unmarked node
+        reached = np.zeros(int(counts.sum()) + 1, dtype=np.int64)
+        np.cumsum(~fresh[adj[_span_positions(pos, counts, reached.size - 1)]], out=reached[1:])
+        ends = np.cumsum(counts)
+        joined[open_[reached[ends] > reached[ends - counts]]] = True
+    return candidates[joined]
+
+
 def bfs_distances(g: Graph, source: int, edge_mask: np.ndarray | None = None) -> np.ndarray:
     """Breadth-first hop distances from ``source`` (UNREACHABLE where no path exists).
 
@@ -400,16 +442,21 @@ def bfs_distances(g: Graph, source: int, edge_mask: np.ndarray | None = None) ->
     the arcs of every node reached so far.  While the frontier's arcs are at
     most that count the level pushes: it gathers the frontier's neighbors
     and keeps the unreached ones, deduplicated in an n-sized bool table
-    once they number ``_TABLE_SHARE * n`` or more.  Otherwise it pulls:
-    every unreached node with an arc into a reached node joins.  The search
-    ends at a level that reaches nothing, or once no unreached node has an
-    arc left.
+    once they number ``_TABLE_SHARE * n`` or more.  Otherwise it pulls
+    (:func:`_pull`): every unreached node with an arc into a reached node
+    joins, and stops at the first such arc, Beamer et al.'s bottom-up early
+    exit.  The pull tests the unreached nodes' arcs in rounds, the k-th arc
+    of each open node in round k, until a round hits fewer than half of the
+    nodes it tested; it then scans the open nodes' untested arcs at once.
+    A pulled frontier comes out ascending.  The search ends at a level that
+    reaches nothing, or once no unreached node has an arc left.
     """
     # One source would fill one bit of pair_distances' 64-bit words, whose
     # levels pull over every arc of g; this search keeps bool reach tables
     # and pulls over the unreached nodes' arcs alone.  A large pushed
-    # level's frontier is np.flatnonzero of its table, so it comes distinct
-    # and ascending, and the next level reads indptr and adj in order.
+    # level's frontier is np.flatnonzero of its table, and a pulled one is
+    # picked from np.flatnonzero(fresh), so both come distinct and
+    # ascending, and the next level reads indptr and adj in order.
     source = int(_int64s(source, "source"))
     if not 0 <= source < g.n:
         raise ValueError(f"source {source} out of range")
@@ -441,13 +488,7 @@ def bfs_distances(g: Graph, source: int, edge_mask: np.ndarray | None = None) ->
         else:
             # An unreached node's reached neighbors are all on the last
             # level: any earlier one would have reached it already.
-            candidates = np.flatnonzero(fresh)
-            positions, counts = _arc_positions(indptr, candidates)
-            # reached[k]: arcs among the candidates' first k that reach a reached node
-            reached = np.zeros(positions.size + 1, dtype=np.int64)
-            np.cumsum(~fresh[adj[positions]], out=reached[1:])
-            ends = np.cumsum(counts)
-            frontier = candidates[reached[ends] > reached[ends - counts]]
+            frontier = _pull(indptr, adj, fresh)
         level += 1
         fresh[frontier] = False
         dist[frontier] = level

@@ -34,6 +34,7 @@ never changes the steps, and :func:`run_walk` is its one-lane case.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from math import floor
@@ -44,9 +45,18 @@ from .graph import Graph, _int64s, _read_only
 
 
 def _as_seed_tuple(seed) -> tuple[int, ...]:
-    if isinstance(seed, (int, np.integer)):
-        return (int(seed),)
-    return tuple(int(s) for s in seed)
+    """A master seed, a non-negative integer or a sequence of them, as a
+    tuple of plain ints.  Any other entry raises ValueError: a float or a
+    string would otherwise be truncated or split into digits, and a negative
+    entry fails inside numpy.  Entries may exceed int64."""
+    entries = (seed,) if isinstance(seed, (int, np.integer)) else seed
+    try:
+        seeds = tuple(operator.index(s) for s in entries)
+        if min(seeds, default=0) >= 0:
+            return seeds
+    except TypeError:  # not iterable, or an entry that is not an integer
+        pass
+    raise ValueError(f"seed must be a non-negative integer or a sequence of them, got {seed!r}")
 
 
 def walker_seed(seed, walker_id: int) -> tuple[int, ...]:

@@ -53,6 +53,18 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match=rf"^{field} must be integral, got {bad}$"):
             ExperimentConfig(seed=1, **{"h": 2, field: value})
 
+    @pytest.mark.parametrize("seed", [1.5, 1.0, -1, (2, 0.5), (2, -3)], ids=repr)
+    def test_non_integral_or_negative_seeds_are_rejected(self, seed):
+        # 1.5 failed at the first run with a TypeError, -1 inside numpy.
+        with pytest.raises(ConfigError, match="^seed must be a non-negative integer or a sequence of them, got "):
+            ExperimentConfig(seed=seed)
+
+    def test_seeds_beyond_int64_and_seed_sequences_run(self):
+        for seed in (2**70, (3, 2**64)):
+            cfg = ExperimentConfig(seed=seed, h=2, beta=0.5, runs=2)
+            assert cfg.seed == seed
+            assert run_experiment(path_graph(6), cfg).stretch.total_pairs == 4
+
     def test_integral_values_are_stored_as_plain_ints(self):
         cfg = ExperimentConfig(seed=1, h=np.int64(2), runs=3.0, workers=np.int32(2), fixed_starts=np.array([0, 5]))
         assert (cfg.h, cfg.runs, cfg.workers, cfg.fixed_starts) == (2, 3, 2, (0, 5))
@@ -303,6 +315,16 @@ class TestCrossingRate:
         cfg = ExperimentConfig(seed=1, h=2, beta=0.4, runs=5)
         with pytest.raises(ValueError, match=message):
             crossing_rate(star(9), cfg, c=c, delta=delta)
+
+    def test_a_non_integral_delta_is_a_config_error_before_any_walk(self, monkeypatch):
+        # delta=2.5 walked every run, then failed slicing a trace with a TypeError.
+        def no_walks(*args):
+            raise AssertionError("walked before delta was checked")
+
+        monkeypatch.setattr(experiments, "run_walks", no_walks)
+        cfg = ExperimentConfig(seed=1, h=2, beta=0.4, runs=5)
+        with pytest.raises(ConfigError, match=r"^delta must be integral, got 2.5$"):
+            crossing_rate(star(9), cfg, delta=2.5)
 
     def test_calibrated_bound_dominates_measured_rate(self):
         # calibrate c from the measured conditional hit rate, then the

@@ -2,13 +2,14 @@
 
 ``load_edge_list`` parses plain ASCII edge lists in one vectorized pass and
 falls back to a per-line parse for anything else; ``Graph`` deduplicates and
-orders arcs by sorting; ``bfs_distances`` pulls into the unreached nodes
-once the frontier outweighs them, and ``component_labels`` hooks roots
-instead of flooding.  The oracles below are the earlier implementations,
-kept verbatim: a per-line parser with a dict remap, a constructor built on
-``np.unique`` and ``np.lexsort``, and a flood that only pushes, run from
-each unlabelled node in id order to label components.  Every array of the
-result must match them, and every malformed input must raise the same error.
+orders arcs by sorting; ``bfs_distances`` pulls into the unreached nodes,
+one arc of each per round, once the frontier outweighs them, and
+``component_labels`` hooks roots instead of flooding.  The oracles below
+are the earlier implementations, kept verbatim: a per-line parser with a
+dict remap, a constructor built on ``np.unique`` and ``np.lexsort``, and a
+flood that only pushes, run from each unlabelled node in id order to label
+components.  Every array of the result must match them, and every
+malformed input must raise the same error.
 """
 
 import tracemalloc
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 
 import rwtopo.graph
 from rwtopo import (
+    UNREACHABLE,
     EdgeListParseError,
     Graph,
     PowerLawParams,
@@ -32,7 +34,15 @@ from rwtopo import (
     power_law_degrees,
     preferential_attachment,
 )
-from rwtopo.graph import _arc_positions, _distinct, _kept_arcs, bfs_distances, component_labels
+from rwtopo.graph import (
+    _arc_positions,
+    _distinct,
+    _kept_arcs,
+    _pull,
+    _span_positions,
+    bfs_distances,
+    component_labels,
+)
 
 
 def reference_graph(n, edges, original_ids=None):
@@ -313,11 +323,26 @@ def reference_components(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     return labels, np.bincount(labels)
 
 
-def pulls(search) -> int:
-    """Levels that ``search()`` pulled: the pull step alone calls graph._arc_positions."""
-    with mock.patch.object(rwtopo.graph, "_arc_positions", wraps=_arc_positions) as spy:
+def pull_scans(search) -> list[int]:
+    """One entry per level that ``search()`` pulled (one graph._pull call
+    each): the span scans it ran after its rounds, since graph._pull calls
+    _span_positions only for that scan."""
+    scans = []
+
+    def counted_pull(*args):
+        with mock.patch.object(rwtopo.graph, "_span_positions", wraps=_span_positions) as spy:
+            frontier = _pull(*args)
+        scans.append(spy.call_count)
+        return frontier
+
+    with mock.patch.object(rwtopo.graph, "_pull", counted_pull):
         search()
-    return spy.call_count
+    return scans
+
+
+def pulls(search) -> int:
+    """Levels that ``search()`` pulled."""
+    return len(pull_scans(search))
 
 
 def star_with_isolated(leaves: int, isolated: int, seed: int) -> Graph:
@@ -424,3 +449,53 @@ def test_a_star_searched_from_a_leaf_pulls_once_at_level_2():
     assert pulls(lambda: bfs_distances(g, 1)) == 1  # level 1 pushes to the hub; level 2 pulls the 7 other leaves
     assert bfs_distances(g, 1).tolist() == [1, 0, 2, 2, 2, 2, 2, 2, 2]
     assert pulls(lambda: bfs_distances(g, 0)) == 0  # from the hub, level 1 labels every arc
+
+
+def test_a_masked_pull_skips_candidates_with_no_kept_arcs():
+    # Leaves 5 and 9 keep no arc; 9 is the last node, so reading its first
+    # arc would run off adj, and reading 5's would read 6's arc to the hub.
+    g = Graph(10, [[0, i] for i in range(1, 10)])
+    mask = ~np.isin(g.edges[:, 1], [5, 9])
+    assert pulls(lambda: bfs_distances(g, 1, mask)) == 1
+    dist = bfs_distances(g, 1, mask)
+    assert np.array_equal(dist, reference_bfs(g, 1, mask))
+    assert dist[[5, 9]].tolist() == [UNREACHABLE, UNREACHABLE]
+
+
+def ladder_behind_a_low_node(k: int) -> Graph:
+    """Hub 2k+1 joined to a clique on the middle nodes k+1..2k; middle node
+    k+i joined to candidate i, and node 0 joined to every candidate 1..k.
+    Each candidate's first arc goes to node 0, which is reached last."""
+    middle = np.arange(k + 1, 2 * k + 1)
+    clique = [[a, b] for a in middle for b in middle if a < b]
+    spokes = [[2 * k + 1, v] for v in middle]
+    rungs = [[i, k + i] for i in range(1, k + 1)]
+    low = [[0, i] for i in range(1, k + 1)]
+    return Graph(2 * k + 2, clique + spokes + rungs + low)
+
+
+def test_a_pull_whose_first_round_mostly_misses_scans_the_rest():
+    g = ladder_behind_a_low_node(10)
+    source = g.n - 1
+    # The first pull (level 2) tests every candidate's arc to node 0, still
+    # unreached, in round 0 and hits none, so the span scan finds the rungs;
+    # the second (level 3) pulls node 0 in round 0.
+    assert pull_scans(lambda: bfs_distances(g, source)) == [1, 0]
+    dist = bfs_distances(g, source)
+    assert np.array_equal(dist, reference_bfs(g, source))
+    assert dist[0] == 3 and set(dist[1:11].tolist()) == {2}
+
+
+def test_a_candidate_that_runs_out_of_arcs_in_the_rounds_joins_a_later_level():
+    # Source 0 joined to 1..10, each joined to all of 11..30; node 31 hangs
+    # off 11 through 32 and 33.  The level-2 pull hits 11..30 on their arc
+    # to node 1 in round 0; 31, 32 and 33 miss in rounds 0 and 1 and run out
+    # of arcs.  The level-3 pull takes 32 and 33 in round 0, and 31 runs out
+    # in round 1 again; the level-4 pull takes it.  No span scan runs.
+    spokes = [[0, a] for a in range(1, 11)]
+    bipartite = [[a, b] for a in range(1, 11) for b in range(11, 31)]
+    g = Graph(34, spokes + bipartite + [[31, 32], [31, 33], [11, 32], [11, 33]])
+    assert pull_scans(lambda: bfs_distances(g, 0)) == [0, 0, 0]
+    dist = bfs_distances(g, 0)
+    assert np.array_equal(dist, reference_bfs(g, 0))
+    assert dist[31:].tolist() == [4, 3, 3]

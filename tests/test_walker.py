@@ -347,6 +347,23 @@ def test_walker_seed_streams_are_stable_and_distinct():
     assert (a.steps != b.steps).any()
 
 
+@pytest.mark.parametrize("seed", [(1.5, 2), 1.5, 2.0, -1, (3, -2), "12", None], ids=repr)
+def test_seeds_with_a_non_integral_or_negative_entry_are_rejected(seed):
+    # (1.5, 2) walked as (1, 2), "12" as (1, 2), and -1 failed inside numpy.
+    with pytest.raises(ValueError, match="^seed must be a non-negative integer or a sequence of them, got "):
+        walker_seed(seed, 0)
+    with pytest.raises(ValueError, match="^seed must be a non-negative integer"):
+        run_walk(cycle(5), 0, 10, seed)
+
+
+def test_seeds_beyond_int64_are_kept_whole():
+    assert walker_seed(2**70, 3) == (2**70, 3)
+    assert walker_seed((np.int64(4), 2**64), 0) == (4, 2**64, 0)
+    a, _ = run_walk(cycle(20), 0, 50, seed=walker_seed(2**70, 0))
+    b, _ = run_walk(cycle(20), 0, 50, seed=walker_seed(2**70 + 1, 0))
+    assert (a.steps != b.steps).any()
+
+
 @st.composite
 def lockstep_cases(draw):
     """A graph with degree-1 nodes, k lanes from repeatable non-isolated
