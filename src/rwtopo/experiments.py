@@ -412,8 +412,8 @@ def run_experiment(g: Graph, cfg: ExperimentConfig) -> ExperimentResult:
     (seed, run index) and merge commutatively.  Runs are scored in blocks
     (:func:`_block_size`), whose discovered routes come from one
     :func:`pair_distances` search (see :func:`_block_records`).
-    ``workers > 1`` runs the blocks in a process pool of at most ``workers``
-    processes, one per CPU this process may use and one per block.
+    The blocks run in a process pool of at most ``workers`` processes, one
+    per CPU this process may use and one per block, if that is at least two.
     """
     t0 = time.perf_counter()
     members = _start_pool(g, cfg)
@@ -423,10 +423,9 @@ def run_experiment(g: Graph, cfg: ExperimentConfig) -> ExperimentResult:
     workers = min(cfg.workers, _usable_cpus())
     size = _block_size(cfg.h, budget, cfg.runs, workers)
     blocks = [range(lo, min(lo + size, cfg.runs)) for lo in range(0, cfg.runs, size)]
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(
-            max_workers=min(workers, len(blocks)), initializer=_pool_init, initargs=(g, cfg, budget, members)
-        ) as pool:
+    workers = min(workers, len(blocks))
+    if workers > 1:
+        with ProcessPoolExecutor(workers, initializer=_pool_init, initargs=(g, cfg, budget, members)) as pool:
             per_block = list(pool.map(_pool_block, blocks))
     else:
         per_block = [_block_records(g, cfg, budget, members, runs) for runs in blocks]

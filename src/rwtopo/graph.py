@@ -118,11 +118,19 @@ class Graph:
     def degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
 
+    def _node(self, v) -> int:
+        """``v`` as an int; ValueError unless it is an integer in ``0..n-1``."""
+        if not isinstance(v, (int, np.integer)) or not 0 <= v < self.n:
+            raise ValueError(f"node id must be an integer in 0..{self.n - 1}, got {v!r}")
+        return int(v)
+
     def degree(self, v: int) -> int:
+        v = self._node(v)
         return int(self.indptr[v + 1] - self.indptr[v])
 
     def neighbors(self, v: int) -> np.ndarray:
         """Neighbor ids of ``v``, sorted ascending."""
+        v = self._node(v)
         return self.adj[self.indptr[v] : self.indptr[v + 1]]
 
     def arcs(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -135,6 +143,7 @@ class Graph:
         return _arc_positions(self.indptr, nodes)
 
     def has_edge(self, u: int, v: int) -> bool:
+        v = self._node(v)
         nbrs = self.neighbors(u)
         i = int(np.searchsorted(nbrs, v))
         return i < nbrs.size and nbrs[i] == v
@@ -355,23 +364,26 @@ def _distinct(values: np.ndarray, slot: np.ndarray) -> np.ndarray:
     return values[slot[values] == position]
 
 
+def _bool_mask(mask, size: int, what: str) -> np.ndarray:
+    """``mask`` as an array; ValueError unless it is a bool array of shape
+    ``(size,)``, since an integer array would gather instead of marking."""
+    mask = np.asarray(mask)
+    if mask.dtype != bool or mask.shape != (size,):
+        raise ValueError(f"{what} must be a bool array of shape ({size},), got {mask.dtype} of shape {mask.shape}")
+    return mask
+
+
 def _kept_arcs(g: Graph, edge_mask: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(indptr, adj) of the arcs of ``g`` whose edge has a true ``edge_mask``
     entry, under ``g``'s own node ids; ``g``'s own CSR without a mask.
 
     A masked call keeps the arcs in place, so each node's kept neighbors
-    stay sorted; it costs O(n + m) whatever the mask holds.  A mask that is
-    not a bool array of shape ``(m,)`` raises ValueError: an integer array
-    would index edges instead of marking them.
+    stay sorted; it costs O(n + m) whatever the mask holds.  Any other mask
+    than a bool array of shape ``(m,)`` raises ValueError.
     """
     if edge_mask is None:
         return g.indptr, g.adj
-    edge_mask = np.asarray(edge_mask)
-    if edge_mask.dtype != bool or edge_mask.shape != (g.m,):
-        raise ValueError(
-            f"edge_mask must be a bool array of shape ({g.m},), got {edge_mask.dtype} of shape {edge_mask.shape}"
-        )
-    keep = edge_mask[g.adj_edge_ids]
+    keep = _bool_mask(edge_mask, g.m, "edge_mask")[g.adj_edge_ids]
     kept_before = np.zeros(keep.size + 1, dtype=np.int64)
     np.cumsum(keep, out=kept_before[1:])
     return kept_before[g.indptr], g.adj[keep]

@@ -52,8 +52,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graph import Graph, _components, _distinct, _int64s, bfs_distances
-from .walker import WalkTrace, _covered_edge_mask, _read_only, run_walks, walker_seed
+from .graph import Graph, _components, _int64s, _read_only, bfs_distances
+from .walker import WalkTrace, _covered_edge_mask, run_walks, walker_seed
 
 # Meeting key of a pair that never met.
 _NEVER = np.iinfo(np.int64).max
@@ -86,12 +86,12 @@ class WalkerState:
 class UnionSubgraph:
     """The merged discovered topology G* of one meeting-connected group.
 
-    Only the group's walk traces are stored, and every member of the group
-    holds this same object.  A walker reads the whole neighbor list of each
-    node it visits, so G* is the group's visited ``nodes`` and every edge
-    incident to one of them, the union of the walks' covered edges.
-    ``nodes`` is derived from the steps on first use and cached, like
-    :attr:`WalkTrace.first_visits`; scoring's pair-distance search reads it
+    A union is the group's ``members`` (walker ids, ascending) and the
+    ``nodes`` their walks visited (ascending, read-only), both read off the
+    run's first-visit table, and every member holds this same object.  A
+    walker reads the whole neighbor list of each node it visits, so G* is
+    ``nodes`` and every edge incident to one of them, the union of the
+    walks' covered edges.  Scoring's pair-distance search reads ``nodes``
     as the group's visited set.  ``edge_mask``, the dense mask that
     :func:`routing_tree` reads, is built from ``nodes`` on each access by
     the rule of :attr:`WalkTrace.covered_edges`, so a union keeps nothing
@@ -101,17 +101,9 @@ class UnionSubgraph:
     neighbor list.
     """
 
-    traces: tuple[WalkTrace, ...]
-
-    @property
-    def graph(self) -> Graph:
-        return self.traces[0].graph
-
-    @cached_property
-    def nodes(self) -> np.ndarray:
-        """Node ids some walk of the group visited, ascending."""
-        steps = np.concatenate([tr.steps for tr in self.traces])
-        return _read_only(np.sort(_distinct(steps, np.empty(self.graph.n, dtype=np.int64))))[0]
+    graph: Graph
+    members: tuple[int, ...]
+    nodes: np.ndarray
 
     @property
     def edge_mask(self) -> np.ndarray:
@@ -132,30 +124,32 @@ class _FirstVisits:
 
     One entry per (node, walker) a walk visited, sorted by ``node * h +
     walker`` (``codes``), so a node's visitors are consecutive and in walker
-    order.  ``key`` is the entry's replay order ``round * h + walker`` and
-    ``depth`` (computed on first use) its breadcrumb hops back to the
-    walker's start.
+    order.  ``rnd`` and ``key`` are the entry's first-visit round and replay
+    order ``rnd * h + walker``, and ``depth`` (computed on first use) its
+    breadcrumb hops back to the walker's start.
     """
 
     def __init__(self, steps: np.ndarray):
         h, budget = steps.shape
-        self.h = h
-        self.codes, first, entry = np.unique(
-            steps * h + np.arange(h)[:, None], return_index=True, return_inverse=True
-        )
+        self.h, self.steps = h, steps
+        self.codes, first = np.unique(steps * h + np.arange(h)[:, None], return_index=True)
         self.node, self.walker = np.divmod(self.codes, h)
-        rnd = first - self.walker * budget
-        self.key = rnd * h + self.walker
-        # Each entry's breadcrumb: the entry of the step before its first visit.
-        self._moved = rnd > 0
-        self._parent = np.arange(self.codes.size)
-        self._parent[self._moved] = entry.reshape(-1)[first[self._moved] - 1]
+        self.rnd = first - self.walker * budget
+        self.key = self.rnd * h + self.walker
+
+    def _find(self, w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(pos, hit): where entry (``v[k]``, ``w[k]``) is, and whether it is."""
+        code = v * self.h + w
+        pos = np.minimum(np.searchsorted(self.codes, code), self.codes.size - 1)
+        return pos, self.codes[pos] == code
 
     @cached_property
     def depth(self) -> np.ndarray:
-        # Pointer jumping: after k rounds every entry points 2**k breadcrumbs
-        # back (or at its start) and holds the hops it has skipped.
-        parent, depth = self._parent, self._moved.astype(np.int64)
+        # Each entry's breadcrumb is the entry of the step before its first
+        # visit (a start's is its own).  Pointer jumping: after k rounds every
+        # entry points 2**k back (or at its start) and holds the hops skipped.
+        parent = self._find(self.walker, self.steps[self.walker, np.maximum(self.rnd - 1, 0)])[0]
+        depth = (self.rnd > 0).astype(np.int64)
         while True:
             hop = parent[parent]
             if np.array_equal(hop, parent):
@@ -166,9 +160,7 @@ class _FirstVisits:
     def lookup(self, w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(visited, depth): whether walker ``w[k]`` visited node ``v[k]``,
         and its breadcrumb depth there for the visited ones."""
-        code = v * self.h + w
-        pos = np.minimum(np.searchsorted(self.codes, code), self.codes.size - 1)
-        hit = self.codes[pos] == code
+        pos, hit = self._find(w, v)
         return hit, self.depth[pos[hit]]
 
     def first_meetings(self) -> np.ndarray:
@@ -270,13 +262,17 @@ class ProtocolRun:
 
         Walkers whose walks share a node meet, so a group is a component of
         the links between consecutive visitors of a node in the first-visit
-        table; its traces are in walker order.
+        table, and its nodes are the distinct nodes of its members' entries.
         """
-        v = self._visits
+        v, n = self._visits, self.graph.n
         link = np.flatnonzero(v.node[1:] == v.node[:-1])
         labels, sizes = _components(self.h, v.walker[link], v.walker[link + 1])
         members = np.split(np.argsort(labels, kind="stable"), np.cumsum(sizes)[:-1])
-        unions = [UnionSubgraph(tuple(self._traces[i] for i in group)) for group in members]
+        # Within a group the codes already ascend, which a stable sort exploits.
+        code = np.sort(labels[v.walker] * n + v.node, kind="stable")
+        group, node = np.divmod(code[np.r_[True, code[1:] != code[:-1]]], n)
+        nodes = np.split(_read_only(node)[0], np.cumsum(np.bincount(group))[:-1])
+        unions = [UnionSubgraph(self.graph, tuple(m.tolist()), x) for m, x in zip(members, nodes)]
         return [unions[label] for label in labels.tolist()]
 
     @cached_property
@@ -337,7 +333,7 @@ class ProtocolRun:
         for i, v in zip(own.tolist() + tj.tolist(), contact.tolist() + via.tolist()):
             contacts[i].add(v)  # tj[k] receives ti[k]'s subgraph at via[k]
         states = [  # known peers: the rest of the walker's group
-            WalkerState(frozenset(tr.walker_id for tr in u.traces) - {i}, frozenset(contacts[i]), self._traces[i])
+            WalkerState(frozenset(u.members) - {i}, frozenset(contacts[i]), self._traces[i])
             for i, u in enumerate(self.unions)
         ]
         return _Accounting(

@@ -41,7 +41,7 @@ from math import floor
 
 import numpy as np
 
-from .graph import Graph, _int64s, _read_only
+from .graph import Graph, _bool_mask, _int64s, _read_only
 
 
 def _as_seed_tuple(seed) -> tuple[int, ...]:
@@ -65,6 +65,8 @@ def walker_seed(seed, walker_id: int) -> tuple[int, ...]:
     The derivation depends only on (master seed, walker id), so walks produce
     identical traces whether they are run serially or in parallel.
     """
+    if not isinstance(walker_id, (int, np.integer)) or walker_id < 0:
+        raise ValueError(f"walker id must be a non-negative integer, got {walker_id!r}")
     return _as_seed_tuple(seed) + (int(walker_id),)
 
 
@@ -318,9 +320,10 @@ def crossing_time(trace_j: WalkTrace, visited_i: np.ndarray):
     """First (1-based) step at which ``trace_j`` enters ``visited_i``.
 
     ``visited_i`` is a node membership mask, e.g. another walker's final
-    visited set.  Returns None when the walk never enters the set.
+    visited set.  Returns None when the walk never enters the set.  Any other
+    mask than a bool array of shape ``(n,)`` raises ValueError.
     """
-    hits = visited_i[trace_j.steps]
+    hits = _bool_mask(visited_i, trace_j.graph.n, "visited_i")[trace_j.steps]
     if not hits.any():
         return None
     return int(np.argmax(hits)) + 1

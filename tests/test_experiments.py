@@ -182,10 +182,10 @@ class TestRunExperiment:
     @pytest.mark.parametrize(
         "workers, runs, cpus, pool",
         [
-            (5000, 1, 64, 1),
+            (5000, 1, 64, None),
             (5000, 20, 64, 20),
             (5000, 100, 2, 2),
-            (5000, 100, 1, 1),
+            (5000, 100, 1, None),
             (4, 100, 64, 4),
             (3, 9, 64, 3),
             (2, 4, 64, 2),
@@ -538,6 +538,8 @@ def test_scoring_builds_no_protocol_accounting(monkeypatch):
     run = run_rwsp(g, starts, 60, seed=(3, 16))
     true, discovered = score_pairs(g, run)
     assert ((discovered != UNREACHABLE) & ~np.eye(16, dtype=bool)).any()
+    # Nor does it find breadcrumbs or build the walkers' traces.
+    assert "depth" not in vars(run._visits) and "_traces" not in vars(run)
     result = run_experiment(g, ExperimentConfig(seed=5, h=4, beta=0.02, runs=3))
     assert result.stretch.total_pairs == 3 * 4 * 3
     with pytest.raises(AssertionError, match="first_meetings called"):

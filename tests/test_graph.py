@@ -20,7 +20,7 @@ from rwtopo import (
 )
 from rwtopo import graph as graph_module
 from rwtopo.graph import DegreeMoments, bfs_distances, component_labels
-from helpers import degree_multiset, star, triangle, two_triangles
+from helpers import degree_multiset, path_graph, star, triangle, two_triangles
 
 
 class TestLoadEdgeList:
@@ -113,6 +113,20 @@ class TestGraphStructure:
         g = triangle()
         assert g.has_edge(0, 1) and g.has_edge(1, 0)
         assert not g.has_edge(0, 0)
+
+    @pytest.mark.parametrize("v", [-1, 4, 1.5, np.float64(2.0), "1", None], ids=repr)
+    @pytest.mark.parametrize(
+        "query",
+        [Graph.degree, Graph.neighbors, lambda g, v: g.has_edge(v, 0), lambda g, v: g.has_edge(0, v)],
+        ids=["degree", "neighbors", "has_edge(v, 0)", "has_edge(0, v)"],
+    )
+    def test_node_ids_outside_the_graph_or_not_integral_are_rejected(self, query, v):
+        # On this path degree(-1) read -6, neighbors(-1) [] and has_edge(-1, 0)
+        # False; degree(4) and degree(1.5) raised IndexError.
+        g = path_graph(4)
+        with pytest.raises(ValueError, match="^node id must be an integer in 0..3, got "):
+            query(g, v)
+        assert g.degree(np.int64(3)) == 1 and g.has_edge(np.int32(2), 3)
 
     def test_edge_ids_partition_incident_sets(self):
         g = star(4)

@@ -265,7 +265,8 @@ def test_generous_budget_makes_every_pair_mutually_known():
 def test_retained_state_scales_with_the_walks_not_the_graph():
     # 32 adjacent start pairs on a 160k-node grid: a few short walks, mostly
     # in groups of one or two.  Each group's union is one object shared by
-    # its members and holds only their traces, never n- or m-sized masks.
+    # its members and holds only their ids and visited nodes, never n- or
+    # m-sized masks.
     g = grid_2d(400, 400)
     left = 2 * np.random.default_rng(66).choice(g.n // 2, size=32, replace=False)
     starts = np.stack([left, left + 1], axis=1).ravel().tolist()
@@ -273,10 +274,8 @@ def test_retained_state_scales_with_the_walks_not_the_graph():
     tracemalloc.start()
     try:
         run = run_rwsp(g, starts, 10, seed=67)
-        for union in run.unions:
-            union.nodes  # cached on the union, so retained too
-        # The cached accounting and its first-visit table are retained too.
-        run.states, run.meetings, run.direct_peers, run.pair_advertise_hops, run.pair_transfer_hops
+        # The unions, the cached accounting and its first-visit table.
+        run.unions, run.states, run.meetings, run.direct_peers, run.pair_advertise_hops, run.pair_transfer_hops
         retained = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -455,7 +454,10 @@ def loop_protocol(g: Graph, starts, budget: int, seed) -> types.SimpleNamespace:
     groups: dict[int, list[int]] = {}
     for i, label in enumerate(labels):
         groups.setdefault(label, []).append(i)
-    unions = {label: UnionSubgraph(tuple(traces[i] for i in members)) for label, members in groups.items()}
+    unions = {
+        label: UnionSubgraph(g, tuple(members), np.unique(np.concatenate([traces[i].steps for i in members])))
+        for label, members in groups.items()
+    }
     states = [
         WalkerState(known_peers=frozenset(groups[labels[i]]) - {i}, contact_points=frozenset(contacts[i]), trace=traces[i])
         for i in range(h)
@@ -488,11 +490,12 @@ def assert_same_protocol_run(run: ProtocolRun, ref: ProtocolRun) -> None:
         )
         assert trace.steps.dtype == other.steps.dtype and np.array_equal(trace.steps, other.steps)
     for union, expected in zip(run.unions, ref.unions, strict=True):
-        assert [tr.walker_id for tr in union.traces] == [tr.walker_id for tr in expected.traces]
-        assert all(tr is run.states[tr.walker_id].trace for tr in union.traces)
-        # G* from the group's steps equals the OR of its members' own views.
-        visited = np.any([tr.visited for tr in union.traces], axis=0)
-        covered = np.any([tr.covered_edges for tr in union.traces], axis=0)
+        assert union.graph is expected.graph and union.members == expected.members
+        assert union.nodes.dtype == expected.nodes.dtype and np.array_equal(union.nodes, expected.nodes)
+        # G* from the run's table equals the OR of its members' own views.
+        traces = [run.states[i].trace for i in union.members]
+        visited = np.any([tr.visited for tr in traces], axis=0)
+        covered = np.any([tr.covered_edges for tr in traces], axis=0)
         assert np.array_equal(union.nodes, np.flatnonzero(visited))
         assert np.array_equal(union.edge_mask, covered)
 

@@ -263,6 +263,20 @@ class TestCrossingTime:
         assert visited[tj.steps[t - 1]]
         assert not visited[tj.steps[: t - 1]].any()
 
+    @pytest.mark.parametrize(
+        "mask", [np.arange(50), np.array([3, 7]), np.ones(50, dtype=np.int8), np.ones(49, dtype=bool)],
+        ids=["all node ids", "two node ids", "int8 ones", "short bool"],
+    )
+    def test_a_mask_that_is_not_bool_of_shape_n_is_rejected(self, mask):
+        # Any int array was gathered from: all 50 node ids gave crossing
+        # time 4 (the first step off node 0), where every node's mask gives
+        # 1, and [3, 7] raised IndexError.
+        g = preferential_attachment(50, 2, seed=1)
+        tj, _ = run_walk(g, 0, 20, seed=3)
+        with pytest.raises(ValueError, match=r"^visited_i must be a bool array of shape \(50,\), got "):
+            crossing_time(tj, mask)
+        assert crossing_time(tj, np.ones(50, dtype=bool)) == 1
+
 
 def reference_walk(adjacency: list[list[int]], start: int, budget: int, seed) -> list[int]:
     """Independent walk over sorted neighbor lists, drawing run_walk's uniforms."""
@@ -356,8 +370,16 @@ def test_seeds_with_a_non_integral_or_negative_entry_are_rejected(seed):
         run_walk(cycle(5), 0, 10, seed)
 
 
+@pytest.mark.parametrize("walker_id", [1.5, "3", -2, np.float64(1.0), None], ids=repr)
+def test_walker_ids_that_are_non_integral_or_negative_are_rejected(walker_id):
+    # 1.5 derived (1, 1), "3" derived (1, 3), and -2 failed inside numpy.
+    with pytest.raises(ValueError, match="^walker id must be a non-negative integer, got "):
+        walker_seed(1, walker_id)
+
+
 def test_seeds_beyond_int64_are_kept_whole():
     assert walker_seed(2**70, 3) == (2**70, 3)
+    assert walker_seed(1, 2**70) == (1, 2**70) and walker_seed(1, np.int32(4)) == (1, 4)
     assert walker_seed((np.int64(4), 2**64), 0) == (4, 2**64, 0)
     a, _ = run_walk(cycle(20), 0, 50, seed=walker_seed(2**70, 0))
     b, _ = run_walk(cycle(20), 0, 50, seed=walker_seed(2**70 + 1, 0))
