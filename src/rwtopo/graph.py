@@ -2,9 +2,10 @@
 
 Node ids are dense integers ``0..n-1`` and every undirected edge carries a
 stable id ``0..m-1``, so visited-node sets and covered-edge sets can be flat
-boolean arrays.  Graphs are immutable after construction, apart from their
-component labelling, which is filled in on first use; they are safe to
-share across threads or worker processes.
+boolean arrays.  Graphs are immutable after construction, apart from two
+derived tables, the component labels and the degree-oriented arc table,
+filled in on first use; they are safe to share across threads or worker
+processes.
 """
 
 from __future__ import annotations
@@ -84,11 +85,12 @@ class Graph:
         External labels for nodes, kept for reporting when the graph was
         remapped from an arbitrary id space; ``0..n-1`` when not given.
 
-    The connected components are labelled on first use and kept with the
-    graph (see :func:`component_labels`).
+    The connected components and the degree-oriented arc table are built on
+    first use and kept with the graph (see :func:`component_labels` and
+    :func:`oriented_arcs`).
     """
 
-    __slots__ = ("n", "m", "edges", "indptr", "adj", "adj_edge_ids", "original_ids", "_components")
+    __slots__ = ("n", "m", "edges", "indptr", "adj", "adj_edge_ids", "original_ids", "_components", "_oriented")
 
     def __init__(self, n: int, edges, original_ids=None):
         self.n = int(_int64s(n, "n"))
@@ -99,7 +101,7 @@ class Graph:
         self.original_ids = np.arange(self.n) if original_ids is None else _int64s(original_ids, "original_ids")
         if self.original_ids.shape != (self.n,):
             raise ValueError("original_ids must have one entry per node")
-        self._components = None
+        self._components = self._oriented = None
 
         deg = np.bincount(self.edges.ravel(), minlength=self.n)
         indptr = np.zeros(self.n + 1, dtype=np.int64)
@@ -383,7 +385,13 @@ def _kept_arcs(g: Graph, edge_mask: np.ndarray | None = None) -> tuple[np.ndarra
     """
     if edge_mask is None:
         return g.indptr, g.adj
-    keep = _bool_mask(edge_mask, g.m, "edge_mask")[g.adj_edge_ids]
+    return _arc_subset(g, _bool_mask(edge_mask, g.m, "edge_mask")[g.adj_edge_ids])
+
+
+def _arc_subset(g: Graph, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(indptr, adj) of the arcs of ``g`` with a true entry in ``keep``, a
+    bool per arc: one prefix sum, no sort, so every row keeps its arcs in
+    adjacency order."""
     kept_before = np.zeros(keep.size + 1, dtype=np.int64)
     np.cumsum(keep, out=kept_before[1:])
     return kept_before[g.indptr], g.adj[keep]
@@ -680,6 +688,26 @@ def component_labels(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     if g._components is None:  # threads that label at once store equal pairs
         g._components = _read_only(*_components(g.n, g.edges[:, 0], g.edges[:, 1]))
     return g._components
+
+
+def oriented_arcs(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Every edge of ``g`` once, as a read-only CSR pair (indptr, adj).
+
+    Edge {u, v} is kept as the arc leaving whichever end comes first in
+    (degree, id) order, the pairs compared entry by entry, and the arcs keep
+    their place in ``g.adj`` (:func:`_arc_subset`).  So ``adj`` holds m
+    entries, each row ascends, and a row of length k has k heads of degree
+    at least k: no row is longer than sqrt(2m) (Chiba & Nishizeki,
+    "Arboricity and subgraph listing algorithms", SIAM J. Comput. 1985).
+    The table is built on the first call only and kept on the graph.
+    """
+    if g._oriented is None:  # threads that build at once store equal pairs
+        deg = g.degrees
+        tail = np.repeat(np.arange(g.n), deg)
+        tail_deg, head_deg = deg[tail], deg[g.adj]
+        keep = (tail_deg < head_deg) | ((tail_deg == head_deg) & (tail < g.adj))
+        g._oriented = _read_only(*_arc_subset(g, keep))
+    return g._oriented
 
 
 def giant_members(g: Graph) -> np.ndarray:

@@ -20,10 +20,12 @@ just the start node.
 A trace caches two budget-sized tables, the first-visit table and the
 per-step covered-edge counts, and builds every other view on access.  The
 edge counts sort nothing: a transient node-indexed table takes each node's
-first visit with ``np.minimum.at``, each covered edge is counted once, on
-the arc that leaves whichever endpoint was visited first, and one running
-sum over those arcs, in first-visit order, gives the count after each
-first visit.  The visited mask is written straight from the steps.
+first visit with ``np.minimum.at``.  A first visit adds the node's
+degree, and an edge between two visited nodes, counted at both ends, is
+taken off at the later one; the graph's degree-oriented arc table
+(:func:`rwtopo.graph.oriented_arcs`) yields each such edge once, in a few
+arcs a node even at the hubs.  One ``bincount`` and one ``cumsum`` give
+the count after every step.  The visited mask is written from the steps.
 
 :func:`run_walks` is the one walk kernel: it draws each lane's moves from
 that lane's own seed and picks its stepping from the lane count, a loop over
@@ -41,7 +43,7 @@ from math import floor
 
 import numpy as np
 
-from .graph import Graph, _bool_mask, _int64s, _read_only
+from .graph import Graph, _arc_positions, _bool_mask, _int64s, _read_only, oriented_arcs
 
 
 def _as_seed_tuple(seed) -> tuple[int, ...]:
@@ -96,7 +98,9 @@ class WalkTrace:
     the covered-edge and visited-node counts after step ``t``, which is what
     coverage-curve measurements read.  ``edge_count_per_step`` needs one
     transient node-indexed first-visit table, filled by ``np.minimum.at``,
-    and no sort; ``covered_edge_count`` is its last entry.  ``visited`` is
+    and no sort: it sums the degrees of the first-visited nodes and takes
+    off each edge between two of them once, found in the graph's oriented
+    arc table.  ``covered_edge_count`` is its last entry.  ``visited`` is
     written from ``steps`` directly, and only ``first_visits`` sorts.
     """
 
@@ -124,24 +128,25 @@ class WalkTrace:
 
     @cached_property
     def edge_count_per_step(self) -> np.ndarray:
-        budget = self.budget
+        g, budget = self.graph, self.budget
         t = np.arange(budget)
         # Each node's first visit, ``budget`` for nodes never visited, and
         # the steps that are first visits, ascending.
-        at = np.full(self.graph.n, budget, dtype=np.int64)
+        at = np.full(g.n, budget, dtype=np.int64)
         np.minimum.at(at, self.steps, t)
         first = np.flatnonzero(at[self.steps] == t)
-        arc_idx, counts = self.graph.arcs(self.steps[first])
-        # An edge is first covered at the earlier first visit of its two
-        # endpoints, so exactly one of its arcs counts: the one leaving that
-        # endpoint.  Unvisited far ends read as visited after the last step.
-        later = at[self.graph.adj[arc_idx]] > np.repeat(first, counts)
-        # The arcs come grouped by node in first-visit order, so the running
-        # sum at a node's last arc is the count after its first visit, which
-        # holds until the next first visit.  A walk visits no isolated node,
-        # so every group has a last arc.
-        covered = np.cumsum(later)[np.cumsum(counts) - 1]
-        return _read_only(np.repeat(covered, np.diff(first, append=budget)))[0]
+        nodes = self.steps[first]
+        # A first visit covers the node's degree in edges.  An edge between
+        # two visited nodes is in both ends' degrees, and the oriented table
+        # holds it once, at one of them: it is taken off at the later first
+        # visit.  An edge to an unvisited node lands in the spare last bin.
+        indptr, adj = oriented_arcs(g)
+        arc_idx, counts = _arc_positions(indptr, nodes)
+        later = np.maximum(at[adj[arc_idx]], np.repeat(first, counts))
+        gain = np.zeros(budget + 1, dtype=np.int64)
+        gain[first] = g.indptr[nodes + 1] - g.indptr[nodes]
+        gain -= np.bincount(later, minlength=budget + 1)
+        return _read_only(np.cumsum(gain[:budget]))[0]
 
     @property
     def unique_nodes(self) -> int:
@@ -211,12 +216,19 @@ def run_walks(g: Graph, starts, budget: int, seeds) -> np.ndarray:
 
     Lane ``r`` starts at ``starts[r]`` (starts may repeat) and draws its
     ``budget - 1`` uniforms from ``seeds[r]``; each move goes from ``cur`` to
-    ``adj[indptr[cur] + min(floor(u * deg), deg - 1)]``.  Row ``r`` of the
-    returned ``(len(starts), budget)`` int64 array is lane ``r``'s steps.
+    ``adj[indptr[cur] + floor(u * deg)]``.  Row ``r`` of the returned
+    ``(len(starts), budget)`` int64 array is lane ``r``'s steps.
+
+    The pick needs no clamp to ``deg - 1``.  A uniform is at most
+    ``1 - 2**-53``, and for every ``deg`` below ``2**53`` the exact product
+    ``deg - deg * 2**-53`` lies more than half a unit in the last place
+    below ``deg`` (exactly on the largest double below it when ``deg`` is a
+    power of two).  So round-to-nearest, which is monotone, keeps every
+    ``u * deg`` below ``deg`` and its floor at most ``deg - 1``.
 
     Fewer than ``_LOCKSTEP_LANES`` lanes are walked one by one over plain
-    ints: a move reads ``lo = indptr[cur]`` and ``hi = indptr[cur + 1]``
-    once and goes to ``adj[min(lo + floor(u * (hi - lo)), hi - 1)]``, the
+    ints: a move reads ``lo = indptr[cur]`` and ``indptr[cur + 1]`` once
+    each and goes to ``adj[lo + floor(u * (indptr[cur + 1] - lo))]``, the
     same rule.  The uniforms are drawn ``_DRAW_CHUNK`` at a time, and each
     chunk's steps are copied into the lane's preallocated int64 row, so a
     lane holds about 8 bytes a step.
@@ -252,10 +264,7 @@ def run_walks(g: Graph, starts, budget: int, seeds) -> np.ndarray:
                 append = chunk.append
                 for u in rng.random(min(_DRAW_CHUNK, budget - t0)).tolist():
                     lo = indptr[cur]
-                    hi = indptr[cur + 1]
-                    k = lo + floor(u * (hi - lo))
-                    # The guard catches the (measure-zero) float edge case u*deg == deg.
-                    cur = adj[k if k < hi else hi - 1]
+                    cur = adj[lo + floor(u * (indptr[cur + 1] - lo))]
                     append(cur)
                 row[t0 : t0 + len(chunk)] = chunk
         return steps
@@ -272,7 +281,6 @@ def run_walks(g: Graph, starts, budget: int, seeds) -> np.ndarray:
         cur = steps[t - 1]
         d = deg[cur]
         pick = (uniform[t - 1] * d).astype(np.int64)
-        np.minimum(pick, d - 1, out=pick)
         pick += indptr[cur]
         np.take(adj, pick, out=steps[t])
     return np.ascontiguousarray(steps.T)

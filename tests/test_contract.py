@@ -3,9 +3,10 @@
 Each test runs one CLI command on a small synthetic preferential-attachment
 graph and compares the sha256 of what it writes with a recorded value:
 ``eval`` reports (CSV and JSON, with coverage and crossing, at one and two
-workers), the ``rwsp`` JSON for random and pinned starts, and the default
-``predict`` curve.  A refactor behind the contract leaves every digest as
-it is; a change that moves one changes the contract and must say so.
+workers), the ``rwsp`` JSON for random and pinned starts, the default
+``predict`` curve and one ``walk`` summary.  A refactor behind the contract
+leaves every digest as it is; a change that moves one changes the contract
+and must say so.
 """
 
 import hashlib
@@ -39,6 +40,10 @@ STDOUT_DIGESTS = {
         "e9f5e1c364bc264dfdb421975162aa0bf4c64cdcc8bcc4d4c0da2a8e07fe2788",
     ),
     "predict-default": (["predict"], "59fd11727512bc5bbea158f7673fabce1d2d156ea34407e0800791eb9e790152"),
+    "walk": (
+        ["walk", "--start", "0", "--budget", "300", "--seed", "9"],
+        "77fd8d9b8a6e91aea70689b8f73084ddf648400a009e432056eabf56ea4e5c0f",
+    ),
 }
 
 

@@ -19,7 +19,7 @@ from rwtopo import (
     write_edge_list,
 )
 from rwtopo import graph as graph_module
-from rwtopo.graph import DegreeMoments, bfs_distances, component_labels
+from rwtopo.graph import DegreeMoments, bfs_distances, component_labels, oriented_arcs
 from helpers import degree_multiset, path_graph, star, triangle, two_triangles
 
 
@@ -323,6 +323,48 @@ class TestBfs:
             for v in range(g.n):
                 if sub[v] != UNREACHABLE:
                     assert sub[v] >= full[v]
+
+
+@st.composite
+def oriented_cases(draw) -> Graph:
+    """A random graph, a cycle, a grid or a star (the last three full of
+    degree ties), with a few isolated nodes, under shuffled node ids."""
+    kind = draw(st.sampled_from(["random", "cycle", "grid", "star"]))
+    if kind == "random":
+        k = draw(st.integers(2, 14))
+        edges = draw(st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)), max_size=40))
+    elif kind == "cycle":
+        k = draw(st.integers(3, 12))
+        edges = [(i, (i + 1) % k) for i in range(k)]
+    elif kind == "grid":
+        rows, cols = draw(st.integers(1, 5)), draw(st.integers(2, 5))
+        k = rows * cols
+        edges = [(i, i + 1) for i in range(k) if (i + 1) % cols] + [(i, i + cols) for i in range(k - cols)]
+    else:
+        k = draw(st.integers(2, 12))
+        edges = [(0, leaf) for leaf in range(1, k)]
+    n = k + draw(st.integers(0, 3))
+    ids = draw(st.permutations(range(n)))
+    return Graph(n, np.array([(ids[u], ids[v]) for u, v in edges], dtype=np.int64).reshape(-1, 2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(oriented_cases())
+def test_oriented_arcs_hold_each_edge_once_at_its_lower_end(g):
+    indptr, adj = oriented_arcs(g)
+    deg = g.degrees.tolist()
+    tails = np.repeat(np.arange(g.n), np.diff(indptr)).tolist()
+    assert sorted((min(u, v), max(u, v)) for u, v in zip(tails, adj.tolist())) == sorted(map(tuple, g.edges.tolist()))
+    assert all((deg[u], u) < (deg[v], v) for u, v in zip(tails, adj.tolist()))
+    for u in range(g.n):  # each row is its node's adjacency, filtered in place
+        above = [v for v in g.neighbors(u).tolist() if (deg[u], u) < (deg[v], v)]
+        assert adj[indptr[u] : indptr[u + 1]].tolist() == above
+    assert max(np.diff(indptr), default=0) ** 2 <= 2 * g.m
+    for a in (indptr, adj):
+        assert a.dtype == np.int64 and not a.flags.writeable
+    again = oriented_arcs(g)
+    assert again[0] is indptr and again[1] is adj
+    assert indptr.nbytes + adj.nbytes == 8 * (g.n + 1 + g.m)
 
 
 def test_stats_report_fields():

@@ -126,7 +126,9 @@ TOP_LEVEL = {
 
 # Public names that live only in their submodule.
 SUBMODULE_ONLY = {
-    "graph": ["DegreeMoments", "bfs_distances", "component_labels", "giant_members", "pair_distances"],
+    "graph": [
+        "DegreeMoments", "bfs_distances", "component_labels", "giant_members", "oriented_arcs", "pair_distances",
+    ],
     "coverage": [
         "DIVERGES", "CoveragePoint", "CrossingBoundParams", "coverage_points", "coverage_rate",
         "crossing_probability_bound", "edge_coverage", "expected_edge_fraction",

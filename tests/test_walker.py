@@ -1,6 +1,7 @@
 import itertools
 import tracemalloc
 from fractions import Fraction
+from math import floor
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from rwtopo import (
     run_walk,
     walker_seed,
 )
-from rwtopo.graph import bfs_distances
+from rwtopo.graph import bfs_distances, oriented_arcs
 from rwtopo.walker import retrace_to_start, run_walks
 from helpers import (
     assert_valid_path,
@@ -350,6 +351,38 @@ def test_a_long_walk_holds_eight_bytes_per_step():
         tracemalloc.stop()
     assert trace.steps.nbytes == 8 * budget
     assert peak < 8 * budget + 512 * 1024
+
+
+def test_a_graph_keeps_its_oriented_table_and_a_count_keeps_nothing_graph_sized():
+    g = grid_2d(400, 400)
+    run_walk(grid_2d(3, 3), 0, 10, seed=1)[0].edge_count_per_step  # warm-up: first-call allocations
+    tracemalloc.start()
+    try:
+        run_walk(g, 0, 10, seed=1)[0].edge_count_per_step  # builds the table
+        built, _ = tracemalloc.get_traced_memory()
+        trace, _ = run_walk(g, 0, 10, seed=2)
+        trace.edge_count_per_step, trace.covered_edge_count
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    table = 8 * (g.n + 1 + g.m)
+    assert g._oriented is not None and sum(a.nbytes for a in oriented_arcs(g)) == table
+    assert table <= built < table + 64 * 1024
+    assert retained - built < 64 * 1024
+
+
+def test_the_largest_uniform_times_a_degree_floors_to_the_last_neighbor():
+    # run_walks moves to neighbor floor(u * deg) with no clamp to deg - 1.
+    # numpy's uniforms are k * 2**-53 for k < 2**53, so the largest is:
+    u = 1.0 - 2.0**-53
+    assert u == np.nextafter(1.0, 0.0) and u < 1.0
+    top = 2**25
+    for lo in range(1, top + 1, 2**20):  # every degree 1..2**25, in 8 MB chunks
+        d = np.arange(lo, min(lo + 2**20, top + 1), dtype=np.int64)
+        assert np.array_equal((u * d).astype(np.int64), d - 1)  # the lockstep pick
+    for d in [top + 1, 2**31 - 1, 2**31, 2**32 + 3, 2**52 - 1, 2**52, 2**52 + 1, 2**53 - 2, 2**53 - 1]:
+        assert floor(u * d) == d - 1  # the pick over plain ints
+        assert int((u * np.array([d])).astype(np.int64)[0]) == d - 1
 
 
 def test_walker_seed_streams_are_stable_and_distinct():
