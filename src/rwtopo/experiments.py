@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -81,9 +82,10 @@ class ExperimentConfig:
     graph_source: str | None = None
 
     def __post_init__(self):
-        # Counts and node ids are stored as plain ints: metadata.json is
-        # asdict(config), and the walk loop steps over plain ints.  The seed
-        # is only checked: it may exceed int64, or be a sequence.
+        # Counts and node ids are stored as plain ints, beta as a float and
+        # rescale_budget as a bool: metadata.json is asdict(config), and the
+        # walk loop steps over plain ints.  The seed is only checked: it may
+        # exceed int64, or be a sequence.
         try:
             _as_seed_tuple(self.seed)
             for field in ("h", "runs", "workers"):
@@ -92,6 +94,12 @@ class ExperimentConfig:
                 object.__setattr__(self, "fixed_starts", tuple(_int64s(self.fixed_starts, "fixed_starts").tolist()))
         except ValueError as exc:  # a bad value, named by _int64s or _as_seed_tuple
             raise ConfigError(str(exc)) from None
+        if not isinstance(self.rescale_budget, (bool, np.bool_)):  # "no" is truthy
+            raise ConfigError(f"rescale_budget must be a bool, got {self.rescale_budget!r}")
+        object.__setattr__(self, "rescale_budget", bool(self.rescale_budget))
+        if not isinstance(self.beta, numbers.Real):
+            raise ConfigError(f"beta must be a real number, got {self.beta!r}")
+        object.__setattr__(self, "beta", float(self.beta))
         if self.h < 2:
             raise ConfigError("h must be at least 2")
         if self.h > _START_STREAM:

@@ -42,9 +42,12 @@ def _int64s(values, what: str) -> np.ndarray:
 
     A value the cast would change (``1.7``, NaN, ``"3"``, a uint64 beyond
     int64) raises ValueError naming ``what``, instead of being truncated; so
-    does a Python int beyond int64, which the cast cannot take.
+    does a Python int beyond int64, which the cast cannot take, and a bool,
+    which the cast would read as the id 0 or 1.
     """
     values = np.asarray(values)
+    if values.dtype == bool:
+        raise ValueError(f"{what} must be integral, got bool")
     try:
         with np.errstate(invalid="ignore"):
             ints = values.astype(np.int64, copy=False)
@@ -472,11 +475,12 @@ def bfs_distances(g: Graph, source: int, edge_mask: np.ndarray | None = None) ->
     reaches nothing, or once no unreached node has an arc left.
     """
     # One source would fill one bit of pair_distances' 64-bit words, whose
-    # levels pull over every arc of g; this search keeps bool reach tables
-    # and pulls over the unreached nodes' arcs alone.  A large pushed
-    # level's frontier is np.flatnonzero of its table, and a pulled one is
-    # picked from np.flatnonzero(fresh), so both come distinct and
-    # ascending, and the next level reads indptr and adj in order.
+    # levels pull over every arc of their block's G*; this search keeps
+    # bool reach tables and pulls over the unreached nodes' arcs alone.  A
+    # large pushed level's frontier is np.flatnonzero of its table, and a
+    # pulled one is picked from np.flatnonzero(fresh), so both come
+    # distinct and ascending, and the next level reads indptr and adj in
+    # order.
     source = int(_int64s(source, "source"))
     if not 0 <= source < g.n:
         raise ValueError(f"source {source} out of range")
@@ -516,12 +520,10 @@ def bfs_distances(g: Graph, source: int, edge_mask: np.ndarray | None = None) ->
 
 
 # A level of pair_distances pushes its whole frontier (scatters each word
-# over its node's arcs with np.bitwise_or.at) while the frontier's arcs are at
-# most this share of the graph's arcs.  Otherwise it pulls the bits on
-# allowed nodes over every arc; the bits stranded on fringe nodes (outside
-# their source's visited set), which may only enter visited nodes, are again
-# pushed while their arcs are within this share and pulled otherwise.  A
-# pushed arc costs several times a pulled one, but a pull scans them all.
+# over its node's kept arcs with np.bitwise_or.at) while the frontier's kept
+# arcs are at most this share of the block's kept arcs, and pulls over every
+# kept arc otherwise.  A pushed arc costs several times a pulled one, but a
+# pull scans them all.
 _PUSH_SHARE = 0.1
 
 
@@ -551,17 +553,17 @@ def pair_distances(g: Graph, nodes, visited=None) -> np.ndarray:
     ``visited[a]``; elsewhere it is UNREACHABLE.  Without ``visited`` every
     source searches all of ``g``.
 
-    Up to 64 sources are searched at once over ``g``'s own CSR, one bit per
-    source in a ``uint64`` word per node (Then et al., "The More the
-    Merrier", PVLDB 2014).  ``allowed[u]`` ORs the bits of the sources whose
-    set holds u, so a bit crosses arc u->v when it is in ``allowed[u]`` or
-    ``allowed[v]``.  A level with few frontier arcs pushes each frontier
-    word over its node's arcs; a larger one pulls ``frontier & allowed``
-    into every node with an arc, and pushes or pulls the bits stranded on
-    fringe nodes, which may only enter allowed nodes, as their arcs' share
-    of the graph decides (Beamer et al., SC'12).  A block of sources stops
-    once every one of ``nodes`` holds all of its allowed bits, or once a
-    level reaches nothing new.
+    Up to 64 sources are searched at once, one bit per source in a
+    ``uint64`` word (Then et al., "The More the Merrier", PVLDB 2014).
+    ``allowed[u]`` ORs the bits of the sources whose set holds u, and arc
+    u->v carries the word ``allowed[u] | allowed[v]``, the sources that may
+    cross it.  A block keeps only the arcs with a nonzero word, the union of
+    its sources' discovered subgraphs, under ``g``'s node ids, and searches
+    nothing else.  A level with few frontier arcs pushes each frontier word
+    over its node's arcs, ANDed with theirs; a larger one pulls
+    ``frontier & word`` over every kept arc into the arc's tail (Beamer et
+    al., SC'12).  A block of sources stops once every one of ``nodes`` holds
+    all of its allowed bits, or once a level reaches nothing new.
 
     Raises ValueError when ``nodes[a]`` is not in ``visited[a]``.
     """
@@ -570,20 +572,10 @@ def pair_distances(g: Graph, nodes, visited=None) -> np.ndarray:
         raise ValueError("node id out of range")
     if visited is not None and len(visited) != nodes.size:
         raise ValueError("visited needs one node-id array per node")
-    indptr, adj = g.indptr, g.adj
-    deg = g.degrees
-    pullers = np.flatnonzero(deg)
-    pull_starts = indptr[pullers]
-    push_limit = _PUSH_SHARE * adj.size
-
     allowed = np.empty(g.n, dtype=np.uint64)
     seen = np.empty(g.n, dtype=np.uint64)
     frontier = np.empty(g.n, dtype=np.uint64)  # nonzero only at ``front``
-    incoming = np.zeros(g.n, dtype=np.uint64)  # only pullers are ever written
-    words = np.empty(g.n, dtype=np.uint64)
     slot = np.empty(g.n, dtype=np.int64)
-    gathered = np.empty(adj.size, dtype=np.uint64)
-    pulled = np.empty(pullers.size, dtype=np.uint64)
     dist = np.full((nodes.size, nodes.size), UNREACHABLE, dtype=np.int64)
 
     for lo in range(0, nodes.size, 64):
@@ -599,6 +591,14 @@ def pair_distances(g: Graph, nodes, visited=None) -> np.ndarray:
             a = lo + int(outside[0])
             raise ValueError(f"node {nodes[a]} (entry {a}) is not in its visited set")
         need = allowed[nodes]
+        word = np.repeat(allowed, g.degrees)
+        word |= allowed[g.adj]
+        indptr, adj = _arc_subset(g, word != 0)
+        word = word[word != 0]  # no full-length array outlives the set-up
+        kept_deg = np.diff(indptr)
+        pullers = np.flatnonzero(kept_deg)
+        pull_starts = indptr[pullers]
+        push_limit = _PUSH_SHARE * adj.size
         frontier.fill(0)
         np.bitwise_or.at(frontier, block, bits)
         seen[:] = frontier
@@ -612,34 +612,22 @@ def pair_distances(g: Graph, nodes, visited=None) -> np.ndarray:
             if ((seen[nodes] & need) == need).all():
                 break
             level += 1
-            if deg[front].sum() <= push_limit:
+            if kept_deg[front].sum() <= push_limit:
                 arcs, counts = _arc_positions(indptr, front)
                 heads = adj[arcs]
-                crossing = np.repeat(frontier[front], counts) & (np.repeat(allowed[front], counts) | allowed[heads])
+                crossing = np.repeat(frontier[front], counts) & word[arcs]
                 crossing &= ~seen[heads]
                 new = np.flatnonzero(crossing)
                 frontier[front] = 0
                 np.bitwise_or.at(frontier, heads[new], crossing[new])
                 front = _distinct(heads[new], slot)
             else:
-                np.bitwise_and(frontier, allowed, out=words)
-                np.take(words, adj, out=gathered)
-                np.bitwise_or.reduceat(gathered, pull_starts, out=pulled)
-                incoming[pullers] = pulled
-                np.bitwise_xor(frontier, words, out=words)  # the bits on fringe nodes
-                stranded = np.flatnonzero(words)
-                if deg[stranded].sum() > push_limit:
-                    np.take(words, adj, out=gathered)
-                    np.bitwise_or.reduceat(gathered, pull_starts, out=pulled)
-                    pulled &= allowed[pullers]
-                    incoming[pullers] |= pulled
-                elif stranded.size:
-                    arcs, counts = _arc_positions(indptr, stranded)
-                    heads = adj[arcs]
-                    np.bitwise_or.at(incoming, heads, np.repeat(words[stranded], counts) & allowed[heads])
-                np.invert(seen, out=words)
-                np.bitwise_and(incoming, words, out=frontier)
-                front = np.flatnonzero(frontier)
+                gathered = np.take(frontier, adj)
+                gathered &= word
+                pulled = np.bitwise_or.reduceat(gathered, pull_starts) & ~seen[pullers]
+                frontier[front] = 0
+                frontier[pullers] = pulled
+                front = pullers[pulled != 0]
             if not front.size:
                 break
             seen[front] |= frontier[front]

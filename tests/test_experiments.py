@@ -70,6 +70,25 @@ class TestExperimentConfig:
         assert (cfg.h, cfg.runs, cfg.workers, cfg.fixed_starts) == (2, 3, 2, (0, 5))
         assert {type(v) for v in (cfg.h, cfg.runs, cfg.workers, *cfg.fixed_starts)} == {int}
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("rescale_budget", "no", "rescale_budget must be a bool, got 'no'"),
+            ("rescale_budget", 1, "rescale_budget must be a bool, got 1"),
+            ("beta", "0.1", "beta must be a real number, got '0.1'"),
+            ("beta", None, "beta must be a real number, got None"),
+        ],
+    )
+    def test_a_flag_that_is_not_a_bool_or_a_beta_that_is_not_a_real_is_rejected(self, field, value, message):
+        # rescale_budget="no" rescaled the budget; beta="0.1" failed with a TypeError.
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            ExperimentConfig(seed=1, **{field: value})
+
+    def test_numpy_flags_and_betas_are_stored_as_plain_values(self):
+        cfg = ExperimentConfig(seed=1, h=2, beta=np.float32(0.5), rescale_budget=np.bool_(True))
+        assert type(cfg.beta) is float and cfg.rescale_budget is True
+        assert cfg.budget(300) == 75
+
     def test_walker_ids_stay_below_the_start_stream_tag(self):
         # walker 0xBEEF would be seeded like the start-drawing stream
         with pytest.raises(ConfigError, match="at most"):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from rwtopo import (
     UNREACHABLE,
     EdgeListParseError,
+    ExperimentConfig,
     Graph,
     degree_moments,
     giant_component,
@@ -19,7 +20,8 @@ from rwtopo import (
     write_edge_list,
 )
 from rwtopo import graph as graph_module
-from rwtopo.graph import DegreeMoments, bfs_distances, component_labels, oriented_arcs
+from rwtopo.graph import DegreeMoments, bfs_distances, component_labels, oriented_arcs, pair_distances
+from rwtopo.walker import run_walks
 from helpers import degree_multiset, path_graph, star, triangle, two_triangles
 
 
@@ -155,6 +157,21 @@ class TestGraphStructure:
         g = Graph(3, edges, original_ids=original_ids)
         assert g.original_ids is original_ids
         assert graph_module._int64s(edges, "edges") is edges
+
+    def test_bool_node_ids_are_rejected_not_read_as_0_and_1(self):
+        # Each was read as the node ids 1, 0, 1, ...
+        g = Graph(6, [[i, (i + 1) % 6] for i in range(6)])
+        flags = np.array([True, False, True])
+        entry_points = [
+            ("node ids", lambda: pair_distances(g, flags)),
+            ("visited node ids", lambda: pair_distances(g, [0, 2], [flags, [2]])),
+            ("source", lambda: bfs_distances(g, np.True_)),
+            ("start nodes", lambda: run_walks(g, np.array([True]), 3, [1])),
+            ("fixed_starts", lambda: ExperimentConfig(seed=1, h=2, fixed_starts=np.array([True, False]))),
+        ]
+        for what, call in entry_points:
+            with pytest.raises(ValueError, match=f"^{what} must be integral, got bool$"):
+                call()
 
 
 @settings(max_examples=60, deadline=None)

@@ -164,6 +164,7 @@ def one_search_per_source(g: Graph, nodes, visited) -> list[list[int]]:
 @pytest.mark.parametrize("push_share", [0.0, graph_module._PUSH_SHARE, np.inf], ids=["pull", "switch", "push"])
 @settings(max_examples=60, deadline=None)
 @given(case=pair_searches())
+@example(case=(Graph(4, [[2, 3]]), np.array([0, 1]), [np.array([0]), np.array([1])]))  # a block keeps no arc
 def test_pair_distances_match_one_search_per_source(push_share, case):
     g, nodes, visited = case
     expected = one_search_per_source(g, nodes, visited)
@@ -214,6 +215,8 @@ def test_pair_distances_rejects_non_integral_node_ids():
 
 # A star: hub 0 with leaves 1..40, and a path 41-42-43 beside it.
 STAR_AND_PATH = Graph(44, [[0, i] for i in range(1, 41)] + [[41, 42], [42, 43]])
+# The same star, and a path 41-42-...-60 beside it.
+FRINGE_HUB = Graph(61, [[0, i] for i in range(1, 41)] + [[i, i + 1] for i in range(41, 60)])
 
 
 @pytest.mark.parametrize(
@@ -228,13 +231,18 @@ STAR_AND_PATH = Graph(44, [[0, i] for i in range(1, 41)] + [[41, 42], [42, 43]])
             [[0, 198]] + [sorted({k, 198 - k} | ({199} if k == 1 else set())) for k in range(1, 198)],
         ),
         # the sources' level is pushed; the unvisited hub's 40 of 80 arcs are
-        # pulled, and so are its stranded bits
+        # pulled
         (Graph(41, [[0, i] for i in range(1, 41)]), [1, 2], [np.arange(1, 41)] * 2, [[1, 2]]),
-        # the visited hub's 40 arcs make both levels pull; the bits stranded on
-        # 42 have 2 of 84 arcs and are pushed
-        (STAR_AND_PATH, [0, 41, 43], [np.arange(41)] + [np.array([41, 43])] * 2, [[42]]),
+        # the share counts kept arcs only: the visited path keeps its 38
+        # arcs, and the unvisited hub only its arcs to 1 and 2, so the hub's
+        # level has 2 of the 42 kept arcs and pushes, where its 40 of g's 118
+        # arcs would pull
+        (FRINGE_HUB, [1, 2], [np.r_[1, 2, 41:61]] * 2, [[1, 2], [0]]),
+        # the star touches no visited set, so 41 and 43 have 2 of the 4 kept
+        # arcs and pull, where 2 of g's 84 arcs would push
+        (STAR_AND_PATH, [41, 43], [np.array([41, 43])] * 2, []),
     ],
-    ids=["frontier-pushed", "frontier-pulled", "stranded-pushed"],
+    ids=["frontier-pushed", "frontier-pulled", "fringe-hub-pushed", "untouched-star-pulled"],
 )
 def test_levels_push_or_pull_by_their_share_of_the_arcs(g, nodes, visited, pushes):
     pushed = []
