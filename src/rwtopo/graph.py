@@ -58,6 +58,15 @@ def _int64s(values, what: str) -> np.ndarray:
     return ints
 
 
+def _node_ids(values, n: int, what: str) -> np.ndarray:
+    """``values`` as int64 node ids (see :func:`_int64s`); ValueError naming
+    ``what`` unless every one is in ``0..n-1``."""
+    ids = _int64s(values, what)
+    if ids.size and not (0 <= ids.min() and ids.max() < n):
+        raise ValueError(f"{what} out of range 0..{n - 1}, got {ids[(ids < 0) | (ids >= n)].flat[0]}")
+    return ids
+
+
 def _canonical_edges(n: int, edges: np.ndarray) -> np.ndarray:
     """Drop self-loops, deduplicate, and return edges as sorted (lo, hi) pairs."""
     edges = _int64s(edges, "edge endpoints").reshape(-1, 2)
@@ -143,9 +152,10 @@ class Graph:
 
         Arcs come grouped by node in the order of ``nodes``; the second
         array holds each node's degree, so ``np.repeat(x, counts)`` aligns a
-        per-node value ``x`` with the arcs.
+        per-node value ``x`` with the arcs.  ``nodes`` must hold integers in
+        ``0..n-1``; anything else raises ValueError.
         """
-        return _arc_positions(self.indptr, nodes)
+        return _arc_positions(self.indptr, _node_ids(nodes, self.n, "node ids"))
 
     def has_edge(self, u: int, v: int) -> bool:
         v = self._node(v)
@@ -250,7 +260,7 @@ def _parse_whole(text: str) -> np.ndarray | None:
     if (
         not text.isascii()
         or any(c in text for c in _SPLITLINES_ONLY_BREAKS)
-        or text.count("\r") != text.count("\r\n")
+        or ("\r" in text and text.count("\r") != text.count("\r\n"))
         or ("#" in text and _INLINE_HASH.search(text))
     ):
         return None
@@ -292,10 +302,27 @@ def _first_appearance_ids(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(``labels`` renumbered ``0..n-1`` in first-appearance order, the label
     of each new id).
 
-    One sort groups equal labels; a group's smallest original position is
-    where its label first appears, and ranking groups by it gives the ids.
+    Labels whose span ``hi - lo`` is less than the number of entries are
+    numbered through tables, without a sort: ``np.minimum.at`` keeps each
+    label's first position in a table indexed by ``label - lo``, a table
+    indexed by position lists the distinct labels in order of first
+    appearance, and the first table, overwritten, then maps each label to
+    its id.  No table outgrows the input.  Wider spans take one sort that
+    groups equal labels; a group's smallest original position is where its
+    label first appears, and ranking groups by it gives the ids.
     """
     flat = labels.ravel()
+    lo, hi = int(flat.min()), int(flat.max())
+    if hi - lo < flat.size:
+        key = flat - lo
+        first = np.full(hi - lo + 1, flat.size, dtype=np.int64)
+        np.minimum.at(first, key, np.arange(flat.size))
+        present = np.flatnonzero(first < flat.size)
+        slot = np.full(flat.size, -1, dtype=np.int64)
+        slot[first[present]] = present
+        by_appearance = slot[slot >= 0]
+        first[by_appearance] = np.arange(by_appearance.size)
+        return first[key].reshape(labels.shape), by_appearance + lo
     order = np.argsort(flat)
     ordered = flat[order]
     starts = _run_starts(ordered)
@@ -316,7 +343,11 @@ def load_edge_list(source: Source) -> Graph:
     skipped.  Duplicate edges (in either orientation) and self-loops are
     dropped.  Node ids are remapped to dense ``0..n-1`` in first-appearance
     order; the original labels are kept on the returned graph's
-    ``original_ids``.
+    ``original_ids``.  Labels that span less than their number of entries,
+    such as the dense ids :func:`write_edge_list` writes, are remapped
+    through tables indexed by label, with no sort; wider spans are sorted,
+    so no table outgrows the input (see :func:`_first_appearance_ids`).
+    The text and the labels are freed before the graph is built.
 
     ASCII input is parsed in one vectorized pass when its lines split alike
     for np.loadtxt and for Python; any other input, and every input that
@@ -333,9 +364,11 @@ def load_edge_list(source: Source) -> Graph:
     labels = _parse_whole(text)
     if labels is None:
         labels = _parse_lines(text)
+    del text  # the constructor's sort is the load's peak; keep only the ids
     if labels.size == 0:
         raise EdgeListParseError("empty input: no edge lines found")
     pairs, originals = _first_appearance_ids(labels)
+    del labels
     return Graph(originals.size, pairs, original_ids=originals)
 
 
@@ -535,10 +568,7 @@ def _allowed_words(allowed: np.ndarray, visited, lo: int, hi: int) -> None:
     for a in range(lo, hi):
         words.setdefault(id(visited[a]), [visited[a], 0])[1] |= 1 << (a - lo)
     for ids, word in words.values():
-        ids = _int64s(ids, "visited node ids").reshape(-1)
-        if ids.size and not (0 <= ids.min() and ids.max() < allowed.size):
-            raise ValueError("visited node id out of range")
-        allowed[ids] |= np.uint64(word)
+        allowed[_node_ids(ids, allowed.size, "visited node ids")] |= np.uint64(word)
 
 
 def pair_distances(g: Graph, nodes, visited=None) -> np.ndarray:
@@ -567,9 +597,7 @@ def pair_distances(g: Graph, nodes, visited=None) -> np.ndarray:
 
     Raises ValueError when ``nodes[a]`` is not in ``visited[a]``.
     """
-    nodes = _int64s(nodes, "node ids").reshape(-1)
-    if nodes.size and not (0 <= nodes.min() and nodes.max() < g.n):
-        raise ValueError("node id out of range")
+    nodes = _node_ids(nodes, g.n, "node ids").reshape(-1)
     if visited is not None and len(visited) != nodes.size:
         raise ValueError("visited needs one node-id array per node")
     allowed = np.empty(g.n, dtype=np.uint64)

@@ -4,16 +4,19 @@ Each test runs one CLI command on a small synthetic preferential-attachment
 graph and compares the sha256 of what it writes with a recorded value:
 ``eval`` reports (CSV and JSON, with coverage and crossing, at one and two
 workers), the ``rwsp`` JSON for random and pinned starts, the default
-``predict`` curve and one ``walk`` summary.  A refactor behind the contract
-leaves every digest as it is; a change that moves one changes the contract
-and must say so.
+``predict`` curve and one ``walk`` summary.  Two more digests pin every
+array of a loaded graph, for dense labels and for labels spread wider than
+the edge list is long.  A refactor behind the contract leaves every digest
+as it is; a change that moves one changes the contract and must say so.
 """
 
 import hashlib
+import io
 
+import numpy as np
 import pytest
 
-from rwtopo import cli
+from rwtopo import cli, from_spec, load_edge_list, write_edge_list
 
 EVAL_ARGS = [
     "eval", "--synth", "pa:n=400,m0=2", "--synth-seed", "3",
@@ -46,6 +49,14 @@ STDOUT_DIGESTS = {
     ),
 }
 
+# relabelling of the dense ids of pa:n=5000,m0=3 (seed 11) -> digest of the
+# loaded graph's arrays.  Dense labels span less than the 2m label entries,
+# and 7u + 3 spans more.
+LOADED_GRAPH_DIGESTS = {
+    "u": (lambda u: u, "d86d452b891d96bcde6d74c8f69c25f0c9734a3a5e61a41fe97a9d099b288ef7"),
+    "7u+3": (lambda u: 7 * u + 3, "d1d5a518c9e7de562e245543826443955471750140579240a599351ba05816b6"),
+}
+
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -75,3 +86,16 @@ def test_stdout_matches_the_recorded_digest(pa_file, capsys, name):
     args, digest = STDOUT_DIGESTS[name]
     assert cli.main(args + ["--graph", pa_file]) == 0
     assert sha256(capsys.readouterr().out.encode()) == digest
+
+
+@pytest.mark.parametrize("name", sorted(LOADED_GRAPH_DIGESTS))
+def test_loaded_graph_matches_the_recorded_digest(name):
+    relabel, digest = LOADED_GRAPH_DIGESTS[name]
+    written = io.StringIO()
+    write_edge_list(from_spec("pa:n=5000,m0=3", 11), written)
+    labels = relabel(np.loadtxt(io.StringIO(written.getvalue()), dtype=np.int64))
+    g = load_edge_list("".join(f"{a} {b}\n" for a, b in labels.tolist()).encode())
+    h = hashlib.sha256(f"{g.n} {g.m}".encode())
+    for a in (g.edges, g.indptr, g.adj, g.adj_edge_ids, g.original_ids):
+        h.update(f"{a.dtype.str}{a.shape}".encode() + np.ascontiguousarray(a).tobytes())
+    assert h.hexdigest() == digest
