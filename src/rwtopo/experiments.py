@@ -39,7 +39,7 @@ from .graph import (
 )
 from .rwsp import ProtocolRun, run_rwsp
 from .rwsp import routing_tree  # noqa: F401  (not called here; rwbench/tracing.py wraps it by name)
-from .walker import WalkTrace, _as_seed_tuple, run_walk, run_walks, walker_seed
+from .walker import WalkTrace, _as_seed_tuple, _start_nodes, run_walk, run_walks, walker_seed
 
 # Stream tag for start-node sampling; must not collide with walker ids, so h
 # may not exceed it.  Run r's seed is walker_seed(cfg.seed, r): walker i
@@ -281,10 +281,10 @@ class ExperimentResult:
 def _start_pool(g: Graph, cfg: ExperimentConfig) -> np.ndarray:
     """Node ids eligible as starts: the giant component of ``g``."""
     if cfg.fixed_starts is not None:
-        for s in cfg.fixed_starts:
-            if not 0 <= s < g.n or g.degree(s) < 1:
-                raise ConfigError(f"fixed start {s} is invalid or isolated")
-        return np.asarray(cfg.fixed_starts, dtype=np.int64)
+        try:
+            return _start_nodes(g, cfg.fixed_starts)
+        except ValueError as exc:  # an id outside g or an isolated node, named by _start_nodes
+            raise ConfigError(f"fixed_starts: {exc}") from None
     members = giant_members(g)
     if members.size < cfg.h:
         raise ConfigError(
@@ -496,6 +496,8 @@ def _crossing_params(g: Graph, budget: int, c: float = 1.0, delta: int | None = 
     """The inputs of :func:`crossing_rate`'s bound for walks of ``budget``
     steps on ``g``, all checked before any walk runs; ``delta`` defaults to
     ``ceil(n / 100)``."""
+    if isinstance(c, bool) or not isinstance(c, numbers.Real):  # True would be written as "c": true
+        raise ConfigError(f"c must be a real number, got {c!r}")
     try:
         delta = max(1, math.ceil(g.n / 100)) if delta is None else int(_int64s(delta, "delta"))
     except ValueError as exc:  # a non-integral delta, named by _int64s

@@ -69,11 +69,9 @@ def _node_ids(values, n: int, what: str) -> np.ndarray:
 
 def _canonical_edges(n: int, edges: np.ndarray) -> np.ndarray:
     """Drop self-loops, deduplicate, and return edges as sorted (lo, hi) pairs."""
-    edges = _int64s(edges, "edge endpoints").reshape(-1, 2)
+    edges = _node_ids(edges, n, "edge endpoints").reshape(-1, 2)
     if edges.size == 0:
         return edges
-    if edges.min() < 0 or edges.max() >= n:
-        raise ValueError("edge endpoint out of range 0..n-1")
     edges = edges[edges[:, 0] != edges[:, 1]]
     lo = np.minimum(edges[:, 0], edges[:, 1])
     hi = np.maximum(edges[:, 0], edges[:, 1])
@@ -133,8 +131,8 @@ class Graph:
         return np.diff(self.indptr)
 
     def _node(self, v) -> int:
-        """``v`` as an int; ValueError unless it is an integer in ``0..n-1``."""
-        if not isinstance(v, (int, np.integer)) or not 0 <= v < self.n:
+        """``v`` as an int; ValueError unless it is an integer, not a bool, in ``0..n-1``."""
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or not 0 <= v < self.n:
             raise ValueError(f"node id must be an integer in 0..{self.n - 1}, got {v!r}")
         return int(v)
 
@@ -302,37 +300,30 @@ def _first_appearance_ids(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(``labels`` renumbered ``0..n-1`` in first-appearance order, the label
     of each new id).
 
-    Labels whose span ``hi - lo`` is less than the number of entries are
-    numbered through tables, without a sort: ``np.minimum.at`` keeps each
+    Labels are numbered through tables: ``np.minimum.at`` keeps each
     label's first position in a table indexed by ``label - lo``, a table
     indexed by position lists the distinct labels in order of first
     appearance, and the first table, overwritten, then maps each label to
-    its id.  No table outgrows the input.  Wider spans take one sort that
-    groups equal labels; a group's smallest original position is where its
-    label first appears, and ranking groups by it gives the ids.
+    its id.  Labels whose span ``hi - lo`` is at least their number of
+    entries are first ranked (one ``np.unique``, the only sort), so no
+    table outgrows the input.
     """
     flat = labels.ravel()
     lo, hi = int(flat.min()), int(flat.max())
     if hi - lo < flat.size:
-        key = flat - lo
-        first = np.full(hi - lo + 1, flat.size, dtype=np.int64)
-        np.minimum.at(first, key, np.arange(flat.size))
-        present = np.flatnonzero(first < flat.size)
-        slot = np.full(flat.size, -1, dtype=np.int64)
-        slot[first[present]] = present
-        by_appearance = slot[slot >= 0]
-        first[by_appearance] = np.arange(by_appearance.size)
-        return first[key].reshape(labels.shape), by_appearance + lo
-    order = np.argsort(flat)
-    ordered = flat[order]
-    starts = _run_starts(ordered)
-    first_seen = np.minimum.reduceat(order, np.flatnonzero(starts))
-    by_appearance = np.argsort(first_seen)
-    ids = np.empty(by_appearance.size, dtype=np.int64)
-    ids[by_appearance] = np.arange(by_appearance.size)
-    dense = np.empty(flat.size, dtype=np.int64)
-    dense[order] = ids[np.cumsum(starts) - 1]
-    return dense.reshape(labels.shape), ordered[starts][by_appearance]
+        key, distinct = flat - lo, None
+    else:
+        distinct, key = np.unique(flat, return_inverse=True)
+        lo, hi = 0, distinct.size - 1
+    first = np.full(hi - lo + 1, flat.size, dtype=np.int64)
+    np.minimum.at(first, key, np.arange(flat.size))
+    present = np.flatnonzero(first < flat.size)
+    slot = np.full(flat.size, -1, dtype=np.int64)
+    slot[first[present]] = present
+    by_appearance = slot[slot >= 0]
+    first[by_appearance] = np.arange(by_appearance.size)
+    originals = by_appearance + lo if distinct is None else distinct[by_appearance]
+    return first[key].reshape(labels.shape), originals
 
 
 def load_edge_list(source: Source) -> Graph:
@@ -343,10 +334,11 @@ def load_edge_list(source: Source) -> Graph:
     skipped.  Duplicate edges (in either orientation) and self-loops are
     dropped.  Node ids are remapped to dense ``0..n-1`` in first-appearance
     order; the original labels are kept on the returned graph's
-    ``original_ids``.  Labels that span less than their number of entries,
-    such as the dense ids :func:`write_edge_list` writes, are remapped
-    through tables indexed by label, with no sort; wider spans are sorted,
-    so no table outgrows the input (see :func:`_first_appearance_ids`).
+    ``original_ids``.  Labels are remapped through tables indexed by label
+    (see :func:`_first_appearance_ids`): labels that span less than their
+    number of entries, such as the dense ids :func:`write_edge_list`
+    writes, index them directly, and wider spans are first ranked, so no
+    table outgrows the input.
     The text and the labels are freed before the graph is built.
 
     ASCII input is parsed in one vectorized pass when its lines split alike
@@ -514,9 +506,7 @@ def bfs_distances(g: Graph, source: int, edge_mask: np.ndarray | None = None) ->
     # pulled one is picked from np.flatnonzero(fresh), so both come
     # distinct and ascending, and the next level reads indptr and adj in
     # order.
-    source = int(_int64s(source, "source"))
-    if not 0 <= source < g.n:
-        raise ValueError(f"source {source} out of range")
+    source = int(_node_ids(source, g.n, "source"))
     indptr, adj = _kept_arcs(g, edge_mask)
     dist = np.full(g.n, UNREACHABLE, dtype=np.int64)
     dist[source] = 0

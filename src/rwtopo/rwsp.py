@@ -52,7 +52,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graph import Graph, _components, _int64s, _read_only, bfs_distances
+from .graph import Graph, _components, _int64s, _read_only, _run_starts, bfs_distances
 from .walker import WalkTrace, _covered_edge_mask, run_walks, walker_seed
 
 # Meeting key of a pair that never met.
@@ -170,7 +170,7 @@ class _FirstVisits:
         h, walker, key = self.h, self.walker, self.key
         meet = np.full(h * h, _NEVER, dtype=np.int64)
         rank = np.arange(self.codes.size)  # an entry's place among its node's visitors
-        rank -= np.maximum.accumulate(np.where(np.r_[True, self.node[1:] != self.node[:-1]], rank, 0))
+        rank -= np.maximum.accumulate(np.where(_run_starts(self.node), rank, 0))
         later = np.flatnonzero(rank)
         r = 1
         while later.size:  # every pair of visitors r entries apart
@@ -270,7 +270,7 @@ class ProtocolRun:
         members = np.split(np.argsort(labels, kind="stable"), np.cumsum(sizes)[:-1])
         # Within a group the codes already ascend, which a stable sort exploits.
         code = np.sort(labels[v.walker] * n + v.node, kind="stable")
-        group, node = np.divmod(code[np.r_[True, code[1:] != code[:-1]]], n)
+        group, node = np.divmod(code[_run_starts(code)], n)
         nodes = np.split(_read_only(node)[0], np.cumsum(np.bincount(group))[:-1])
         unions = [UnionSubgraph(self.graph, tuple(m.tolist()), x) for m, x in zip(members, nodes)]
         return [unions[label] for label in labels.tolist()]

@@ -43,18 +43,18 @@ from math import floor
 
 import numpy as np
 
-from .graph import Graph, _arc_positions, _bool_mask, _int64s, _read_only, oriented_arcs
+from .graph import Graph, _arc_positions, _bool_mask, _int64s, _node_ids, _read_only, oriented_arcs
 
 
 def _as_seed_tuple(seed) -> tuple[int, ...]:
     """A master seed, a non-negative integer or a sequence of them, as a
-    tuple of plain ints.  Any other entry raises ValueError: a float or a
-    string would otherwise be truncated or split into digits, and a negative
-    entry fails inside numpy.  Entries may exceed int64."""
-    entries = (seed,) if isinstance(seed, (int, np.integer)) else seed
+    tuple of plain ints.  Any other entry raises ValueError: a bool, a float
+    or a string would otherwise be read as 0 or 1, truncated or split into
+    digits, and a negative entry fails inside numpy.  Entries may exceed int64."""
     try:
+        entries = (seed,) if isinstance(seed, (int, np.integer)) else tuple(seed)
         seeds = tuple(operator.index(s) for s in entries)
-        if min(seeds, default=0) >= 0:
+        if min(seeds, default=0) >= 0 and not any(isinstance(s, bool) for s in entries):
             return seeds
     except TypeError:  # not iterable, or an entry that is not an integer
         pass
@@ -67,7 +67,7 @@ def walker_seed(seed, walker_id: int) -> tuple[int, ...]:
     The derivation depends only on (master seed, walker id), so walks produce
     identical traces whether they are run serially or in parallel.
     """
-    if not isinstance(walker_id, (int, np.integer)) or walker_id < 0:
+    if isinstance(walker_id, bool) or not isinstance(walker_id, (int, np.integer)) or walker_id < 0:
         raise ValueError(f"walker id must be a non-negative integer, got {walker_id!r}")
     return _as_seed_tuple(seed) + (int(walker_id),)
 
@@ -204,6 +204,16 @@ def run_walk(g: Graph, start: int, budget: int, seed, walker_id: int = 0):
     return trace, BreadcrumbTable(trace)
 
 
+def _start_nodes(g: Graph, starts) -> np.ndarray:
+    """``starts`` as int64 node ids of ``g`` (see :func:`rwtopo.graph._node_ids`);
+    ValueError unless each has a neighbor to walk to."""
+    starts = _node_ids(starts, g.n, "start nodes")
+    isolated = starts[g.indptr[starts + 1] == g.indptr[starts]]
+    if isolated.size:
+        raise ValueError(f"start node {isolated[0]} is isolated")
+    return starts
+
+
 # Lane count from which one array step for all lanes beats walking them one by one.
 _LOCKSTEP_LANES = 16
 # Uniforms a lane walked one by one draws per call, so its transient floats
@@ -237,16 +247,11 @@ def run_walks(g: Graph, starts, budget: int, seeds) -> np.ndarray:
     many lanes.  Lockstep draws all uniforms up front, so its memory is
     about three times ``len(starts) * budget * 8`` bytes.
     """
-    starts = _int64s(starts, "start nodes").tolist()
+    starts = _start_nodes(g, starts).tolist()
     budget = int(_int64s(budget, "budget"))
     seeds = list(seeds)
     if len(seeds) != len(starts):
         raise ValueError(f"{len(starts)} starts but {len(seeds)} seeds")
-    for start in starts:
-        if not 0 <= start < g.n:
-            raise ValueError(f"start node {start} out of range")
-        if g.degree(start) < 1:
-            raise ValueError(f"start node {start} is isolated")
     if budget < 1:
         raise ValueError("budget must be at least 1")
 
@@ -294,11 +299,12 @@ def retrace_to_start(trace: WalkTrace, node: int) -> list[int]:
     entries graph-adjacent) beginning at ``node`` and ending at the start;
     retracing from the start itself yields the single-node path.
     """
+    node = int(_node_ids(node, trace.graph.n, "node"))
     nodes, first = trace.first_visits
     k = int(np.searchsorted(nodes, node))
     if k == nodes.size or nodes[k] != node:
         raise ValueError(f"node {node} was not visited by this walker")
-    path = [int(node)]
+    path = [node]
     while first[k]:
         path.append(int(trace.steps[first[k] - 1]))
         k = int(np.searchsorted(nodes, path[-1]))

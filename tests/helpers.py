@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
 
 from rwtopo import Graph, naive_route, score_pairs
@@ -67,3 +69,27 @@ def sorted_edge_counts(trace) -> np.ndarray:
     at[nodes] = first
     later = at[trace.graph.adj[arc_idx]] > near
     return _read_only(np.cumsum(np.bincount(near[later], minlength=trace.budget)))[0]
+
+
+def adjacency_lists(n: int, edges) -> list[list[int]]:
+    """Each node's neighbors over the undirected ``edges``, as Python lists."""
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    for u, v in np.asarray(edges).reshape(-1, 2).tolist():
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    return nbrs
+
+
+def queue_bfs(nbrs: list[list[int]], source: int) -> np.ndarray:
+    """Hop distances from ``source`` over :func:`adjacency_lists` by a plain
+    FIFO search, -1 (UNREACHABLE) where no path exists."""
+    dist = [-1] * len(nbrs)
+    dist[source] = 0
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for v in nbrs[u]:
+            if dist[v] < 0:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return np.array(dist, dtype=np.int64)

@@ -26,9 +26,8 @@ from rwtopo import (
 from rwtopo.graph import Graph, bfs_distances, giant_component, stats_report
 from rwtopo.coverage import expected_edge_fraction
 from rwtopo.walker import retrace_to_start
-from rwtopo.rwsp import routing_tree
 from rwtopo.experiments import StretchMatrix
-from helpers import complete, path_graph, star, two_triangles
+from helpers import adjacency_lists, complete, path_graph, queue_bfs, star, two_triangles
 
 
 class TestExperimentConfig:
@@ -53,9 +52,10 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match=rf"^{field} must be integral, got {bad}$"):
             ExperimentConfig(seed=1, **{"h": 2, field: value})
 
-    @pytest.mark.parametrize("seed", [1.5, 1.0, -1, (2, 0.5), (2, -3)], ids=repr)
+    @pytest.mark.parametrize("seed", [1.5, 1.0, -1, (2, 0.5), (2, -3), True, (2, False)], ids=repr)
     def test_non_integral_or_negative_seeds_are_rejected(self, seed):
-        # 1.5 failed at the first run with a TypeError, -1 inside numpy.
+        # 1.5 failed at the first run with a TypeError, -1 inside numpy, and
+        # True ran as seed 1 with "seed": true in metadata.json.
         with pytest.raises(ConfigError, match="^seed must be a non-negative integer or a sequence of them, got "):
             ExperimentConfig(seed=seed)
 
@@ -345,6 +345,17 @@ class TestCrossingRate:
         with pytest.raises(ConfigError, match=r"^delta must be integral, got 2.5$"):
             crossing_rate(star(9), cfg, delta=2.5)
 
+    @pytest.mark.parametrize("c", [True, np.True_, "1", None], ids=repr)
+    def test_a_c_that_is_not_a_real_is_a_config_error_before_any_walk(self, monkeypatch, c):
+        # True ran and wrote "c": true; "1" raised a TypeError.
+        def no_walks(*args):
+            raise AssertionError("walked before c was checked")
+
+        monkeypatch.setattr(experiments, "run_walks", no_walks)
+        cfg = ExperimentConfig(seed=1, h=2, beta=0.4, runs=5)
+        with pytest.raises(ConfigError, match=f"^c must be a real number, got {c!r}$"):
+            crossing_rate(star(9), cfg, c=c)
+
     def test_calibrated_bound_dominates_measured_rate(self):
         # calibrate c from the measured conditional hit rate, then the
         # geometric bound must sit above the measured non-crossing rate
@@ -484,18 +495,23 @@ class TestEmitReports:
 
 
 def tree_scored_matrices(g, run):
-    """Reference scorer: one true-distance search and one routing tree per walker."""
+    """Reference scorer: one plain queue search of ``g`` and one of the
+    walker's G* per walker, sharing no code with the scorer.  G* is every
+    edge with an end that a walk of the walker's group visited."""
     true = np.zeros((run.h, run.h), dtype=np.int64)
     discovered = np.zeros((run.h, run.h), dtype=np.int64)
+    whole = adjacency_lists(g.n, g.edges)
     for i, start in enumerate(run.starts):
-        true_dist = bfs_distances(g, start)
-        tree = routing_tree(run.unions[i], start)
+        visited = np.zeros(g.n, dtype=bool)
+        visited[run.steps[sorted(run.states[i].known_peers | {i})]] = True
+        true_dist = queue_bfs(whole, start)
+        depth = queue_bfs(adjacency_lists(g.n, g.edges[visited[g.edges].any(axis=1)]), start)
         for j, target in enumerate(run.starts):
             if j == i:
                 continue
             known = j in run.states[i].known_peers
             true[i, j] = true_dist[target]
-            discovered[i, j] = tree.depth[target] if known else UNREACHABLE
+            discovered[i, j] = depth[target] if known else UNREACHABLE
     return true, discovered
 
 

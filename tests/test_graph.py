@@ -22,7 +22,7 @@ from rwtopo import (
 )
 from rwtopo import graph as graph_module
 from rwtopo.graph import DegreeMoments, bfs_distances, component_labels, oriented_arcs, pair_distances
-from rwtopo.walker import run_walks
+from rwtopo.walker import retrace_to_start, run_walk, run_walks
 from helpers import degree_multiset, path_graph, star, triangle, two_triangles
 
 
@@ -117,7 +117,7 @@ class TestGraphStructure:
         assert g.has_edge(0, 1) and g.has_edge(1, 0)
         assert not g.has_edge(0, 0)
 
-    @pytest.mark.parametrize("v", [-1, 4, 1.5, np.float64(2.0), "1", None], ids=repr)
+    @pytest.mark.parametrize("v", [-1, 4, 1.5, np.float64(2.0), "1", None, True, np.True_], ids=repr)
     @pytest.mark.parametrize(
         "query",
         [Graph.degree, Graph.neighbors, lambda g, v: g.has_edge(v, 0), lambda g, v: g.has_edge(0, v)],
@@ -125,7 +125,8 @@ class TestGraphStructure:
     )
     def test_node_ids_outside_the_graph_or_not_integral_are_rejected(self, query, v):
         # On this path degree(-1) read -6, neighbors(-1) [] and has_edge(-1, 0)
-        # False; degree(4) and degree(1.5) raised IndexError.
+        # False; degree(4) and degree(1.5) raised IndexError, and degree(True)
+        # read node 1.
         g = path_graph(4)
         with pytest.raises(ValueError, match="^node id must be an integer in 0..3, got "):
             query(g, v)
@@ -189,6 +190,7 @@ class TestGraphStructure:
             ("visited node ids", lambda: pair_distances(g, [0, 2], [flags, [2]])),
             ("source", lambda: bfs_distances(g, np.True_)),
             ("start nodes", lambda: run_walks(g, np.array([True]), 3, [1])),
+            ("node", lambda: retrace_to_start(run_walk(g, 0, 4, 1)[0], True)),
             ("fixed_starts", lambda: ExperimentConfig(seed=1, h=2, fixed_starts=np.array([True, False]))),
         ]
         for what, call in entry_points:

@@ -38,6 +38,7 @@ from rwtopo import (
 )
 from rwtopo.graph import (
     _arc_positions,
+    _first_appearance_ids,
     _distinct,
     _kept_arcs,
     _pull,
@@ -318,6 +319,33 @@ def test_loading_frees_the_text_and_labels_before_the_graph_is_built():
 def test_a_wide_label_span_is_relabelled_without_a_span_sized_table():
     load_edge_list(b"0 1\n")
     assert traced_peak(load_edge_list, b"0 1000000000000000\n") < 1_000_000
+
+
+INT64 = np.iinfo(np.int64)
+
+
+@st.composite
+def label_pairs(draw):
+    """(k, 2) int64 labels spanning less than, exactly or more than their
+    2k entries, from negative labels to both ends of int64, with repeats."""
+    size = 2 * draw(st.integers(1, 30))
+    span = draw(st.one_of(st.integers(0, size - 1), st.just(size), st.integers(size + 1, 2**64 - 1), st.just(2**64 - 1)))
+    lo = draw(st.integers(INT64.min, INT64.max - span))
+    pool = [lo, lo + span] + draw(st.lists(st.integers(lo, lo + span), max_size=size))
+    rest = draw(st.lists(st.sampled_from(pool), min_size=size - 2, max_size=size - 2))
+    return np.array(draw(st.permutations([lo, lo + span] + rest)), dtype=np.int64).reshape(-1, 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(label_pairs())
+def test_first_appearance_ids_match_a_dict_numbering(labels):
+    remap: dict[int, int] = {}
+    for label in labels.ravel().tolist():
+        remap.setdefault(label, len(remap))
+    ids, originals = _first_appearance_ids(labels)
+    assert ids.dtype == originals.dtype == np.int64
+    assert ids.tolist() == [[remap[a], remap[b]] for a, b in labels.tolist()]
+    assert originals.tolist() == list(remap)
 
 
 def reference_flood(g: Graph, labels: np.ndarray, source: int, step: int, edge_mask: np.ndarray | None = None) -> None:

@@ -394,18 +394,20 @@ def test_walker_seed_streams_are_stable_and_distinct():
     assert (a.steps != b.steps).any()
 
 
-@pytest.mark.parametrize("seed", [(1.5, 2), 1.5, 2.0, -1, (3, -2), "12", None], ids=repr)
+@pytest.mark.parametrize("seed", [(1.5, 2), 1.5, 2.0, -1, (3, -2), "12", None, True, (2, True), np.True_], ids=repr)
 def test_seeds_with_a_non_integral_or_negative_entry_are_rejected(seed):
-    # (1.5, 2) walked as (1, 2), "12" as (1, 2), and -1 failed inside numpy.
+    # (1.5, 2) walked as (1, 2), "12" as (1, 2), True as 1, and -1 failed
+    # inside numpy.
     with pytest.raises(ValueError, match="^seed must be a non-negative integer or a sequence of them, got "):
         walker_seed(seed, 0)
     with pytest.raises(ValueError, match="^seed must be a non-negative integer"):
         run_walk(cycle(5), 0, 10, seed)
 
 
-@pytest.mark.parametrize("walker_id", [1.5, "3", -2, np.float64(1.0), None], ids=repr)
+@pytest.mark.parametrize("walker_id", [1.5, "3", -2, np.float64(1.0), None, True, np.True_], ids=repr)
 def test_walker_ids_that_are_non_integral_or_negative_are_rejected(walker_id):
-    # 1.5 derived (1, 1), "3" derived (1, 3), and -2 failed inside numpy.
+    # 1.5 derived (1, 1), "3" derived (1, 3), True derived (1, 1), and -2
+    # failed inside numpy.
     with pytest.raises(ValueError, match="^walker id must be a non-negative integer, got "):
         walker_seed(1, walker_id)
 
