@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -30,7 +29,9 @@ from .experiments import (
     ExperimentConfig,
     InvariantViolation,
     _crossing_params,
+    _csv,
     _draw_starts,
+    _json_dump,
     _start_pool,
     _tau_grid,
     coverage_validation,
@@ -60,15 +61,11 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _json_out(obj) -> None:
-    print(json.dumps(obj, sort_keys=True, indent=2))
-
-
 # -- subcommand handlers -------------------------------------------------------
 
 
 def _cmd_stats(args) -> int:
-    _json_out(stats_report(load_edge_list(args.graph)))
+    sys.stdout.write(_json_dump(stats_report(load_edge_list(args.graph))))
     return 0
 
 
@@ -86,15 +83,14 @@ def _cmd_synth(args) -> int:
 def _cmd_walk(args) -> int:
     g = load_edge_list(args.graph)
     trace, _ = run_walk(g, args.start, args.budget, args.seed)
-    _json_out(
-        {
-            "start": trace.start,
-            "steps_taken": trace.budget,
-            "unique_nodes": trace.unique_nodes,
-            "covered_edges": trace.covered_edge_count,
-            "covered_edge_fraction": trace.covered_edge_count / (2.0 * g.m),
-        }
-    )
+    report = {
+        "start": trace.start,
+        "steps_taken": trace.budget,
+        "unique_nodes": trace.unique_nodes,
+        "covered_edges": trace.covered_edge_count,
+        "covered_edge_fraction": trace.covered_edge_count / (2.0 * g.m),
+    }
+    sys.stdout.write(_json_dump(report))
     return 0
 
 
@@ -145,14 +141,11 @@ def _cmd_predict(args) -> int:
             raise ConfigError("--num-edges must be at least 1")
         moments = DegreeMoments(args.mean_degree, args.second_moment)
         m = args.num_edges
-    lines = ["tau,n_e_pred,n_nodes_pred,gamma_bar,warning_flag"]
-    for point in coverage_points(moments, m, args.taus):
-        gamma = point.expected_edges / (2.0 * m)
-        lines.append(
-            f"{point.tau!r},{point.expected_edges!r},{point.expected_nodes!r},"
-            f"{gamma!r},{0 if point.in_regime else 1}"
-        )
-    text = "\n".join(lines) + "\n"
+    rows = (
+        [p.tau, p.expected_edges, p.expected_nodes, p.expected_edges / (2.0 * m), 0 if p.in_regime else 1]
+        for p in coverage_points(moments, m, args.taus)
+    )
+    text = _csv(["tau", "n_e_pred", "n_nodes_pred", "gamma_bar", "warning_flag"], rows)
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8", newline="\n")
     else:
@@ -234,7 +227,7 @@ def _cmd_rwsp(args) -> int:
         }
         for i in range(cfg.h)
     ]
-    _json_out({"budget": budget, "pairs": pairs, "walkers": walkers})
+    sys.stdout.write(_json_dump({"budget": budget, "pairs": pairs, "walkers": walkers}))
     return 0
 
 

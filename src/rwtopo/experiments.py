@@ -16,7 +16,7 @@ import numbers
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -97,9 +97,7 @@ class ExperimentConfig:
         if not isinstance(self.rescale_budget, (bool, np.bool_)):  # "no" is truthy
             raise ConfigError(f"rescale_budget must be a bool, got {self.rescale_budget!r}")
         object.__setattr__(self, "rescale_budget", bool(self.rescale_budget))
-        if not isinstance(self.beta, numbers.Real):
-            raise ConfigError(f"beta must be a real number, got {self.beta!r}")
-        object.__setattr__(self, "beta", float(self.beta))
+        object.__setattr__(self, "beta", float(_real(self.beta, "beta")))
         if self.h < 2:
             raise ConfigError("h must be at least 2")
         if self.h > _START_STREAM:
@@ -193,38 +191,36 @@ class StretchMatrix:
         """Optimality fractions overall and per true-distance row.
 
         ``fraction_optimal`` / ``fraction_within_one`` are taken over finite
-        pairs; ``inf_fraction`` over all recorded pairs.
+        pairs; ``inf_fraction`` over all recorded pairs.  A fraction over no
+        pairs is 0.0, and a row with no pairs is left out of ``per_row``.
         """
         d = self.finite_limit
-        finite = self.counts[:d, :d]
-        total = self.total_pairs
-        finite_total = int(finite.sum())
-        optimal = int(np.trace(finite))
-        within = optimal + sum(
-            int(finite[r, r + 1]) for r in range(d - 1)
-        )
-        per_row = {}
-        for r in range(d):
-            row_total = int(self.counts[r].sum())
-            row_finite = int(finite[r].sum())
-            if row_total == 0:
-                continue
-            row_opt = int(finite[r, r])
-            row_within = row_opt + (int(finite[r, r + 1]) if r + 1 < d else 0)
-            per_row[r + 1] = {
-                "pairs": row_total,
-                "finite": row_finite,
-                "fraction_optimal": row_opt / row_finite if row_finite else 0.0,
-                "fraction_within_one": row_within / row_finite if row_finite else 0.0,
-                "inf_fraction": (row_total - row_finite) / row_total,
+        routed = self.counts.copy()
+        routed[:, d] = 0  # only the pairs with a finite route
+        optimal = np.diagonal(routed)
+        within = optimal + np.append(np.diagonal(routed, 1), 0)
+        # Per true-distance row, the INF row last: its pairs, finite pairs,
+        # optimal routes and routes within one hop of optimal.
+        table = np.stack([self.counts.sum(axis=1), routed.sum(axis=1), optimal, within])
+
+        def fractions(pairs: int, finite: int, optimal: int, within: int) -> dict:
+            return {
+                "fraction_optimal": optimal / finite if finite else 0.0,
+                "fraction_within_one": within / finite if finite else 0.0,
+                "inf_fraction": (pairs - finite) / pairs if pairs else 0.0,
             }
+
+        per_row = {
+            r: {"pairs": row[0], "finite": row[1], **fractions(*row)}
+            for r, row in enumerate(table[:, :d].T.tolist(), 1)
+            if row[0]
+        }
+        total = table.sum(axis=1).tolist()
         return {
-            "total_pairs": total,
-            "finite_pairs": finite_total,
-            "inf_fraction": (total - finite_total) / total if total else 0.0,
-            "unreachable_true_pairs": int(self.counts[d].sum()),
-            "fraction_optimal": optimal / finite_total if finite_total else 0.0,
-            "fraction_within_one": within / finite_total if finite_total else 0.0,
+            "total_pairs": total[0],
+            "finite_pairs": total[1],
+            "unreachable_true_pairs": int(table[0, d]),
+            **fractions(*total),
             "per_row": per_row,
         }
 
@@ -276,6 +272,15 @@ class ExperimentResult:
     @property
     def summary(self) -> dict:
         return self.stretch.summary()
+
+
+def _real(x, what: str):
+    """``x``, unchanged; ConfigError naming ``what`` unless it is a real
+    number other than a bool (``"0.1"`` is not read as a number, and a bool
+    would be written as ``true``)."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):  # np.bool_ is no numbers.Real
+        raise ConfigError(f"{what} must be a real number, got {x!r}")
+    return x
 
 
 def _start_pool(g: Graph, cfg: ExperimentConfig) -> np.ndarray:
@@ -449,7 +454,7 @@ def run_experiment(g: Graph, cfg: ExperimentConfig) -> ExperimentResult:
 
 def _tau_grid(taus) -> list[float]:
     """``taus`` as floats, checked as :func:`coverage_validation` reads them."""
-    taus = [float(t) for t in taus]
+    taus = [float(_real(t, "tau")) for t in taus]
     if not taus:
         raise ConfigError("tau grid must be non-empty")
     if not all(0 <= t < 1 for t in taus):
@@ -496,8 +501,7 @@ def _crossing_params(g: Graph, budget: int, c: float = 1.0, delta: int | None = 
     """The inputs of :func:`crossing_rate`'s bound for walks of ``budget``
     steps on ``g``, all checked before any walk runs; ``delta`` defaults to
     ``ceil(n / 100)``."""
-    if isinstance(c, bool) or not isinstance(c, numbers.Real):  # True would be written as "c": true
-        raise ConfigError(f"c must be a real number, got {c!r}")
+    _real(c, "c")
     try:
         delta = max(1, math.ceil(g.n / 100)) if delta is None else int(_int64s(delta, "delta"))
     except ValueError as exc:  # a non-integral delta, named by _int64s
@@ -573,31 +577,11 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _stretch_csv(matrix: StretchMatrix) -> str:
-    labels = matrix.labels
-    rows = matrix.row_normalized()
-    lines = ["d_true," + ",".join(labels)]
-    for label, row in zip(labels, rows):
-        lines.append(label + "," + ",".join(_fmt(x) for x in row))
-    return "\n".join(lines) + "\n"
-
-
-def _histogram_csv(matrix: StretchMatrix) -> str:
-    hist = matrix.marginal_true_histogram
-    total = matrix.total_pairs
-    lines = ["d_true,count,fraction"]
-    for label, count in zip(matrix.labels, hist):
-        lines.append(f"{label},{int(count)},{_fmt(count / total)}")
-    return "\n".join(lines) + "\n"
-
-
-def _coverage_csv(rows: list[CoverageValidationRow]) -> str:
-    lines = ["tau,empirical_mean,empirical_std,predicted"]
-    for row in rows:
-        lines.append(
-            f"{_fmt(row.tau)},{_fmt(row.empirical_mean)},{_fmt(row.empirical_std)},{_fmt(row.predicted)}"
-        )
-    return "\n".join(lines) + "\n"
+def _csv(header: list[str], rows) -> str:
+    """CSV text of the ``header`` cells and then each row's, one line each:
+    float cells (numpy's float64 too) written by :func:`_fmt`, others by ``str``."""
+    lines = [header, *rows]
+    return "".join(",".join(_fmt(x) if isinstance(x, float) else str(x) for x in line) + "\n" for line in lines)
 
 
 def _json_dump(obj) -> str:
@@ -643,10 +627,15 @@ def emit_reports(result: ExperimentResult, fmt: str = "csv", destination=None) -
         "summary": result.summary,
     }
     if fmt == "csv":
-        put("stretch_matrix.csv", _stretch_csv(result.stretch))
-        put("true_distance_histogram.csv", _histogram_csv(result.stretch))
+        stretch, labels = result.stretch, result.stretch.labels
+        fractions = stretch.row_normalized().tolist()
+        put("stretch_matrix.csv", _csv(["d_true", *labels], ([d, *row] for d, row in zip(labels, fractions))))
+        counts = stretch.marginal_true_histogram.tolist()
+        rows = ([d, k, k / stretch.total_pairs] for d, k in zip(labels, counts))
+        put("true_distance_histogram.csv", _csv(["d_true", "count", "fraction"], rows))
         if result.coverage is not None:
-            put("coverage.csv", _coverage_csv(result.coverage))
+            header = [f.name for f in fields(CoverageValidationRow)]
+            put("coverage.csv", _csv(header, map(astuple, result.coverage)))
         if crossing_dict is not None:
             put("crossing.json", _json_dump(crossing_dict))
         metadata["outputs"] = sorted(p.name for p in written)

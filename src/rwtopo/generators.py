@@ -10,6 +10,7 @@ are pure functions of ``(params, seed)``.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,10 @@ class PowerLawParams:
     n: int = 2
 
     def __post_init__(self):
+        if isinstance(self.alpha, bool) or not isinstance(self.alpha, numbers.Real):
+            raise ValueError(f"alpha must be a real number, got {self.alpha!r}")
+        for field in ("k_min", "n"):
+            object.__setattr__(self, field, _size(getattr(self, field), field))
         if not self.alpha > 1:
             raise ValueError("alpha must exceed 1")
         if self.k_min < 1:
@@ -43,6 +48,15 @@ class PowerLawParams:
     def k_cap(self) -> int:
         """Structural degree cutoff floor(sqrt(n * k_min))."""
         return max(self.k_min, int(math.isqrt(self.n * self.k_min)))
+
+
+def _size(value, what: str) -> int:
+    """``value`` as a Python int; ValueError naming ``what`` unless it is one
+    integral number other than a bool (see :func:`_int64s`)."""
+    size = _int64s(value, what)
+    if size.ndim:
+        raise ValueError(f"{what} must be a single integer, got {value!r}")
+    return int(size)
 
 
 def power_law_degrees(params: PowerLawParams, seed) -> np.ndarray:
@@ -114,6 +128,7 @@ def preferential_attachment(n: int, m0: int, seed) -> Graph:
     draw would, so a given ``(n, m0, seed)`` yields the same graph as drawing
     one target at a time.
     """
+    n, m0 = _size(n, "n"), _size(m0, "m0")
     if m0 < 1:
         raise ValueError("m0 must be at least 1")
     if n <= m0:
@@ -189,6 +204,7 @@ def _block_targets(repeated, pos, base):
 
 def grid_2d(rows: int, cols: int) -> Graph:
     """Deterministic rows x cols lattice; a low-q control case."""
+    rows, cols = _size(rows, "rows"), _size(cols, "cols")
     if rows < 1 or cols < 1:
         raise ValueError("grid dimensions must be positive")
     idx = np.arange(rows * cols).reshape(rows, cols)

@@ -144,17 +144,39 @@ class TestStretchMatrix:
             StretchMatrix.from_pairs([(0, 1)])
 
     def test_summary_fractions(self):
+        # Row 1's pairs are all INF; rows 4 and 5 hold no pairs, so they are
+        # left out of per_row; one pair's endpoints are disconnected.
         m = StretchMatrix.from_pairs(
-            [(2, 2), (2, 3), (2, 5), (3, 3), (1, UNREACHABLE)]
+            [(2, 2), (2, 3), (2, 5), (3, 3), (3, UNREACHABLE), (1, UNREACHABLE), (1, UNREACHABLE),
+             (UNREACHABLE, UNREACHABLE)]
         )
-        s = m.summary()
-        assert s["total_pairs"] == 5
-        assert s["finite_pairs"] == 4
-        assert s["inf_fraction"] == pytest.approx(0.2)
-        assert s["fraction_optimal"] == pytest.approx(2 / 4)
-        assert s["fraction_within_one"] == pytest.approx(3 / 4)
-        assert s["per_row"][2]["fraction_within_one"] == pytest.approx(2 / 3)
-        assert s["per_row"][1]["inf_fraction"] == 1.0
+        assert m.summary() == {
+            "total_pairs": 8,
+            "finite_pairs": 4,
+            "inf_fraction": 4 / 8,
+            "unreachable_true_pairs": 1,
+            "fraction_optimal": 2 / 4,
+            "fraction_within_one": 3 / 4,
+            "per_row": {
+                1: {"pairs": 2, "finite": 0, "fraction_optimal": 0.0, "fraction_within_one": 0.0, "inf_fraction": 1.0},
+                2: {"pairs": 3, "finite": 3, "fraction_optimal": 1 / 3, "fraction_within_one": 2 / 3,
+                    "inf_fraction": 0.0},
+                3: {"pairs": 2, "finite": 1, "fraction_optimal": 1.0, "fraction_within_one": 1.0, "inf_fraction": 0.5},
+            },
+        }
+
+    def test_summary_of_no_finite_pairs_is_all_zero_or_inf(self):
+        m = StretchMatrix.from_pairs([(UNREACHABLE, UNREACHABLE)])
+        assert m.summary() == {
+            "total_pairs": 1,
+            "finite_pairs": 0,
+            "inf_fraction": 1.0,
+            "unreachable_true_pairs": 1,
+            "fraction_optimal": 0.0,
+            "fraction_within_one": 0.0,
+            "per_row": {},
+        }
+        assert StretchMatrix(np.zeros((1, 1))).summary()["inf_fraction"] == 0.0
 
 
 class TestRunExperiment:
@@ -296,12 +318,26 @@ class TestCoverageValidation:
             assert r.predicted >= 0.96
             assert 0.0 <= r.empirical_mean <= 1.0
 
-    def test_bad_grid_rejected(self):
+    def test_bad_grid_rejected(self, monkeypatch):
+        def no_walk(*args, **kwargs):
+            raise AssertionError("walked before the taus were checked")
+
+        monkeypatch.setattr(experiments, "run_walk", no_walk)
         cfg = ExperimentConfig(seed=2, h=2, beta=0.5, runs=2)
         with pytest.raises(ConfigError):
             coverage_validation(star(5), cfg, [])
         with pytest.raises(ConfigError):
             coverage_validation(star(5), cfg, [1.0])
+        # False ran as a tau = 0 row, "0.05" as 0.05.
+        for tau in [False, np.True_, "0.05", None]:
+            with pytest.raises(ConfigError, match=f"^tau must be a real number, got {tau!r}$"):
+                coverage_validation(star(5), cfg, [0.05, tau])
+
+    def test_numpy_and_integer_taus_read_as_floats(self):
+        cfg = ExperimentConfig(seed=2, h=2, beta=0.5, runs=2)
+        rows = coverage_validation(star(5), cfg, [0, np.float32(0.5)])
+        assert [row.tau for row in rows] == [0.0, 0.5]
+        assert rows == coverage_validation(star(5), cfg, [0.0, 0.5])
 
 
 class TestCrossingRate:

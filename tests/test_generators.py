@@ -59,6 +59,16 @@ class TestPowerLawDegrees:
         with pytest.raises(ValueError, match="k_min must be at most n - 1"):
             PowerLawParams(alpha=2.5, k_min=200, n=100)
         assert PowerLawParams(alpha=2.5, k_min=99, n=100).k_min == 99
+        # k_min=1.5 failed only later in k_cap, alpha="3" in a comparison.
+        for kwargs, message in [
+            ({"alpha": 2.5, "k_min": 1.5, "n": 100}, "k_min must be integral, got 1.5"),
+            ({"alpha": 2.5, "k_min": 2, "n": True}, "n must be integral, got bool"),
+            ({"alpha": "3", "k_min": 2, "n": 100}, "alpha must be a real number, got '3'"),
+            ({"alpha": True, "k_min": 2, "n": 100}, "alpha must be a real number, got True"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                PowerLawParams(**kwargs)
+        assert PowerLawParams(alpha=np.float64(2.5), k_min=2.0, n=np.int64(100)) == PowerLawParams(2.5, 2, 100)
 
     def test_deterministic_given_seed(self):
         params = PowerLawParams(alpha=2.2, k_min=1, n=200)
@@ -156,6 +166,10 @@ class TestPreferentialAttachment:
             preferential_attachment(3, 3, seed=0)
         with pytest.raises(ValueError):
             preferential_attachment(10, 0, seed=0)
+        with pytest.raises(ValueError, match=r"^n must be integral, got 100.5$"):
+            preferential_attachment(100.5, 3, seed=1)
+        with pytest.raises(ValueError, match=r"^m0 must be integral, got bool$"):
+            preferential_attachment(100, True, seed=1)
 
     def test_deterministic_given_seed(self):
         a = preferential_attachment(60, 2, seed=21)
@@ -176,6 +190,13 @@ class TestGrid:
     def test_invalid(self):
         with pytest.raises(ValueError):
             grid_2d(0, 4)
+        with pytest.raises(ValueError, match=r"^rows must be integral, got 3.5$"):
+            grid_2d(3.5, 4)
+        with pytest.raises(ValueError, match=r"^rows must be integral, got bool$"):
+            grid_2d(True, 4)
+        with pytest.raises(ValueError, match=r"^cols must be a single integer, got \[4\]$"):
+            grid_2d(3, [4])
+        assert np.array_equal(grid_2d(3.0, 4).edges, grid_2d(3, 4).edges)
 
 
 class TestFromSpec:

@@ -37,10 +37,7 @@ from rwtopo import (
     write_edge_list,
 )
 from rwtopo.graph import (
-    _arc_positions,
     _first_appearance_ids,
-    _distinct,
-    _kept_arcs,
     _pull,
     _span_positions,
     bfs_distances,
@@ -349,18 +346,23 @@ def test_first_appearance_ids_match_a_dict_numbering(labels):
 
 
 def reference_flood(g: Graph, labels: np.ndarray, source: int, step: int, edge_mask: np.ndarray | None = None) -> None:
-    """The push-only flood: every level gathers the frontier's neighbors."""
-    indptr, adj = _kept_arcs(g, edge_mask)
-    frontier = np.array([source], dtype=np.int64)
+    """The push-only flood: every level labels the unlabelled heads of the
+    arcs leaving the frontier, read off the rows of ``g.edges`` that
+    ``edge_mask`` keeps, in both directions, without ``g``'s CSR."""
+    kept = g.edges if edge_mask is None else g.edges[np.flatnonzero(edge_mask)]
+    tails, heads = np.concatenate([kept, kept[:, ::-1]]).T
+    on_frontier = np.zeros(g.n, dtype=bool)
+    on_frontier[source] = True
     value = labels[source]
     while True:
-        nbrs = adj[_arc_positions(indptr, frontier)[0]]
-        nbrs = nbrs[labels[nbrs] < 0]
-        if nbrs.size == 0:
+        nbrs = heads[on_frontier[tails]]
+        frontier = np.unique(nbrs[labels[nbrs] < 0])
+        if frontier.size == 0:
             return
-        frontier = _distinct(nbrs, labels)  # every parked node is labelled next
         value += step
         labels[frontier] = value
+        on_frontier[:] = False
+        on_frontier[frontier] = True
 
 
 def reference_bfs(g: Graph, source: int, edge_mask=None) -> np.ndarray:
