@@ -31,6 +31,7 @@ from .graph import (
     Graph,
     UNREACHABLE,
     _int64s,
+    _one_int,
     bfs_distances,
     degree_moments,
     giant_component,  # noqa: F401  (not called here; rwbench/tracing.py wraps it by name)
@@ -89,10 +90,10 @@ class ExperimentConfig:
         try:
             _as_seed_tuple(self.seed)
             for field in ("h", "runs", "workers"):
-                object.__setattr__(self, field, int(_int64s(getattr(self, field), field)))
+                object.__setattr__(self, field, _one_int(getattr(self, field), field))
             if self.fixed_starts is not None:
                 object.__setattr__(self, "fixed_starts", tuple(_int64s(self.fixed_starts, "fixed_starts").tolist()))
-        except ValueError as exc:  # a bad value, named by _int64s or _as_seed_tuple
+        except ValueError as exc:  # a bad value, named by _one_int, _int64s or _as_seed_tuple
             raise ConfigError(str(exc)) from None
         if not isinstance(self.rescale_budget, (bool, np.bool_)):  # "no" is truthy
             raise ConfigError(f"rescale_budget must be a bool, got {self.rescale_budget!r}")
@@ -503,8 +504,8 @@ def _crossing_params(g: Graph, budget: int, c: float = 1.0, delta: int | None = 
     ``ceil(n / 100)``."""
     _real(c, "c")
     try:
-        delta = max(1, math.ceil(g.n / 100)) if delta is None else int(_int64s(delta, "delta"))
-    except ValueError as exc:  # a non-integral delta, named by _int64s
+        delta = max(1, math.ceil(g.n / 100)) if delta is None else _one_int(delta, "delta")
+    except ValueError as exc:  # a non-integral delta, named by _one_int
         raise ConfigError(str(exc)) from None
     if delta < 1:
         raise ConfigError("delta must be at least 1")

@@ -4,7 +4,8 @@ These provide desk-scale stand-ins for the large social/AS snapshots that
 heavy-tailed crawling behaviour is usually studied on: i.i.d. power-law
 degree sequences, an erased configuration model, preferential-attachment
 growth, and a 2D grid as a low-variance negative control.  All generators
-are pure functions of ``(params, seed)``.
+are pure functions of ``(params, seed)``; a seed is checked as a walk seed
+is (:func:`rwtopo.walker._as_seed_tuple`), then handed to numpy unchanged.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, _int64s
+from .graph import Graph, _int64s, _one_int
+from .walker import _as_seed_tuple
 
 
 @dataclass(frozen=True)
@@ -34,7 +36,7 @@ class PowerLawParams:
         if isinstance(self.alpha, bool) or not isinstance(self.alpha, numbers.Real):
             raise ValueError(f"alpha must be a real number, got {self.alpha!r}")
         for field in ("k_min", "n"):
-            object.__setattr__(self, field, _size(getattr(self, field), field))
+            object.__setattr__(self, field, _one_int(getattr(self, field), field))
         if not self.alpha > 1:
             raise ValueError("alpha must exceed 1")
         if self.k_min < 1:
@@ -50,15 +52,6 @@ class PowerLawParams:
         return max(self.k_min, int(math.isqrt(self.n * self.k_min)))
 
 
-def _size(value, what: str) -> int:
-    """``value`` as a Python int; ValueError naming ``what`` unless it is one
-    integral number other than a bool (see :func:`_int64s`)."""
-    size = _int64s(value, what)
-    if size.ndim:
-        raise ValueError(f"{what} must be a single integer, got {value!r}")
-    return int(size)
-
-
 def power_law_degrees(params: PowerLawParams, seed) -> np.ndarray:
     """Sample n i.i.d. degrees from p_k ~ k**-alpha on [k_min, k_cap].
 
@@ -67,6 +60,7 @@ def power_law_degrees(params: PowerLawParams, seed) -> np.ndarray:
     sum is odd the last entry is incremented by one (an O(1/n) perturbation of
     the moments, which may push that single entry one above the cutoff).
     """
+    _as_seed_tuple(seed)
     # Draw first, so that an impossible n fails before the k_cap-sized tables.
     uniform = np.random.default_rng(seed).random(params.n)
     support = np.arange(params.k_min, params.k_cap + 1, dtype=np.int64)
@@ -102,6 +96,7 @@ def configuration_model(degrees, seed) -> Graph:
         raise ValueError("degrees must be non-negative")
     if int(degrees.sum()) % 2 == 1:
         raise ValueError("degree sum must be even")
+    _as_seed_tuple(seed)
     rng = np.random.default_rng(seed)
     stubs = np.repeat(np.arange(degrees.size, dtype=np.int64), degrees)
     stubs = rng.permutation(stubs)
@@ -128,11 +123,12 @@ def preferential_attachment(n: int, m0: int, seed) -> Graph:
     draw would, so a given ``(n, m0, seed)`` yields the same graph as drawing
     one target at a time.
     """
-    n, m0 = _size(n, "n"), _size(m0, "m0")
+    n, m0 = _one_int(n, "n"), _one_int(m0, "m0")
     if m0 < 1:
         raise ValueError("m0 must be at least 1")
     if n <= m0:
         raise ValueError("n must exceed m0")
+    _as_seed_tuple(seed)
     clique = m0 + 1
     width = 2 * m0  # entries each new node adds to `repeated`
     start = clique * m0
@@ -204,7 +200,7 @@ def _block_targets(repeated, pos, base):
 
 def grid_2d(rows: int, cols: int) -> Graph:
     """Deterministic rows x cols lattice; a low-q control case."""
-    rows, cols = _size(rows, "rows"), _size(cols, "cols")
+    rows, cols = _one_int(rows, "rows"), _one_int(cols, "cols")
     if rows < 1 or cols < 1:
         raise ValueError("grid dimensions must be positive")
     idx = np.arange(rows * cols).reshape(rows, cols)
@@ -229,8 +225,9 @@ def from_spec(spec: str, seed) -> Graph:
         pa:n=5000,m0=3          preferential attachment
         plconfig:n=10000,alpha=2.5,kmin=2
                                 power-law degrees + erased configuration model
-        grid:rows=71,cols=71    2D lattice (seed unused)
+        grid:rows=71,cols=71    2D lattice (seed checked, unused)
     """
+    _as_seed_tuple(seed)
     model, _, arg_str = spec.partition(":")
     model = model.strip().lower()
     args: dict[str, str] = {}

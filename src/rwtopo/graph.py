@@ -41,9 +41,10 @@ def _int64s(values, what: str) -> np.ndarray:
     """``values`` as an int64 array, uncopied when it already is one.
 
     A value the cast would change (``1.7``, NaN, ``"3"``, a uint64 beyond
-    int64) raises ValueError naming ``what``, instead of being truncated; so
-    does a Python int beyond int64, which the cast cannot take, and a bool,
-    which the cast would read as the id 0 or 1.
+    int64) or cannot read (None) raises ValueError naming ``what``, instead
+    of being truncated or raising TypeError; so does a Python int beyond
+    int64, which the cast cannot take, and a bool, which the cast would read
+    as the id 0 or 1.
     """
     values = np.asarray(values)
     if values.dtype == bool:
@@ -53,9 +54,20 @@ def _int64s(values, what: str) -> np.ndarray:
             ints = values.astype(np.int64, copy=False)
     except OverflowError:
         raise ValueError(f"{what} out of range of int64") from None
+    except TypeError:  # an object no cast reads, such as None
+        raise ValueError(f"{what} must be integral, got {values.tolist()!r}") from None
     if not np.array_equal(ints, values):
         raise ValueError(f"{what} must be integral, got {values[ints != values].flat[0].item()!r}")
     return ints
+
+
+def _one_int(value, what: str) -> int:
+    """``value`` as a Python int; ValueError naming ``what`` unless it is one
+    integral number other than a bool (see :func:`_int64s`)."""
+    ints = _int64s(value, what)
+    if ints.ndim:
+        raise ValueError(f"{what} must be a single integer, got {value!r}")
+    return int(ints)
 
 
 def _node_ids(values, n: int, what: str) -> np.ndarray:
@@ -103,7 +115,7 @@ class Graph:
     __slots__ = ("n", "m", "edges", "indptr", "adj", "adj_edge_ids", "original_ids", "_components", "_oriented")
 
     def __init__(self, n: int, edges, original_ids=None):
-        self.n = int(_int64s(n, "n"))
+        self.n = _one_int(n, "n")
         if self.n < 1:
             raise ValueError("graph needs at least one node")
         self.edges = _canonical_edges(self.n, edges)
@@ -485,18 +497,17 @@ def bfs_distances(g: Graph, source: int, edge_mask: np.ndarray | None = None) ->
     sharing its node ids, filtered once before the first level.  Any other
     mask, and a non-integral or out-of-range ``source``, raises ValueError.
 
-    Each level either pushes or pulls (Beamer et al., SC'12).  The search
-    keeps the count of the unreached nodes' arcs: the searched arcs minus
-    the arcs of every node reached so far.  While the frontier's arcs are at
-    most that count the level pushes: it gathers the frontier's neighbors
-    and keeps the unreached ones, deduplicated in an n-sized bool table
-    once they number ``_TABLE_SHARE * n`` or more.  Otherwise it pulls
-    (:func:`_pull`): every unreached node with an arc into a reached node
-    joins, and stops at the first such arc, Beamer et al.'s bottom-up early
-    exit.  The pull tests the unreached nodes' arcs in rounds, the k-th arc
-    of each open node in round k, until a round hits fewer than half of the
-    nodes it tested; it then scans the open nodes' untested arcs at once.
-    A pulled frontier comes out ascending.  The search ends at a level that
+    Level 1 is the source's own row of the searched arcs, taken by slice: a
+    row of a simple graph, masked or not, is distinct, ascending and free of
+    the source.  Every later level either pushes or pulls (Beamer et al.,
+    SC'12).  The search keeps the count of the unreached nodes' arcs: the
+    searched arcs minus the arcs of every node reached so far.  While the
+    frontier's arcs are at most that count the level pushes: it gathers the
+    frontier's neighbors and keeps the unreached ones, deduplicated in an
+    n-sized bool table once they number ``_TABLE_SHARE * n`` or more.
+    Otherwise it pulls (:func:`_pull`): every unreached node with an arc
+    into a reached node joins, each stopping at its first such arc.  A
+    pulled frontier comes out ascending.  The search ends at a level that
     reaches nothing, or once no unreached node has an arc left.
     """
     # One source would fill one bit of pair_distances' 64-bit words, whose
@@ -506,27 +517,29 @@ def bfs_distances(g: Graph, source: int, edge_mask: np.ndarray | None = None) ->
     # pulled one is picked from np.flatnonzero(fresh), so both come
     # distinct and ascending, and the next level reads indptr and adj in
     # order.
-    source = int(_node_ids(source, g.n, "source"))
+    if type(source) is not int or not 0 <= source < g.n:  # a plain int needs no array round trip
+        source = int(_node_ids(_one_int(source, "source"), g.n, "source"))
     indptr, adj = _kept_arcs(g, edge_mask)
     dist = np.full(g.n, UNREACHABLE, dtype=np.int64)
     dist[source] = 0
     fresh = np.ones(g.n, dtype=bool)  # the unreached nodes
     fresh[source] = False
-    hit = np.empty(g.n, dtype=bool)
-    unreached = adj.size
-    frontier = np.array([source], dtype=np.int64)
-    level = 0
+    frontier = adj[indptr[source] : indptr[source + 1]]
+    unreached = adj.size - frontier.size
+    level = 1
     while frontier.size:
+        fresh[frontier] = False
+        dist[frontier] = level
         starts = indptr[frontier]
         counts = indptr[frontier + 1] - starts
-        arcs = int(counts.sum())
+        arcs = int(np.add.reduce(counts))
         unreached -= arcs
         if arcs <= unreached:
             nbrs = adj[_span_positions(starts, counts, arcs)]
             if arcs < _TABLE_SHARE * g.n:
                 frontier = _distinct(nbrs[fresh[nbrs]], dist)  # every parked node is reached next
             else:
-                hit.fill(False)
+                hit = np.zeros(g.n, dtype=bool)
                 hit[nbrs] = True
                 hit &= fresh
                 frontier = np.flatnonzero(hit)
@@ -537,8 +550,6 @@ def bfs_distances(g: Graph, source: int, edge_mask: np.ndarray | None = None) ->
             # level: any earlier one would have reached it already.
             frontier = _pull(indptr, adj, fresh)
         level += 1
-        fresh[frontier] = False
-        dist[frontier] = level
     return dist
 
 

@@ -22,7 +22,9 @@ count, and a :class:`ProtocolRun` stores only their steps; everything else
 is derived from them when first read.  Only first visits matter: a walker
 revisiting a node meets nobody new there, because whoever registered the
 node between its two visits already found it at the registration.  One
-table lists every (node, walker) first visit, sorted by node.  Then:
+table lists every (node, walker) first visit, sorted by node, by one sort of
+the steps' ``node * h + walker`` codes; the accounting alone dates the
+visits.  Then:
 
 * Two walkers meet exactly when their walks share a node, so the groups
   that pool their subgraphs into one G* are the components of the links
@@ -124,18 +126,29 @@ class _FirstVisits:
 
     One entry per (node, walker) a walk visited, sorted by ``node * h +
     walker`` (``codes``), so a node's visitors are consecutive and in walker
-    order.  ``rnd`` and ``key`` are the entry's first-visit round and replay
-    order ``rnd * h + walker``, and ``depth`` (computed on first use) its
-    breadcrumb hops back to the walker's start.
+    order.  Only ``codes``, ``node`` and ``walker`` are built eagerly.  The
+    accounting alone reads ``rnd`` and ``key``, the entry's first-visit
+    round and replay order ``rnd * h + walker``, and ``depth``, its
+    breadcrumb hops back to the walker's start, all built on first use.
     """
 
     def __init__(self, steps: np.ndarray):
-        h, budget = steps.shape
-        self.h, self.steps = h, steps
-        self.codes, first = np.unique(steps * h + np.arange(h)[:, None], return_index=True)
-        self.node, self.walker = np.divmod(self.codes, h)
-        self.rnd = first - self.walker * budget
-        self.key = self.rnd * h + self.walker
+        self.h, self.steps = steps.shape[0], steps
+        codes = np.sort(self._codes(), axis=None)
+        self.codes = codes[_run_starts(codes)]
+        self.node, self.walker = np.divmod(self.codes, self.h)
+
+    def _codes(self) -> np.ndarray:
+        return self.steps * self.h + np.arange(self.h)[:, None]
+
+    @cached_property
+    def rnd(self) -> np.ndarray:
+        first = np.unique(self._codes(), return_index=True)[1]
+        return first - self.walker * self.steps.shape[1]
+
+    @cached_property
+    def key(self) -> np.ndarray:
+        return self.rnd * self.h + self.walker
 
     def _find(self, w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(pos, hit): where entry (``v[k]``, ``w[k]``) is, and whether it is."""

@@ -43,7 +43,7 @@ from math import floor
 
 import numpy as np
 
-from .graph import Graph, _arc_positions, _bool_mask, _int64s, _node_ids, _read_only, oriented_arcs
+from .graph import Graph, _arc_positions, _bool_mask, _node_ids, _one_int, _read_only, oriented_arcs
 
 
 def _as_seed_tuple(seed) -> tuple[int, ...]:
@@ -248,7 +248,7 @@ def run_walks(g: Graph, starts, budget: int, seeds) -> np.ndarray:
     about three times ``len(starts) * budget * 8`` bytes.
     """
     starts = _start_nodes(g, starts).tolist()
-    budget = int(_int64s(budget, "budget"))
+    budget = _one_int(budget, "budget")
     seeds = list(seeds)
     if len(seeds) != len(starts):
         raise ValueError(f"{len(starts)} starts but {len(seeds)} seeds")

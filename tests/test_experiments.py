@@ -609,8 +609,8 @@ def test_scoring_builds_no_protocol_accounting(monkeypatch):
     run = run_rwsp(g, starts, 60, seed=(3, 16))
     true, discovered = score_pairs(g, run)
     assert ((discovered != UNREACHABLE) & ~np.eye(16, dtype=bool)).any()
-    # Nor does it find breadcrumbs or build the walkers' traces.
-    assert "depth" not in vars(run._visits) and "_traces" not in vars(run)
+    # Nor does it date the first visits, find breadcrumbs or build the walkers' traces.
+    assert not {"rnd", "key", "depth"} & vars(run._visits).keys() and "_traces" not in vars(run)
     result = run_experiment(g, ExperimentConfig(seed=5, h=4, beta=0.02, runs=3))
     assert result.stretch.total_pairs == 3 * 4 * 3
     with pytest.raises(AssertionError, match="first_meetings called"):

@@ -212,6 +212,13 @@ class TestFromSpec:
     def test_grid_spec(self):
         assert from_spec("grid:rows=4,cols=5", seed=0).n == 20
 
+    def test_every_form_of_one_seed_builds_one_graph(self):
+        # The seed is checked, then handed to numpy as given (None, which drew
+        # from OS entropy, is rejected: see tests/test_bad_inputs.py).
+        for spec in ("pa:n=50,m0=2", "plconfig:n=50,alpha=2.5,kmin=2"):
+            graphs = {from_spec(spec, s).edges.tobytes() for s in [5, np.int64(5), (5,), [5], np.array([5])]}
+            assert len(graphs) == 1
+
     def test_errors(self):
         with pytest.raises(ValueError, match="unknown generator model"):
             from_spec("erdos:n=10", seed=0)

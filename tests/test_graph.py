@@ -23,7 +23,7 @@ from rwtopo import (
 from rwtopo import graph as graph_module
 from rwtopo.graph import DegreeMoments, bfs_distances, component_labels, oriented_arcs, pair_distances
 from rwtopo.walker import retrace_to_start, run_walk, run_walks
-from helpers import degree_multiset, path_graph, star, triangle, two_triangles
+from helpers import adjacency_lists, degree_multiset, path_graph, queue_bfs, star, triangle, two_triangles
 
 
 class TestLoadEdgeList:
@@ -353,6 +353,18 @@ class TestBfs:
     def test_source_out_of_range_is_rejected(self, source):
         with pytest.raises(ValueError, match="out of range"):
             bfs_distances(star(4), source)
+
+    @pytest.mark.parametrize(
+        "source, masked",
+        [(7, False), (6, False), (0, True), (np.int32(2), False), (np.array(3), True)],
+        ids=["isolated", "degree-1", "masked-row-empty", "numpy-int", "0-d-array"],
+    )
+    def test_level_one_slice_matches_queue_bfs(self, source, masked):
+        # Node 7 has no edge, node 6 one, and the mask drops both of node 0's.
+        g = Graph(8, [[0, 1], [0, 2], [1, 2], [2, 3], [3, 4], [4, 5], [5, 1], [5, 6]])
+        mask = ~(g.edges == 0).any(axis=1) if masked else np.ones(g.m, dtype=bool)
+        expected = queue_bfs(adjacency_lists(g.n, g.edges[mask]), int(source))
+        assert np.array_equal(bfs_distances(g, source, mask if masked else None), expected)
 
     def test_subgraph_distances_never_beat_full_graph(self):
         g = load_edge_list(b"0 1\n1 2\n2 3\n3 0\n0 2\n2 4\n4 5\n5 0\n")
