@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -32,6 +31,7 @@ from .graph import (
     UNREACHABLE,
     _int64s,
     _one_int,
+    _one_real,
     bfs_distances,
     degree_moments,
     giant_component,  # noqa: F401  (not called here; rwbench/tracing.py wraps it by name)
@@ -89,30 +89,28 @@ class ExperimentConfig:
         # exceed int64, or be a sequence.
         try:
             _as_seed_tuple(self.seed)
-            for field in ("h", "runs", "workers"):
-                object.__setattr__(self, field, _one_int(getattr(self, field), field))
+            object.__setattr__(self, "h", _one_int(self.h, "h", lo=2))
+            if self.h > _START_STREAM:
+                raise ValueError(
+                    f"h must be at most {_START_STREAM}: walker {_START_STREAM} would replay the start-drawing stream"
+                )
+            object.__setattr__(self, "beta", _one_real(self.beta, "beta"))
+            if not 0 < self.beta < 1:
+                raise ValueError("beta must lie in (0, 1)")
+            for field in ("runs", "workers"):
+                object.__setattr__(self, field, _one_int(getattr(self, field), field, lo=1))
             if self.fixed_starts is not None:
-                object.__setattr__(self, "fixed_starts", tuple(_int64s(self.fixed_starts, "fixed_starts").tolist()))
-        except ValueError as exc:  # a bad value, named by _one_int, _int64s or _as_seed_tuple
+                starts = _int64s(self.fixed_starts, "fixed_starts")
+                if starts.shape != (self.h,):
+                    raise ValueError("fixed_starts must list exactly h nodes")
+                if np.unique(starts).size < self.h:  # the walkers would share a start
+                    raise ValueError("fixed_starts must be distinct")
+                object.__setattr__(self, "fixed_starts", tuple(starts.tolist()))
+        except ValueError as exc:  # a bad value, named by the readers, _as_seed_tuple or the checks above
             raise ConfigError(str(exc)) from None
         if not isinstance(self.rescale_budget, (bool, np.bool_)):  # "no" is truthy
             raise ConfigError(f"rescale_budget must be a bool, got {self.rescale_budget!r}")
         object.__setattr__(self, "rescale_budget", bool(self.rescale_budget))
-        object.__setattr__(self, "beta", float(_real(self.beta, "beta")))
-        if self.h < 2:
-            raise ConfigError("h must be at least 2")
-        if self.h > _START_STREAM:
-            raise ConfigError(
-                f"h must be at most {_START_STREAM}: walker {_START_STREAM} would replay the start-drawing stream"
-            )
-        if not 0 < self.beta < 1:
-            raise ConfigError("beta must lie in (0, 1)")
-        if self.runs < 1:
-            raise ConfigError("runs must be at least 1")
-        if self.workers < 1:
-            raise ConfigError("workers must be at least 1")
-        if self.fixed_starts is not None and len(self.fixed_starts) != self.h:
-            raise ConfigError("fixed_starts must list exactly h nodes")
 
     def budget(self, n: int) -> int:
         b = int(self.beta * n / self.h) if self.rescale_budget else int(self.beta * n)
@@ -273,15 +271,6 @@ class ExperimentResult:
     @property
     def summary(self) -> dict:
         return self.stretch.summary()
-
-
-def _real(x, what: str):
-    """``x``, unchanged; ConfigError naming ``what`` unless it is a real
-    number other than a bool (``"0.1"`` is not read as a number, and a bool
-    would be written as ``true``)."""
-    if isinstance(x, bool) or not isinstance(x, numbers.Real):  # np.bool_ is no numbers.Real
-        raise ConfigError(f"{what} must be a real number, got {x!r}")
-    return x
 
 
 def _start_pool(g: Graph, cfg: ExperimentConfig) -> np.ndarray:
@@ -455,7 +444,10 @@ def run_experiment(g: Graph, cfg: ExperimentConfig) -> ExperimentResult:
 
 def _tau_grid(taus) -> list[float]:
     """``taus`` as floats, checked as :func:`coverage_validation` reads them."""
-    taus = [float(_real(t, "tau")) for t in taus]
+    try:
+        taus = [_one_real(t, "tau") for t in taus]
+    except ValueError as exc:  # a tau that is no real number, named by _one_real
+        raise ConfigError(str(exc)) from None
     if not taus:
         raise ConfigError("tau grid must be non-empty")
     if not all(0 <= t < 1 for t in taus):
@@ -502,16 +494,14 @@ def _crossing_params(g: Graph, budget: int, c: float = 1.0, delta: int | None = 
     """The inputs of :func:`crossing_rate`'s bound for walks of ``budget``
     steps on ``g``, all checked before any walk runs; ``delta`` defaults to
     ``ceil(n / 100)``."""
-    _real(c, "c")
-    try:
-        delta = max(1, math.ceil(g.n / 100)) if delta is None else _one_int(delta, "delta")
-    except ValueError as exc:  # a non-integral delta, named by _one_int
-        raise ConfigError(str(exc)) from None
-    if delta < 1:
-        raise ConfigError("delta must be at least 1")
     beta = budget / g.n
     gamma_bar = expected_edge_fraction(degree_moments(g), beta)
-    return CrossingBoundParams(beta=beta, n=g.n, delta=delta, c=c, gamma_bar=gamma_bar)
+    try:
+        _one_real(c, "c")
+        delta = max(1, math.ceil(g.n / 100)) if delta is None else _one_int(delta, "delta", lo=1)
+        return CrossingBoundParams(beta=beta, n=g.n, delta=delta, c=c, gamma_bar=gamma_bar)
+    except ValueError as exc:  # a bad c or delta, named by _one_real, _one_int or CrossingBoundParams
+        raise ConfigError(str(exc)) from None
 
 
 def crossing_rate(

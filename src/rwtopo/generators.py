@@ -11,12 +11,11 @@ is (:func:`rwtopo.walker._as_seed_tuple`), then handed to numpy unchanged.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, _int64s, _one_int
+from .graph import Graph, _int64s, _one_int, _one_real
 from .walker import _as_seed_tuple
 
 
@@ -33,16 +32,10 @@ class PowerLawParams:
     n: int = 2
 
     def __post_init__(self):
-        if isinstance(self.alpha, bool) or not isinstance(self.alpha, numbers.Real):
-            raise ValueError(f"alpha must be a real number, got {self.alpha!r}")
-        for field in ("k_min", "n"):
-            object.__setattr__(self, field, _one_int(getattr(self, field), field))
-        if not self.alpha > 1:
+        if not _one_real(self.alpha, "alpha") > 1:
             raise ValueError("alpha must exceed 1")
-        if self.k_min < 1:
-            raise ValueError("k_min must be at least 1")
-        if self.n < 2:
-            raise ValueError("n must be at least 2")
+        for field, lo in (("k_min", 1), ("n", 2)):
+            object.__setattr__(self, field, _one_int(getattr(self, field), field, lo))
         if self.k_min > self.n - 1:
             raise ValueError("k_min must be at most n - 1")
 
@@ -123,9 +116,7 @@ def preferential_attachment(n: int, m0: int, seed) -> Graph:
     draw would, so a given ``(n, m0, seed)`` yields the same graph as drawing
     one target at a time.
     """
-    n, m0 = _one_int(n, "n"), _one_int(m0, "m0")
-    if m0 < 1:
-        raise ValueError("m0 must be at least 1")
+    n, m0 = _one_int(n, "n"), _one_int(m0, "m0", lo=1)
     if n <= m0:
         raise ValueError("n must exceed m0")
     _as_seed_tuple(seed)
@@ -200,9 +191,7 @@ def _block_targets(repeated, pos, base):
 
 def grid_2d(rows: int, cols: int) -> Graph:
     """Deterministic rows x cols lattice; a low-q control case."""
-    rows, cols = _one_int(rows, "rows"), _one_int(cols, "cols")
-    if rows < 1 or cols < 1:
-        raise ValueError("grid dimensions must be positive")
+    rows, cols = _one_int(rows, "rows", lo=1), _one_int(cols, "cols", lo=1)
     idx = np.arange(rows * cols).reshape(rows, cols)
     right = np.stack([idx[:, :-1].ravel(), idx[:, 1:].ravel()], axis=1)
     down = np.stack([idx[:-1, :].ravel(), idx[1:, :].ravel()], axis=1)

@@ -11,6 +11,7 @@ processes.
 from __future__ import annotations
 
 import io
+import numbers
 import os
 import re
 import warnings
@@ -43,12 +44,12 @@ def _int64s(values, what: str) -> np.ndarray:
     A value the cast would change (``1.7``, NaN, ``"3"``, a uint64 beyond
     int64) or cannot read (None) raises ValueError naming ``what``, instead
     of being truncated or raising TypeError; so does a Python int beyond
-    int64, which the cast cannot take, and a bool, which the cast would read
-    as the id 0 or 1.
+    int64, which the cast cannot take, a bool, which the cast would read as
+    the id 0 or 1, and a complex number, whose imaginary part it would drop.
     """
     values = np.asarray(values)
-    if values.dtype == bool:
-        raise ValueError(f"{what} must be integral, got bool")
+    if values.dtype.kind in "bc":
+        raise ValueError(f"{what} must be integral, got {values.dtype}")
     try:
         with np.errstate(invalid="ignore"):
             ints = values.astype(np.int64, copy=False)
@@ -61,13 +62,37 @@ def _int64s(values, what: str) -> np.ndarray:
     return ints
 
 
-def _one_int(value, what: str) -> int:
+def _one_int(value, what: str, lo: int | None = None) -> int:
     """``value`` as a Python int; ValueError naming ``what`` unless it is one
-    integral number other than a bool (see :func:`_int64s`)."""
-    ints = _int64s(value, what)
-    if ints.ndim:
-        raise ValueError(f"{what} must be a single integer, got {value!r}")
-    return int(ints)
+    integral number other than a bool (see :func:`_int64s`) and, given
+    ``lo``, at least ``lo``."""
+    if type(value) is not int or not -(1 << 63) <= value < 1 << 63:  # a plain int needs no array round trip
+        ints = _int64s(value, what)
+        if ints.ndim:
+            raise ValueError(f"{what} must be a single integer, got {value!r}")
+        value = int(ints)
+    if lo is not None and value < lo:
+        raise ValueError(f"{what} must be at least {lo}")
+    return value
+
+
+def _one_node(value, n: int, what: str) -> int:
+    """``value`` as a Python int (see :func:`_one_int`); ValueError naming
+    ``what`` unless it is in ``0..n-1``."""
+    value = _one_int(value, what)
+    if not 0 <= value < n:
+        raise ValueError(f"{what} out of range 0..{n - 1}, got {value}")
+    return value
+
+
+def _one_real(value, what: str) -> float:
+    """``value`` as a float; ValueError naming ``what`` unless it is a real
+    number other than a bool: ``"0.1"`` is not read as a number, a bool
+    would be written as ``true``, and a complex number is no real even with
+    a zero imaginary part."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):  # np.bool_ is no numbers.Real
+        raise ValueError(f"{what} must be a real number, got {value!r}")
+    return float(value)
 
 
 def _node_ids(values, n: int, what: str) -> np.ndarray:
@@ -115,9 +140,7 @@ class Graph:
     __slots__ = ("n", "m", "edges", "indptr", "adj", "adj_edge_ids", "original_ids", "_components", "_oriented")
 
     def __init__(self, n: int, edges, original_ids=None):
-        self.n = _one_int(n, "n")
-        if self.n < 1:
-            raise ValueError("graph needs at least one node")
+        self.n = _one_int(n, "n", lo=1)
         self.edges = _canonical_edges(self.n, edges)
         self.m = int(self.edges.shape[0])
         self.original_ids = np.arange(self.n) if original_ids is None else _int64s(original_ids, "original_ids")
@@ -142,19 +165,13 @@ class Graph:
     def degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
 
-    def _node(self, v) -> int:
-        """``v`` as an int; ValueError unless it is an integer, not a bool, in ``0..n-1``."""
-        if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or not 0 <= v < self.n:
-            raise ValueError(f"node id must be an integer in 0..{self.n - 1}, got {v!r}")
-        return int(v)
-
     def degree(self, v: int) -> int:
-        v = self._node(v)
+        v = _one_node(v, self.n, "node id")
         return int(self.indptr[v + 1] - self.indptr[v])
 
     def neighbors(self, v: int) -> np.ndarray:
         """Neighbor ids of ``v``, sorted ascending."""
-        v = self._node(v)
+        v = _one_node(v, self.n, "node id")
         return self.adj[self.indptr[v] : self.indptr[v + 1]]
 
     def arcs(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -168,7 +185,7 @@ class Graph:
         return _arc_positions(self.indptr, _node_ids(nodes, self.n, "node ids"))
 
     def has_edge(self, u: int, v: int) -> bool:
-        v = self._node(v)
+        v = _one_node(v, self.n, "node id")
         nbrs = self.neighbors(u)
         i = int(np.searchsorted(nbrs, v))
         return i < nbrs.size and nbrs[i] == v
@@ -517,8 +534,7 @@ def bfs_distances(g: Graph, source: int, edge_mask: np.ndarray | None = None) ->
     # pulled one is picked from np.flatnonzero(fresh), so both come
     # distinct and ascending, and the next level reads indptr and adj in
     # order.
-    if type(source) is not int or not 0 <= source < g.n:  # a plain int needs no array round trip
-        source = int(_node_ids(_one_int(source, "source"), g.n, "source"))
+    source = _one_node(source, g.n, "source")
     indptr, adj = _kept_arcs(g, edge_mask)
     dist = np.full(g.n, UNREACHABLE, dtype=np.int64)
     dist[source] = 0

@@ -43,7 +43,7 @@ from math import floor
 
 import numpy as np
 
-from .graph import Graph, _arc_positions, _bool_mask, _node_ids, _one_int, _read_only, oriented_arcs
+from .graph import Graph, _arc_positions, _bool_mask, _node_ids, _one_int, _one_node, _read_only, oriented_arcs
 
 
 def _as_seed_tuple(seed) -> tuple[int, ...]:
@@ -67,9 +67,7 @@ def walker_seed(seed, walker_id: int) -> tuple[int, ...]:
     The derivation depends only on (master seed, walker id), so walks produce
     identical traces whether they are run serially or in parallel.
     """
-    if isinstance(walker_id, bool) or not isinstance(walker_id, (int, np.integer)) or walker_id < 0:
-        raise ValueError(f"walker id must be a non-negative integer, got {walker_id!r}")
-    return _as_seed_tuple(seed) + (int(walker_id),)
+    return _as_seed_tuple(seed) + (_one_int(walker_id, "walker id", lo=0),)
 
 
 def _mask(size: int, ids: np.ndarray) -> np.ndarray:
@@ -248,12 +246,10 @@ def run_walks(g: Graph, starts, budget: int, seeds) -> np.ndarray:
     about three times ``len(starts) * budget * 8`` bytes.
     """
     starts = _start_nodes(g, starts).tolist()
-    budget = _one_int(budget, "budget")
+    budget = _one_int(budget, "budget", lo=1)
     seeds = list(seeds)
     if len(seeds) != len(starts):
         raise ValueError(f"{len(starts)} starts but {len(seeds)} seeds")
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
 
     if len(starts) < _LOCKSTEP_LANES:
         # memoryviews index to plain ints, which the loop handles much
@@ -299,7 +295,7 @@ def retrace_to_start(trace: WalkTrace, node: int) -> list[int]:
     entries graph-adjacent) beginning at ``node`` and ending at the start;
     retracing from the start itself yields the single-node path.
     """
-    node = int(_node_ids(node, trace.graph.n, "node"))
+    node = _one_node(node, trace.graph.n, "node")
     nodes, first = trace.first_visits
     k = int(np.searchsorted(nodes, node))
     if k == nodes.size or nodes[k] != node:

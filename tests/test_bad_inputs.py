@@ -10,10 +10,10 @@ import math
 import numpy as np
 import pytest
 
-from rwtopo import ConfigError, ExperimentConfig, PowerLawParams, configuration_model, from_spec
-from rwtopo import power_law_degrees, preferential_attachment
+from rwtopo import ConfigError, ExperimentConfig, PowerLawParams, configuration_model, coverage_validation
+from rwtopo import crossing_rate, from_spec, grid_2d, power_law_degrees, preferential_attachment, walker_seed
 from rwtopo.graph import bfs_distances
-from rwtopo.walker import run_walk
+from rwtopo.walker import retrace_to_start, run_walk
 from helpers import star
 
 CORPUS = {
@@ -26,18 +26,39 @@ CORPUS = {
     "nan": math.nan,
     "-1": -1,
     "None": None,
+    "4+0j": 4 + 0j,
 }
-# A sequence of non-negative integers is a valid seed.
-SEQUENCES = {"[1]", "np.array([1])"}
+# Corpus values that are valid for an argument: a sequence of non-negative
+# integers is a seed, 1.5 is an alpha and, on G, a c, and None is delta's
+# default.
+VALID = {"seed": {"[1]", "np.array([1])"}, "alpha": {"1.5"}, "c": {"1.5"}, "delta": {"None"}}
 
 G = star(4)
+TRACE = run_walk(G, 0, 4, 1)[0]
+PAIRS = ExperimentConfig(seed=1, h=2, beta=0.4, runs=2)
 ENTRY_POINTS = [
     # (row id, error, argument named, call with the bad value)
+    ("Graph.degree", ValueError, "node id", lambda v: G.degree(v)),
+    ("Graph.neighbors", ValueError, "node id", lambda v: G.neighbors(v)),
+    ("Graph.has_edge", ValueError, "node id", lambda v: G.has_edge(0, v)),
     ("bfs_distances source", ValueError, "source", lambda v: bfs_distances(G, v)),
+    ("walker_seed id", ValueError, "walker id", lambda v: walker_seed(1, v)),
+    ("retrace_to_start node", ValueError, "node", lambda v: retrace_to_start(TRACE, v)),
     ("ExperimentConfig h", ConfigError, "h", lambda v: ExperimentConfig(seed=1, h=v)),
+    ("ExperimentConfig beta", ConfigError, "beta", lambda v: ExperimentConfig(seed=1, beta=v)),
     ("ExperimentConfig runs", ConfigError, "runs", lambda v: ExperimentConfig(seed=1, runs=v)),
     ("ExperimentConfig workers", ConfigError, "workers", lambda v: ExperimentConfig(seed=1, workers=v)),
+    ("coverage_validation tau", ConfigError, "tau", lambda v: coverage_validation(G, PAIRS, [v])),
+    ("crossing_rate c", ConfigError, "c", lambda v: crossing_rate(G, PAIRS, c=v)),
+    ("crossing_rate delta", ConfigError, "delta", lambda v: crossing_rate(G, PAIRS, delta=v)),
     ("run_walk budget", ValueError, "budget", lambda v: run_walk(G, 0, v, 1)),
+    ("PowerLawParams alpha", ValueError, "alpha", lambda v: PowerLawParams(v, 2, 50)),
+    ("PowerLawParams k_min", ValueError, "k_min", lambda v: PowerLawParams(2.5, v, 50)),
+    ("PowerLawParams n", ValueError, "n", lambda v: PowerLawParams(2.5, 1, v)),
+    ("preferential_attachment n", ValueError, "n", lambda v: preferential_attachment(v, 2, 1)),
+    ("preferential_attachment m0", ValueError, "m0", lambda v: preferential_attachment(50, v, 1)),
+    ("grid_2d rows", ValueError, "rows", lambda v: grid_2d(v, 3)),
+    ("grid_2d cols", ValueError, "cols", lambda v: grid_2d(3, v)),
     ("power_law_degrees seed", ValueError, "seed", lambda v: power_law_degrees(PowerLawParams(2.5, 2, 50), v)),
     ("configuration_model seed", ValueError, "seed", lambda v: configuration_model([1, 1, 2], v)),
     ("preferential_attachment seed", ValueError, "seed", lambda v: preferential_attachment(50, 2, v)),
@@ -48,7 +69,7 @@ CASES = [
     pytest.param(error, what, call, value, id=f"{row}-{name}")
     for row, error, what, call in ENTRY_POINTS
     for name, value in CORPUS.items()
-    if not (what == "seed" and name in SEQUENCES)
+    if name not in VALID.get(what, ())
 ]
 
 

@@ -42,6 +42,10 @@ class TestExperimentConfig:
             ExperimentConfig(seed=1, runs=0)
         with pytest.raises(ConfigError):
             ExperimentConfig(seed=1, h=3, fixed_starts=(0, 1))
+        # Both walkers ran from node 5: crossing_rate read a non-crossing
+        # rate of 0.0, and run_experiment failed at its first run.
+        with pytest.raises(ConfigError, match="^fixed_starts must be distinct$"):
+            ExperimentConfig(seed=1, h=2, fixed_starts=(5, 5))
 
     @pytest.mark.parametrize(
         "field, value, bad",
@@ -341,8 +345,9 @@ class TestCoverageValidation:
 
 
 class TestCrossingRate:
-    def test_shared_start_always_crosses(self):
-        cfg = ExperimentConfig(seed=1, h=2, beta=0.4, runs=10, fixed_starts=(0, 0))
+    def test_a_leaf_start_always_crosses_the_hub_start(self):
+        # Walker 1's second step is the hub, walker 0's start.
+        cfg = ExperimentConfig(seed=1, h=2, beta=0.4, runs=10, fixed_starts=(0, 1))
         res = crossing_rate(star(9), cfg, delta=1)
         assert res.non_crossing_rate == 0.0
 

@@ -117,7 +117,7 @@ class TestGraphStructure:
         assert g.has_edge(0, 1) and g.has_edge(1, 0)
         assert not g.has_edge(0, 0)
 
-    @pytest.mark.parametrize("v", [-1, 4, 1.5, np.float64(2.0), "1", None, True, np.True_], ids=repr)
+    @pytest.mark.parametrize("v", [-1, 4, 1.5, "1", None, True, np.True_], ids=repr)
     @pytest.mark.parametrize(
         "query",
         [Graph.degree, Graph.neighbors, lambda g, v: g.has_edge(v, 0), lambda g, v: g.has_edge(0, v)],
@@ -128,9 +128,9 @@ class TestGraphStructure:
         # False; degree(4) and degree(1.5) raised IndexError, and degree(True)
         # read node 1.
         g = path_graph(4)
-        with pytest.raises(ValueError, match="^node id must be an integer in 0..3, got "):
+        with pytest.raises(ValueError, match="^node id (must be integral|out of range 0..3), got "):
             query(g, v)
-        assert g.degree(np.int64(3)) == 1 and g.has_edge(np.int32(2), 3)
+        assert g.degree(np.int64(3)) == 1 and g.has_edge(np.int32(2), 3) and g.degree(np.float64(2.0)) == 2
 
     @pytest.mark.parametrize(
         "nodes, message",

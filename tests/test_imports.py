@@ -5,6 +5,8 @@ module, or, in a package ``__init__``, in ``__all__``.  An import kept on
 purpose carries ``# noqa: F401`` on its line.  The package top level
 re-exports only the names the README quickstart, the demos and the
 benchmark import from it; everything else is imported from its submodule.
+Scalar inputs are read by ``graph``'s readers, so only ``graph`` imports
+``numbers``.
 """
 
 from __future__ import annotations
@@ -153,3 +155,44 @@ def test_top_level_is_the_workflow():
         for name in names:
             assert hasattr(owner, name), f"rwtopo.{module}.{name}"
             assert name not in TOP_LEVEL
+
+
+def scalar_checks(sources: dict[str, str]) -> tuple[set[str], set[tuple[str, str]]]:
+    """The modules of ``sources`` (module -> text) that import ``numbers``,
+    and the (module, function) of every ``isinstance`` call whose class
+    argument is or lists ``bool``."""
+    importers, checks = set(), set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) and any(alias.name == "numbers" for alias in node.names):
+                importers.add(module)
+            elif isinstance(node, ast.ImportFrom) and node.module == "numbers":
+                importers.add(module)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for call in ast.walk(node):
+                    if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "isinstance":
+                        kinds = call.args[1].elts if isinstance(call.args[1], ast.Tuple) else call.args[1:]
+                        if any(getattr(kind, "id", None) == "bool" for kind in kinds):
+                            checks.add((module, node.name))
+    return importers, checks
+
+
+def test_scalars_are_read_through_the_graph_readers():
+    # An entry point reads an integer, node id or real through graph's
+    # readers, and a seed through walker._as_seed_tuple; ExperimentConfig's
+    # rescale_budget is the one bool it takes, and accepts nothing else.
+    package = ROOT / "src" / "rwtopo"
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(package.glob("*.py"))}
+    importers, checks = scalar_checks(sources)
+    assert importers == {"graph"}
+    assert checks == {("graph", "_one_real"), ("walker", "_as_seed_tuple"), ("experiments", "__post_init__")}
+
+
+def test_the_check_sees_numbers_imports_and_bool_checks():
+    sources = {
+        "a": "import numbers\ndef f(x):\n    return isinstance(x, bool)\n",
+        "b": "from numbers import Real\ndef g(x):\n    return isinstance(x, (bool, int)) or isinstance(x, int)\n",
+        "c": "def h(x):\n    return isinstance(x, int)\n",
+    }
+    assert scalar_checks(sources) == ({"a", "b"}, {("a", "f"), ("b", "g")})

@@ -404,17 +404,19 @@ def test_seeds_with_a_non_integral_or_negative_entry_are_rejected(seed):
         run_walk(cycle(5), 0, 10, seed)
 
 
-@pytest.mark.parametrize("walker_id", [1.5, "3", -2, np.float64(1.0), None, True, np.True_], ids=repr)
+@pytest.mark.parametrize("walker_id", [1.5, "3", -2, None, True, np.True_, 2**70], ids=repr)
 def test_walker_ids_that_are_non_integral_or_negative_are_rejected(walker_id):
     # 1.5 derived (1, 1), "3" derived (1, 3), True derived (1, 1), and -2
     # failed inside numpy.
-    with pytest.raises(ValueError, match="^walker id must be a non-negative integer, got "):
+    refused = "^walker id (must be integral, got |must be at least 0$|out of range of int64$)"
+    with pytest.raises(ValueError, match=refused):
         walker_seed(1, walker_id)
+    assert walker_seed(1, np.float64(1.0)) == (1, 1)
 
 
 def test_seeds_beyond_int64_are_kept_whole():
     assert walker_seed(2**70, 3) == (2**70, 3)
-    assert walker_seed(1, 2**70) == (1, 2**70) and walker_seed(1, np.int32(4)) == (1, 4)
+    assert walker_seed(1, np.int32(4)) == (1, 4)
     assert walker_seed((np.int64(4), 2**64), 0) == (4, 2**64, 0)
     a, _ = run_walk(cycle(20), 0, 50, seed=walker_seed(2**70, 0))
     b, _ = run_walk(cycle(20), 0, 50, seed=walker_seed(2**70 + 1, 0))
