@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .generators import PowerLawParams
-from .graph import DegreeMoments
+from .graph import DegreeMoments, _one_int, _one_real
 
 # Marker for a predicted edge count that grows without bound (heavy tails
 # with infinite second moment in the large-n limit).
@@ -82,8 +82,10 @@ def powerlaw_edge_coverage(params: PowerLawParams, beta: float) -> float:
 
     For degree exponent alpha <= 3 the second moment diverges and the
     prediction is DIVERGES (math.inf); otherwise ``beta * n / (alpha - 3)``.
+    ``beta`` must be a positive real number (not NaN); ValueError otherwise.
     """
-    if beta <= 0:
+    beta = _one_real(beta, "beta")
+    if not beta > 0:
         raise ValueError("beta must be positive")
     if params.alpha <= 3:
         return DIVERGES
@@ -105,13 +107,15 @@ class CoveragePoint:
 
 
 def coverage_points(moments: DegreeMoments, m: int, taus) -> list[CoveragePoint]:
-    """Evaluate the coverage curve on a tau grid, with per-point regime flags."""
+    """Evaluate the coverage curve on a tau grid, with per-point regime flags.
+    A tau that is not a finite, non-negative real number is a ValueError."""
     limit = validity_limit(moments)
     out = []
     for tau in taus:
+        tau = _one_real(tau, "tau")
         out.append(
             CoveragePoint(
-                tau=float(tau),
+                tau=tau,
                 expected_edges=edge_coverage(moments, m, tau),
                 expected_nodes=node_coverage(moments, m, tau),
                 in_regime=bool(tau <= limit),
@@ -138,12 +142,15 @@ class CrossingBoundParams:
     gamma_bar: float
 
     def __post_init__(self):
+        # Read by graph's readers (a bool or a string is no number) and stored
+        # as read: n and delta as plain ints, the rest as floats.
+        object.__setattr__(self, "beta", _one_real(self.beta, "beta"))
+        object.__setattr__(self, "n", _one_int(self.n, "n", lo=1))
+        for field in ("c", "gamma_bar"):
+            object.__setattr__(self, field, _one_real(getattr(self, field), field))
+        object.__setattr__(self, "delta", _one_int(self.delta, "delta", lo=1))
         if not 0 < self.beta < 1:
             raise ValueError("beta must lie in (0, 1)")
-        if self.n < 1:
-            raise ValueError("n must be positive")
-        if self.delta < 1:
-            raise ValueError("delta must be at least 1 step")
         if not (self.c > 0 and self.gamma_bar > 0):
             raise ValueError("c and gamma_bar must be positive")
         if self.c * self.gamma_bar > 1:

@@ -496,11 +496,10 @@ def _crossing_params(g: Graph, budget: int, c: float = 1.0, delta: int | None = 
     ``ceil(n / 100)``."""
     beta = budget / g.n
     gamma_bar = expected_edge_fraction(degree_moments(g), beta)
+    delta = max(1, math.ceil(g.n / 100)) if delta is None else delta
     try:
-        _one_real(c, "c")
-        delta = max(1, math.ceil(g.n / 100)) if delta is None else _one_int(delta, "delta", lo=1)
         return CrossingBoundParams(beta=beta, n=g.n, delta=delta, c=c, gamma_bar=gamma_bar)
-    except ValueError as exc:  # a bad c or delta, named by _one_real, _one_int or CrossingBoundParams
+    except ValueError as exc:  # a bad c or delta, named by CrossingBoundParams
         raise ConfigError(str(exc)) from None
 
 

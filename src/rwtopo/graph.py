@@ -2,10 +2,10 @@
 
 Node ids are dense integers ``0..n-1`` and every undirected edge carries a
 stable id ``0..m-1``, so visited-node sets and covered-edge sets can be flat
-boolean arrays.  Graphs are immutable after construction, apart from two
-derived tables, the component labels and the degree-oriented arc table,
-filled in on first use; they are safe to share across threads or worker
-processes.
+boolean arrays.  Graphs are immutable after construction, apart from three
+derived tables, the arcs' edge ids, the component labels and the
+degree-oriented arc table, filled in on first use; they are safe to share
+across threads or worker processes.
 """
 
 from __future__ import annotations
@@ -42,12 +42,16 @@ def _int64s(values, what: str) -> np.ndarray:
     """``values`` as an int64 array, uncopied when it already is one.
 
     A value the cast would change (``1.7``, NaN, ``"3"``, a uint64 beyond
-    int64) or cannot read (None) raises ValueError naming ``what``, instead
-    of being truncated or raising TypeError; so does a Python int beyond
-    int64, which the cast cannot take, a bool, which the cast would read as
-    the id 0 or 1, and a complex number, whose imaginary part it would drop.
+    int64) or cannot read (None, ``"x"``, a ragged list) raises ValueError
+    naming ``what``, instead of being truncated or raising numpy's error; so
+    does a Python int beyond int64, which the cast cannot take, a bool,
+    which the cast would read as the id 0 or 1, and a complex number, whose
+    imaginary part it would drop.
     """
-    values = np.asarray(values)
+    try:
+        values = np.asarray(values)
+    except ValueError:  # a ragged sequence
+        raise ValueError(f"{what} must be a rectangular array of numbers") from None
     if values.dtype.kind in "bc":
         raise ValueError(f"{what} must be integral, got {values.dtype}")
     try:
@@ -55,7 +59,7 @@ def _int64s(values, what: str) -> np.ndarray:
             ints = values.astype(np.int64, copy=False)
     except OverflowError:
         raise ValueError(f"{what} out of range of int64") from None
-    except TypeError:  # an object no cast reads, such as None
+    except (TypeError, ValueError):  # an object no cast reads, such as None or "x"
         raise ValueError(f"{what} must be integral, got {values.tolist()!r}") from None
     if not np.array_equal(ints, values):
         raise ValueError(f"{what} must be integral, got {values[ints != values].flat[0].item()!r}")
@@ -104,20 +108,6 @@ def _node_ids(values, n: int, what: str) -> np.ndarray:
     return ids
 
 
-def _canonical_edges(n: int, edges: np.ndarray) -> np.ndarray:
-    """Drop self-loops, deduplicate, and return edges as sorted (lo, hi) pairs."""
-    edges = _node_ids(edges, n, "edge endpoints").reshape(-1, 2)
-    if edges.size == 0:
-        return edges
-    edges = edges[edges[:, 0] != edges[:, 1]]
-    lo = np.minimum(edges[:, 0], edges[:, 1])
-    hi = np.maximum(edges[:, 0], edges[:, 1])
-    # Sort, then mask repeats: np.unique may hash, several times slower here.
-    code = np.sort(lo * np.int64(n) + hi)
-    code = code[_run_starts(code)]
-    return np.stack([code // n, code % n], axis=1)
-
-
 class Graph:
     """Immutable simple undirected graph.
 
@@ -126,38 +116,62 @@ class Graph:
     n : int
         Number of nodes; ids are ``0..n-1``.
     edges : array-like of shape (k, 2)
-        Endpoint pairs.  Self-loops are dropped and duplicates (in either
-        orientation) are merged, so the stored graph is always simple.
+        Endpoint pairs (or none).  Self-loops are dropped and duplicates (in
+        either orientation) are merged, so the stored graph is always simple.
     original_ids : array-like of length n, optional
         External labels for nodes, kept for reporting when the graph was
         remapped from an arbitrary id space; ``0..n-1`` when not given.
 
-    The connected components and the degree-oriented arc table are built on
-    first use and kept with the graph (see :func:`component_labels` and
-    :func:`oriented_arcs`).
+    One sort of the codes ``u*n + v`` and ``v*n + u`` builds ``indptr`` and
+    ``adj``, all that is stored; ``edges`` is derived on every read.  The
+    arcs' edge ids, the connected components and the degree-oriented arc
+    table are built on first use and kept with the graph (see
+    :func:`component_labels` and :func:`oriented_arcs`).
     """
 
-    __slots__ = ("n", "m", "edges", "indptr", "adj", "adj_edge_ids", "original_ids", "_components", "_oriented")
+    __slots__ = ("n", "m", "indptr", "adj", "original_ids", "_edge_ids", "_components", "_oriented")
 
     def __init__(self, n: int, edges, original_ids=None):
         self.n = _one_int(n, "n", lo=1)
-        self.edges = _canonical_edges(self.n, edges)
-        self.m = int(self.edges.shape[0])
+        pairs = _node_ids(edges, self.n, "edge endpoints")
+        if pairs.size and (pairs.ndim != 2 or pairs.shape[1] != 2):
+            raise ValueError(f"edge endpoints must be an array of shape (k, 2), got shape {pairs.shape}")
         self.original_ids = np.arange(self.n) if original_ids is None else _int64s(original_ids, "original_ids")
         if self.original_ids.shape != (self.n,):
             raise ValueError("original_ids must have one entry per node")
-        self._components = self._oriented = None
+        self._edge_ids = self._components = self._oriented = None
 
-        deg = np.bincount(self.edges.ravel(), minlength=self.n)
-        indptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(deg, out=indptr[1:])
-        eid = np.arange(self.m, dtype=np.int64)
-        src = np.concatenate([self.edges[:, 0], self.edges[:, 1]])
-        dst = np.concatenate([self.edges[:, 1], self.edges[:, 0]])
-        order = np.argsort(src * self.n + dst)  # keys are distinct: edges are canonical
-        self.indptr = indptr
-        self.adj = dst[order]
-        self.adj_edge_ids = np.concatenate([eid, eid])[order]
+        # Sort, then mask repeats: np.unique may hash, several times slower here.
+        n, pairs = np.int64(self.n), pairs.reshape(-1, 2)
+        code = np.concatenate([pairs[:, 0] * n + pairs[:, 1], pairs[:, 1] * n + pairs[:, 0]])
+        code.sort()
+        tail, head = np.divmod(code[_run_starts(code)], n)
+        del code
+        keep = tail != head  # no self-loops
+        if not keep.all():
+            tail, head = tail[keep], head[keep]
+        self.indptr = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(tail, minlength=self.n), out=self.indptr[1:])
+        self.adj, self.m = head, head.size // 2
+
+    @property
+    def edges(self) -> np.ndarray:
+        """Edge k as row k, (lo, hi): the arcs with tail < head, in adj order; derived on every read."""
+        tail = np.repeat(np.arange(self.n), self.degrees)
+        up = tail < self.adj
+        return np.stack([tail[up], self.adj[up]], axis=1)
+
+    @property
+    def adj_edge_ids(self) -> np.ndarray:
+        """Each arc's edge id, built on the first read and kept read-only."""
+        if self._edge_ids is None:  # threads that build at once store equal arrays
+            up = np.repeat(np.arange(self.n), self.degrees) < self.adj
+            ids = np.empty(self.adj.size, dtype=np.int64)
+            # Up-arc k is edge k.  The down arcs v->u come by (v, u), the order of their reverses u->v
+            # sorted stably by head v.
+            ids[up], ids[~up] = np.arange(self.m), np.argsort(self.adj[up], kind="stable")
+            self._edge_ids = _read_only(ids)[0]
+        return self._edge_ids
 
     # -- read-only accessors -------------------------------------------------
 
@@ -719,7 +733,7 @@ def component_labels(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     and the pair is kept on it.
     """
     if g._components is None:  # threads that label at once store equal pairs
-        g._components = _read_only(*_components(g.n, g.edges[:, 0], g.edges[:, 1]))
+        g._components = _read_only(*_components(g.n, *g.edges.T))
     return g._components
 
 
@@ -768,8 +782,8 @@ def giant_component(g: Graph) -> tuple[Graph, np.ndarray]:
         return g, members  # 0..n-1: the identity mapping
     mapping = np.full(g.n, -1, dtype=np.int64)
     mapping[members] = np.arange(members.size)
-    sub_edges = mapping[g.edges[mapping[g.edges[:, 0]] >= 0]]
-    return Graph(members.size, sub_edges, original_ids=g.original_ids[members]), mapping
+    sub_edges = mapping[g.edges]  # an edge has both ends in the component or neither
+    return Graph(members.size, sub_edges[sub_edges[:, 0] >= 0], original_ids=g.original_ids[members]), mapping
 
 
 def stats_report(g: Graph) -> dict:

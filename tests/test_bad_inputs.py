@@ -12,7 +12,8 @@ import pytest
 
 from rwtopo import ConfigError, ExperimentConfig, PowerLawParams, configuration_model, coverage_validation
 from rwtopo import crossing_rate, from_spec, grid_2d, power_law_degrees, preferential_attachment, walker_seed
-from rwtopo.graph import bfs_distances
+from rwtopo.coverage import CrossingBoundParams, coverage_points, powerlaw_edge_coverage
+from rwtopo.graph import DegreeMoments, bfs_distances
 from rwtopo.walker import retrace_to_start, run_walk
 from helpers import star
 
@@ -20,6 +21,7 @@ CORPUS = {
     "True": True,
     "np.True_": np.True_,
     "'1'": "1",
+    "'x'": "x",
     "[1]": [1],
     "np.array([1])": np.array([1]),
     "1.5": 1.5,
@@ -28,14 +30,12 @@ CORPUS = {
     "None": None,
     "4+0j": 4 + 0j,
 }
-# Corpus values that are valid for an argument: a sequence of non-negative
-# integers is a seed, 1.5 is an alpha and, on G, a c, and None is delta's
-# default.
-VALID = {"seed": {"[1]", "np.array([1])"}, "alpha": {"1.5"}, "c": {"1.5"}, "delta": {"None"}}
-
 G = star(4)
 TRACE = run_walk(G, 0, 4, 1)[0]
 PAIRS = ExperimentConfig(seed=1, h=2, beta=0.4, runs=2)
+MOMENTS = DegreeMoments(2.0, 5.0)
+POWER_LAW = PowerLawParams(2.5, 2, 50)
+BOUND = {"beta": 0.5, "n": 10, "delta": 1, "c": 1.0, "gamma_bar": 0.5}
 ENTRY_POINTS = [
     # (row id, error, argument named, call with the bad value)
     ("Graph.degree", ValueError, "node id", lambda v: G.degree(v)),
@@ -51,6 +51,12 @@ ENTRY_POINTS = [
     ("coverage_validation tau", ConfigError, "tau", lambda v: coverage_validation(G, PAIRS, [v])),
     ("crossing_rate c", ConfigError, "c", lambda v: crossing_rate(G, PAIRS, c=v)),
     ("crossing_rate delta", ConfigError, "delta", lambda v: crossing_rate(G, PAIRS, delta=v)),
+    ("CrossingBoundParams beta", ValueError, "beta", lambda v: CrossingBoundParams(**{**BOUND, "beta": v})),
+    ("CrossingBoundParams n", ValueError, "n", lambda v: CrossingBoundParams(**{**BOUND, "n": v})),
+    ("CrossingBoundParams delta", ValueError, "delta", lambda v: CrossingBoundParams(**{**BOUND, "delta": v})),
+    ("CrossingBoundParams c", ValueError, "c", lambda v: CrossingBoundParams(**{**BOUND, "c": v})),
+    ("coverage_points tau", ValueError, "tau", lambda v: coverage_points(MOMENTS, 10, [v])),
+    ("powerlaw_edge_coverage beta", ValueError, "beta", lambda v: powerlaw_edge_coverage(POWER_LAW, v)),
     ("run_walk budget", ValueError, "budget", lambda v: run_walk(G, 0, v, 1)),
     ("PowerLawParams alpha", ValueError, "alpha", lambda v: PowerLawParams(v, 2, 50)),
     ("PowerLawParams k_min", ValueError, "k_min", lambda v: PowerLawParams(2.5, v, 50)),
@@ -65,11 +71,22 @@ ENTRY_POINTS = [
     ("from_spec pa seed", ValueError, "seed", lambda v: from_spec("pa:n=50,m0=2", v)),
     ("from_spec grid seed", ValueError, "seed", lambda v: from_spec("grid:rows=3,cols=3", v)),
 ]
+# Corpus values that are valid for a row: a sequence of non-negative
+# integers is a seed, 1.5 is an alpha, a tau, a power-law beta and, with the
+# rows' other inputs, a c, and None is crossing_rate's default delta.
+VALID = {row: {"[1]", "np.array([1])"} for row, _, what, _ in ENTRY_POINTS if what == "seed"} | {
+    "PowerLawParams alpha": {"1.5"},
+    "crossing_rate c": {"1.5"},
+    "crossing_rate delta": {"None"},
+    "CrossingBoundParams c": {"1.5"},
+    "coverage_points tau": {"1.5"},
+    "powerlaw_edge_coverage beta": {"1.5"},
+}
 CASES = [
     pytest.param(error, what, call, value, id=f"{row}-{name}")
     for row, error, what, call in ENTRY_POINTS
     for name, value in CORPUS.items()
-    if name not in VALID.get(what, ())
+    if name not in VALID.get(row, ())
 ]
 
 

@@ -716,19 +716,21 @@ def test_a_block_keeps_no_step_table_of_its_runs():
 def component_labellings(monkeypatch):
     """The number of labellings run so far of a graph, as a function of it.
 
-    ``component_labels`` hands ``graph._components`` two columns of the
-    graph's edge array, so a call labels the graph whose edges it reads.
-    The protocol's meeting groups, which pass walker ids, count under no
-    graph."""
-    calls = []
-    components = rwtopo.graph._components
+    A labelling is a ``component_labels`` call that finds the graph's
+    components unset.  Every driver reaches ``component_labels`` through
+    ``rwtopo.graph``'s own name for it (``giant_members``, ``stats_report``);
+    the protocol's meeting groups label walker ids with ``_components`` and
+    count under no graph."""
+    labelled = []
+    component_labels = rwtopo.graph.component_labels
 
-    def counting_components(n, a, b):
-        calls.append(a)
-        return components(n, a, b)
+    def counting_component_labels(g):
+        if g._components is None:
+            labelled.append(g)
+        return component_labels(g)
 
-    monkeypatch.setattr(rwtopo.graph, "_components", counting_components)
-    return lambda g: sum(np.shares_memory(a, g.edges) for a in calls)
+    monkeypatch.setattr(rwtopo.graph, "component_labels", counting_component_labels)
+    return lambda g: sum(x is g for x in labelled)
 
 
 def run_every_driver(g):

@@ -1,6 +1,8 @@
+import gc
 import io
 import re
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -167,11 +169,23 @@ class TestGraphStructure:
             (2.5, [[0, 1]], None, "n must be integral, got 2.5"),
             (2, [[0, 1]], [10.5, 11], "original_ids must be integral, got 10.5"),
             (3, [[0, np.nan]], None, "edge endpoints must be integral, got nan"),
+            # Read as the edges 0-1, 2-3 and 4-5, and as numpy's "cannot reshape".
+            (6, [[0, 1, 2], [3, 4, 5]], None, r"edge endpoints must be an array of shape \(k, 2\), got shape \(2, 3\)"),
+            (3, [0, 1, 2], None, r"edge endpoints must be an array of shape \(k, 2\), got shape \(3,\)"),
+            # Each raised numpy's own error, naming no argument.
+            (3, [[0, 1], [2]], None, "edge endpoints must be a rectangular array of numbers"),
+            (3, [[0, "x"]], None, r"edge endpoints must be integral, got \[\['0', 'x'\]\]"),
         ],
     )
     def test_non_integral_values_are_rejected_not_truncated(self, n, edges, original_ids, message):
         with pytest.raises(ValueError, match=message):
             Graph(n, edges, original_ids=original_ids)
+
+    @pytest.mark.parametrize("edges", [[], np.empty((0, 2)), np.empty(0, dtype=np.int64)], ids=repr)
+    def test_an_empty_edge_array_builds_an_edgeless_graph(self, edges):
+        g = Graph(3, edges)
+        assert (g.n, g.m) == (3, 0) and g.indptr.tolist() == [0, 0, 0, 0]
+        assert g.edges.shape == (0, 2) and g.edges.dtype == g.adj.dtype == g.adj_edge_ids.dtype == np.int64
 
     def test_whole_floats_are_accepted_and_integer_input_is_not_copied(self):
         assert Graph(3.0, [[0.0, 1.0], [1.0, 2.0]]).edges.tolist() == [[0, 1], [1, 2]]
@@ -196,6 +210,38 @@ class TestGraphStructure:
         for what, call in entry_points:
             with pytest.raises(ValueError, match=f"^{what} must be integral, got bool$"):
                 call()
+
+
+class TestStorage:
+    def test_a_built_graph_holds_only_its_csr_and_labels(self):
+        g = Graph(5, [[0, 1], [1, 2], [3, 4], [2, 0]], original_ids=[9, 8, 7, 6, 5])
+        held = [r for r in gc.get_referents(g) if isinstance(r, np.ndarray)]
+        assert sorted(map(id, held)) == sorted(map(id, (g.indptr, g.adj, g.original_ids)))
+        assert g.edges.tolist() == [[0, 1], [0, 2], [1, 2], [3, 4]]
+        assert g.edges is not g.edges  # derived on every read, never kept
+        assert len([r for r in gc.get_referents(g) if isinstance(r, np.ndarray)]) == 3
+
+    def test_edge_ids_are_built_on_first_read_and_kept_read_only(self):
+        g = Graph(5, [[0, 1], [1, 2], [3, 4], [2, 0]])
+        ids = g.adj_edge_ids
+        assert any(r is ids for r in gc.get_referents(g))
+        assert g.adj_edge_ids is ids and not ids.flags.writeable
+        assert ids.tolist() == [0, 1, 0, 2, 1, 2, 3, 3]
+        with pytest.raises(ValueError):
+            ids[0] = 1
+
+    def test_a_build_peaks_below_five_times_the_csr(self):
+        pa = preferential_attachment(50_000, 3, seed=1)
+        edges = pa.edges[:, ::-1].copy()  # every pair given high end first
+        csr_bytes = (pa.n + 1 + 2 * pa.m) * 8
+        Graph(pa.n, edges)  # warm up outside the trace
+        tracemalloc.start()
+        try:
+            Graph(pa.n, edges)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * csr_bytes, f"build peaked at {peak / csr_bytes:.2f} times the CSR's bytes"
 
 
 @settings(max_examples=60, deadline=None)
