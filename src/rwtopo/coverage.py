@@ -151,8 +151,9 @@ class CrossingBoundParams:
         object.__setattr__(self, "delta", _one_int(self.delta, "delta", lo=1))
         if not 0 < self.beta < 1:
             raise ValueError("beta must lie in (0, 1)")
-        if not (self.c > 0 and self.gamma_bar > 0):
-            raise ValueError("c and gamma_bar must be positive")
+        for field in ("c", "gamma_bar"):
+            if not getattr(self, field) > 0:
+                raise ValueError(f"{field} must be positive")
         if self.c * self.gamma_bar > 1:
             raise ValueError("c * gamma_bar > 1 makes the bound ill-formed")
 

@@ -15,32 +15,23 @@ a fresh node in the same round, the lower id registers first and only the
 higher id sees a breadcrumb.  All scheduling is deterministic given
 (graph, starts, budget, seed).
 
-The simulation computes this schedule from tables instead of stepping it.
 The h walks run as h lanes of the one walk kernel,
 :func:`rwtopo.walker.run_walks`, which picks its stepping from the lane
 count, and a :class:`ProtocolRun` stores only their steps; everything else
 is derived from them when first read.  Only first visits matter: a walker
 revisiting a node meets nobody new there, because whoever registered the
-node between its two visits already found it at the registration.  One
-table lists every (node, walker) first visit, sorted by node, by one sort of
-the steps' ``node * h + walker`` codes; the accounting alone dates the
-visits.  Then:
+node between its two visits already found it at the registration.  Then:
 
 * Two walkers meet exactly when their walks share a node, so the groups
   that pool their subgraphs into one G* are the components of the links
-  between consecutive visitors of a node in that table.  Routing on G*
-  needs nothing else.
+  between consecutive visitors of a node in the first-visit table, one
+  sort of the steps' ``node * h + walker`` codes.  Routing on G* needs
+  nothing else, and the table is never dated.
 * The protocol accounting (meeting events, direct peers, contact points and
-  hop counts) replays the schedule.  Each first visit gets the key
-  ``round * h + walker``, so keys order visits as the rounds register them,
-  same-round ties going to the lower id.  Walkers a and b first meet with
-  key ``K = min over the nodes v both visited of max(key_a(v), key_b(v))``:
-  the pair's first meeting is the first registration that finds the
-  other's breadcrumb.  ``K`` names the finder (``K mod h``) and the round
-  (``K div h``), so the meeting node is the finder's step in that round.
-  The peers found under one key form one :class:`MeetingEvent`.
-* A breadcrumb depth (hops back to the start) is one more than the depth
-  of the node the first visit came from, found by pointer jumping.
+  hop counts) replays the schedule round by round, walkers in id order
+  within a round.  A first visit leaves a breadcrumb one hop deeper than
+  the node it came from and meets every walker registered at the node that
+  the visitor does not know yet.
 * A walker's contacts are its meeting nodes, earliest meeting first.  The
   subgraph hand-off from i to a directly met j goes through i's earliest
   contact that j visited.
@@ -56,10 +47,6 @@ import numpy as np
 
 from .graph import Graph, _components, _int64s, _read_only, _run_starts, bfs_distances
 from .walker import WalkTrace, _covered_edge_mask, run_walks, walker_seed
-
-# Meeting key of a pair that never met.
-_NEVER = np.iinfo(np.int64).max
-
 
 @dataclass(frozen=True)
 class MeetingEvent:
@@ -121,79 +108,6 @@ class RoutingTree:
     depth: np.ndarray
 
 
-class _FirstVisits:
-    """The first-visit table of h walks (one row of ``steps`` per walker).
-
-    One entry per (node, walker) a walk visited, sorted by ``node * h +
-    walker`` (``codes``), so a node's visitors are consecutive and in walker
-    order.  Only ``codes``, ``node`` and ``walker`` are built eagerly.  The
-    accounting alone reads ``rnd`` and ``key``, the entry's first-visit
-    round and replay order ``rnd * h + walker``, and ``depth``, its
-    breadcrumb hops back to the walker's start, all built on first use.
-    """
-
-    def __init__(self, steps: np.ndarray):
-        self.h, self.steps = steps.shape[0], steps
-        codes = np.sort(self._codes(), axis=None)
-        self.codes = codes[_run_starts(codes)]
-        self.node, self.walker = np.divmod(self.codes, self.h)
-
-    def _codes(self) -> np.ndarray:
-        return self.steps * self.h + np.arange(self.h)[:, None]
-
-    @cached_property
-    def rnd(self) -> np.ndarray:
-        first = np.unique(self._codes(), return_index=True)[1]
-        return first - self.walker * self.steps.shape[1]
-
-    @cached_property
-    def key(self) -> np.ndarray:
-        return self.rnd * self.h + self.walker
-
-    def _find(self, w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(pos, hit): where entry (``v[k]``, ``w[k]``) is, and whether it is."""
-        code = v * self.h + w
-        pos = np.minimum(np.searchsorted(self.codes, code), self.codes.size - 1)
-        return pos, self.codes[pos] == code
-
-    @cached_property
-    def depth(self) -> np.ndarray:
-        # Each entry's breadcrumb is the entry of the step before its first
-        # visit (a start's is its own).  Pointer jumping: after k rounds every
-        # entry points 2**k back (or at its start) and holds the hops skipped.
-        parent = self._find(self.walker, self.steps[self.walker, np.maximum(self.rnd - 1, 0)])[0]
-        depth = (self.rnd > 0).astype(np.int64)
-        while True:
-            hop = parent[parent]
-            if np.array_equal(hop, parent):
-                return depth
-            depth += depth[parent]
-            parent = hop
-
-    def lookup(self, w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(visited, depth): whether walker ``w[k]`` visited node ``v[k]``,
-        and its breadcrumb depth there for the visited ones."""
-        pos, hit = self._find(w, v)
-        return hit, self.depth[pos[hit]]
-
-    def first_meetings(self) -> np.ndarray:
-        """h x h first-meeting keys: entry ``[a, b]`` (a < b) is the least,
-        over the nodes both visited, of the later of their two keys there;
-        _NEVER where they share no node and in every other cell."""
-        h, walker, key = self.h, self.walker, self.key
-        meet = np.full(h * h, _NEVER, dtype=np.int64)
-        rank = np.arange(self.codes.size)  # an entry's place among its node's visitors
-        rank -= np.maximum.accumulate(np.where(_run_starts(self.node), rank, 0))
-        later = np.flatnonzero(rank)
-        r = 1
-        while later.size:  # every pair of visitors r entries apart
-            earlier = later - r
-            np.minimum.at(meet, walker[earlier] * h + walker[later], np.maximum(key[earlier], key[later]))
-            r += 1
-            later = later[rank[later] >= r]
-        return meet.reshape(h, h)
-
-
 class _Accounting(NamedTuple):
     """A run's protocol accounting, built together on first read."""
 
@@ -213,9 +127,8 @@ class ProtocolRun:
     ``steps``, and every other field is derived from it on first read and
     cached.  ``unions`` needs only the first-visit table.  ``states``,
     ``meetings``, ``direct_peers`` and the two hop dicts are the protocol
-    accounting: they replay the meeting schedule (first-meeting keys,
-    breadcrumb depths, the hand-off sweep), all at once, the first time any
-    of them is read.
+    accounting: :func:`_replay` steps the walks round by round, all five at
+    once, the first time any of them is read.
 
     Message hops are kept per ordered pair ``(i, j)``.
     ``pair_advertise_hops`` pays for walker i's "I found your breadcrumb"
@@ -266,10 +179,6 @@ class ProtocolRun:
         return [WalkTrace(walker_id=i, steps=row, graph=self.graph) for i, row in enumerate(self.steps)]
 
     @cached_property
-    def _visits(self) -> _FirstVisits:
-        return _FirstVisits(self.steps)
-
-    @cached_property
     def unions(self) -> list[UnionSubgraph]:
         """Each walker's group G*, one object per group.
 
@@ -277,12 +186,17 @@ class ProtocolRun:
         the links between consecutive visitors of a node in the first-visit
         table, and its nodes are the distinct nodes of its members' entries.
         """
-        v, n = self._visits, self.graph.n
-        link = np.flatnonzero(v.node[1:] == v.node[:-1])
-        labels, sizes = _components(self.h, v.walker[link], v.walker[link + 1])
+        h, n = self.h, self.graph.n
+        # The first-visit table: one entry per (node, walker) a walk visited,
+        # sorted by node * h + walker, so a node's visitors are consecutive.
+        codes = np.sort(self.steps * h + np.arange(h)[:, None], axis=None)
+        codes = codes[_run_starts(codes)]
+        visit_node, walker = np.divmod(codes, h)
+        link = np.flatnonzero(visit_node[1:] == visit_node[:-1])
+        labels, sizes = _components(h, walker[link], walker[link + 1])
         members = np.split(np.argsort(labels, kind="stable"), np.cumsum(sizes)[:-1])
         # Within a group the codes already ascend, which a stable sort exploits.
-        code = np.sort(labels[v.walker] * n + v.node, kind="stable")
+        code = np.sort(labels[walker] * n + visit_node, kind="stable")
         group, node = np.divmod(code[_run_starts(code)], n)
         nodes = np.split(_read_only(node)[0], np.cumsum(np.bincount(group))[:-1])
         unions = [UnionSubgraph(self.graph, tuple(m.tolist()), x) for m, x in zip(members, nodes)]
@@ -290,72 +204,61 @@ class ProtocolRun:
 
     @cached_property
     def _accounting(self) -> _Accounting:
-        g, steps, h, visits = self.graph, self.steps, self.h, self._visits
+        return _replay(self)
 
-        # Meeting events in replay order: by key, then found walker, which is
-        # also the order of pair_advertise_hops.
-        meet = visits.first_meetings()
-        met = meet != _NEVER
-        a, b = np.nonzero(met)
-        order = np.lexsort((a + b, meet[a, b]))
-        a, b = a[order], b[order]
-        met_key = meet[a, b]
-        rnd, finder = np.divmod(met_key, h)
-        found = a + b - finder
-        at = steps[finder, rnd]
-        meetings: list[list[MeetingEvent]] = [[] for _ in range(h)]
-        cuts = np.flatnonzero(np.diff(met_key, prepend=-1, append=-1)).tolist()
-        finder_l, found_l, at_l, t_l = finder.tolist(), found.tolist(), at.tolist(), (rnd + 1).tolist()
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            f = finder_l[lo]
-            meetings[f].append(MeetingEvent(t=t_l[lo], finder=f, found=frozenset(found_l[lo:hi]), at=at_l[lo]))
 
-        # Both walkers' breadcrumb depths at each meeting node; the found
-        # walker's is the advertisement's.
-        own = np.concatenate([finder, found])
-        contact = np.concatenate([at, at])
-        _, contact_depth = visits.lookup(own, contact)
-        pair_adv = dict(zip(zip(finder_l, found_l), contact_depth[finder.size :].tolist()))
+def _replay(run: ProtocolRun) -> _Accounting:
+    """The protocol accounting of ``run``, replayed round by round with
+    walkers in id order within a round; revisits are skipped."""
+    h = run.h
+    depth: list[dict[int, int]] = [{} for _ in range(h)]  # node -> breadcrumb hops to start
+    registry: dict[int, set[int]] = {}  # node -> walkers with a breadcrumb there
+    known: list[set[int]] = [set() for _ in range(h)]
+    contacts: list[dict[int, None]] = [{} for _ in range(h)]  # meeting nodes, earliest first
+    meetings: list[list[MeetingEvent]] = [[] for _ in range(h)]
+    pair_adv: dict[tuple[int, int], int] = {}
+    prev: list[int] = []
+    for t, here in enumerate(run.steps.T.tolist(), start=1):
+        for i, v in enumerate(here):
+            if v in depth[i]:
+                continue
+            depth[i][v] = depth[i][prev[i]] + 1 if prev else 0
+            visitors = registry.setdefault(v, set())
+            new = sorted(visitors - known[i])
+            visitors.add(i)
+            if not new:
+                continue
+            meetings[i].append(MeetingEvent(t=t, finder=i, found=frozenset(new), at=v))
+            contacts[i][v] = None
+            for j in new:
+                known[i].add(j)
+                known[j].add(i)
+                contacts[j][v] = None
+                pair_adv[(i, j)] = depth[j][v]
+        prev = here
 
-        # Each walker's contacts: its meeting nodes, earliest meeting first and
-        # each node once.
-        order = np.lexsort((np.concatenate([met_key, met_key]), own))
-        own, contact, contact_depth = own[order], contact[order], contact_depth[order]
-        _, keep = np.unique(own * g.n + contact, return_index=True)
-        keep.sort()
-        own, contact, contact_depth = own[keep], contact[keep], contact_depth[keep]
+    # Subgraph hand-off to every directly met peer, routed start -> contact
+    # node (sender's breadcrumbs) -> peer start (receiver's breadcrumbs)
+    # through the sender's earliest contact the peer visited; their own
+    # meeting node always qualifies.
+    pair_tr: dict[tuple[int, int], int] = {}
+    for i in range(h):
+        for j in sorted(known[i]):
+            via = next(v for v in contacts[i] if v in depth[j])
+            pair_tr[(i, j)] = depth[i][via] + depth[j][via]
+            contacts[j][via] = None
 
-        # Subgraph hand-off to every directly met peer, routed start -> contact
-        # node (sender's breadcrumbs) -> peer start (receiver's breadcrumbs),
-        # with i-major pairs (i, j).  Sweep each i's contacts in order until j
-        # visited one; their own meeting node always qualifies.
-        direct = met | met.T
-        ti, tj = np.nonzero(direct)
-        via = np.empty(ti.size, dtype=np.int64)
-        hops = np.empty(ti.size, dtype=np.int64)
-        pending = np.arange(ti.size)
-        c = np.searchsorted(own, ti)  # each i's earliest contact
-        while pending.size:
-            hit, j_depth = visits.lookup(tj[pending], contact[c])
-            done = pending[hit]
-            via[done] = contact[c[hit]]
-            hops[done] = contact_depth[c[hit]] + j_depth
-            pending, c = pending[~hit], c[~hit] + 1
-
-        contacts: list[set[int]] = [set() for _ in range(h)]
-        for i, v in zip(own.tolist() + tj.tolist(), contact.tolist() + via.tolist()):
-            contacts[i].add(v)  # tj[k] receives ti[k]'s subgraph at via[k]
-        states = [  # known peers: the rest of the walker's group
-            WalkerState(frozenset(u.members) - {i}, frozenset(contacts[i]), self._traces[i])
-            for i, u in enumerate(self.unions)
-        ]
-        return _Accounting(
-            states=states,
-            meetings=meetings,
-            direct_peers=[frozenset(np.flatnonzero(row).tolist()) for row in direct],
-            pair_advertise_hops=pair_adv,
-            pair_transfer_hops=dict(zip(zip(ti.tolist(), tj.tolist()), hops.tolist())),
-        )
+    states = [  # known peers: the rest of the walker's group
+        WalkerState(frozenset(u.members) - {i}, frozenset(contacts[i]), run._traces[i])
+        for i, u in enumerate(run.unions)
+    ]
+    return _Accounting(
+        states=states,
+        meetings=meetings,
+        direct_peers=[frozenset(k) for k in known],
+        pair_advertise_hops=pair_adv,
+        pair_transfer_hops=pair_tr,
+    )
 
 
 def run_rwsp(g: Graph, starts, budget: int, seed) -> ProtocolRun:

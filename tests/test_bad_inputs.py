@@ -55,6 +55,7 @@ ENTRY_POINTS = [
     ("CrossingBoundParams n", ValueError, "n", lambda v: CrossingBoundParams(**{**BOUND, "n": v})),
     ("CrossingBoundParams delta", ValueError, "delta", lambda v: CrossingBoundParams(**{**BOUND, "delta": v})),
     ("CrossingBoundParams c", ValueError, "c", lambda v: CrossingBoundParams(**{**BOUND, "c": v})),
+    ("CrossingBoundParams gamma_bar", ValueError, "gamma_bar", lambda v: CrossingBoundParams(**{**BOUND, "gamma_bar": v})),
     ("coverage_points tau", ValueError, "tau", lambda v: coverage_points(MOMENTS, 10, [v])),
     ("powerlaw_edge_coverage beta", ValueError, "beta", lambda v: powerlaw_edge_coverage(POWER_LAW, v)),
     ("run_walk budget", ValueError, "budget", lambda v: run_walk(G, 0, v, 1)),
@@ -79,6 +80,8 @@ VALID = {row: {"[1]", "np.array([1])"} for row, _, what, _ in ENTRY_POINTS if wh
     "crossing_rate c": {"1.5"},
     "crossing_rate delta": {"None"},
     "CrossingBoundParams c": {"1.5"},
+    # A gamma_bar of 1.5 is positive, but with c = 1 it fails the c * gamma_bar <= 1 check.
+    "CrossingBoundParams gamma_bar": {"1.5"},
     "coverage_points tau": {"1.5"},
     "powerlaw_edge_coverage beta": {"1.5"},
 }

@@ -120,7 +120,7 @@ def test_predict_rejects_fewer_than_one_edge(capsys, edges):
         ("predict --mean-degree nan --second-moment 10 --num-edges 100", "degree moments must be finite"),
         ("predict --mean-degree 2 --second-moment inf --num-edges 100", "degree moments must be finite"),
         ("predict --graph {graph} --taus 0.01,nan", "tau must be finite and non-negative, got nan"),
-        ("eval --graph {graph} --seed 1 -o {out} --runs 2 --crossing --c nan", "c and gamma_bar must be positive"),
+        ("eval --graph {graph} --seed 1 -o {out} --runs 2 --crossing --c nan", "c must be positive"),
         # exited 1, but with "cannot convert float NaN to integer"
         ("eval --graph {graph} --seed 1 -o {out} --runs 2 --coverage-taus 0.01,nan", "tau grid values must lie in [0, 1)"),
     ],
@@ -137,8 +137,8 @@ def test_non_finite_numbers_are_one_line_input_errors(pa_file, tmp_path, capsys,
 @pytest.mark.parametrize(
     "flags, message",
     [
-        ("--crossing --c nan", "c and gamma_bar must be positive"),
-        ("--crossing --c 0", "c and gamma_bar must be positive"),
+        ("--crossing --c nan", "c must be positive"),
+        ("--crossing --c 0", "c must be positive"),
         ("--crossing --delta 0", "delta must be at least 1"),
         ("--coverage-taus 0.01,nan", "tau grid values must lie in [0, 1)"),
     ],
@@ -155,6 +155,18 @@ def test_eval_checks_every_input_before_the_first_run(pa_file, tmp_path, capsys,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [f"error: {message}"]
+    assert not out.exists()
+
+
+def test_eval_crossing_on_a_single_edge_names_gamma_bar(tmp_path, capsys):
+    # c is the default 1; it is the graph's covered-edge fraction that is 0.
+    graph = tmp_path / "one.txt"
+    graph.write_text("0 1\n")
+    out = tmp_path / "out"
+    args = ["eval", "--graph", str(graph), "--seed", "1", "-o", str(out), "--runs", "2", "--h", "2", "--beta", "0.5", "--crossing"]
+    capsys.readouterr()
+    assert cli.main(args) == 1
+    assert capsys.readouterr() == ("", "error: gamma_bar must be positive\n")
     assert not out.exists()
 
 

@@ -363,7 +363,7 @@ class TestCrossingRate:
 
     @pytest.mark.parametrize(
         "c, delta, message",
-        [(float("nan"), None, "c and gamma_bar must be positive"), (0.0, None, "c and gamma_bar must be positive"),
+        [(float("nan"), None, "c must be positive"), (0.0, None, "c must be positive"),
          (1e9, None, "c \\* gamma_bar > 1"), (1.0, 0, "delta must be at least 1")],
         ids=["c-nan", "c-zero", "c-too-large", "delta-zero"],
     )
@@ -605,20 +605,21 @@ def test_score_pairs_builds_no_per_walk_tables():
 
 def test_scoring_builds_no_protocol_accounting(monkeypatch):
     # Groups come from shared nodes, so scoring never replays the meetings.
-    def refuse(self):
-        raise AssertionError("first_meetings called")
+    def refuse(run):
+        raise AssertionError("_replay called")
 
-    monkeypatch.setattr(rwsp._FirstVisits, "first_meetings", refuse)
+    monkeypatch.setattr(rwsp, "_replay", refuse)
     g = preferential_attachment(1500, 2, seed=11)
     starts = np.random.default_rng(16).choice(g.n, size=16, replace=False)
     run = run_rwsp(g, starts, 60, seed=(3, 16))
     true, discovered = score_pairs(g, run)
     assert ((discovered != UNREACHABLE) & ~np.eye(16, dtype=bool)).any()
-    # Nor does it date the first visits, find breadcrumbs or build the walkers' traces.
-    assert not {"rnd", "key", "depth"} & vars(run._visits).keys() and "_traces" not in vars(run)
+    # Nor does it build the walkers' traces.
+    assert not {"_accounting", "_traces"} & vars(run).keys()
     result = run_experiment(g, ExperimentConfig(seed=5, h=4, beta=0.02, runs=3))
     assert result.stretch.total_pairs == 3 * 4 * 3
-    with pytest.raises(AssertionError, match="first_meetings called"):
+    assert not {"_accounting", "_traces"} & vars(run).keys()
+    with pytest.raises(AssertionError, match="_replay called"):
         run.meetings
 
 

@@ -16,6 +16,7 @@ from rwtopo import (
 )
 from rwtopo.graph import bfs_distances, component_labels
 from rwtopo.walker import retrace_to_start
+from rwtopo import rwsp
 from rwtopo.rwsp import MeetingEvent, ProtocolRun, UnionSubgraph, WalkerState, routing_tree
 from helpers import (
     cycle,
@@ -516,3 +517,26 @@ def test_table_replay_matches_the_event_loop_on_a_128_walker_swarm():
     run = run_rwsp(g, starts, 500, seed=(93, 0))
     assert len(run.states[0].known_peers) == 127  # one group, hubs visited by many walkers
     assert_same_protocol_run(run, loop_protocol(g, starts, 500, (93, 0)))
+
+
+def test_the_accounting_is_replayed_once_per_run(monkeypatch):
+    calls, replay = [], rwsp._replay
+
+    def counted(run):
+        calls.append(run)
+        return replay(run)
+
+    monkeypatch.setattr(rwsp, "_replay", counted)
+    run = run_rwsp(preferential_attachment(300, 2, seed=4), [0, 5, 9, 40], 30, seed=6)
+    for _ in range(2):
+        run.states, run.meetings, run.direct_peers, run.pair_advertise_hops, run.pair_transfer_hops
+    run.states
+    assert len(calls) == 1 and calls[0] is run
+
+
+def test_a_prefix_of_the_walks_replays_as_the_shorter_run():
+    g = preferential_attachment(2000, 2, seed=31)
+    starts = np.random.default_rng(32).choice(g.n, size=12, replace=False).tolist()
+    full = run_rwsp(g, starts, 400, seed=33)
+    for budget in (1, 2, 57, 200, 400):
+        assert_same_protocol_run(ProtocolRun(g, full.steps[:, :budget]), run_rwsp(g, starts, budget, seed=33))

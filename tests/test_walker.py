@@ -468,6 +468,17 @@ def test_edge_counts_match_a_recount_after_every_step(case):
         assert trace.covered_edge_count == len(covered)
 
 
+@pytest.mark.parametrize("lanes", [1, 4, 15, 16, 40])
+def test_a_shorter_budget_walks_a_prefix_of_the_longer_walk(lanes):
+    # Both sides of _LOCKSTEP_LANES, and budgets on both sides of a _DRAW_CHUNK boundary.
+    g = preferential_attachment(500, 2, seed=21)
+    starts = np.random.default_rng(22).choice(g.n, size=lanes).tolist()
+    seeds = [walker_seed(23, lane) for lane in range(lanes)]
+    full = run_walks(g, starts, 9000, seeds)
+    for budget in (1, 4096, 4097, 8193):
+        assert np.array_equal(run_walks(g, starts, budget, seeds), full[:, :budget])
+
+
 def test_run_walks_rejects_what_run_walk_rejects():
     g = Graph(4, [[0, 1], [1, 2]])
     with pytest.raises(ValueError, match="isolated"):
