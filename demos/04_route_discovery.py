@@ -44,7 +44,7 @@ for i, state in enumerate(run.states):
     )
 print()
 print("  pair  true  discovered  naive")
-true, discovered = score_pairs(g, run)  # h x h hop counts among the starts
+true, discovered = score_pairs(run)  # h x h hop counts among the starts
 for i, j in itertools.combinations(range(run.h), 2):
     if j not in run.direct_peers[i]:
         continue

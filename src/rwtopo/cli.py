@@ -194,7 +194,7 @@ def _cmd_rwsp(args) -> int:
     advertise = _per_walker(run.pair_advertise_hops, cfg.h)
     transfer = _per_walker(run.pair_transfer_hops, cfg.h)
 
-    true, discovered = (m.tolist() for m in score_pairs(g, run))
+    true, discovered = (m.tolist() for m in score_pairs(run))
     pairs = []
     for i, j in itertools.permutations(range(cfg.h), 2):
         # the walks share a node exactly when the walkers met directly

@@ -297,13 +297,14 @@ def _draw_starts(cfg: ExperimentConfig, members: np.ndarray, run_index: int, k: 
     return [int(s) for s in rng.choice(members, size=k, replace=False)]
 
 
-def _run_scores(g: Graph, run: ProtocolRun) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
+def _run_scores(run: ProtocolRun) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
     """``(starts, visited, true)``: all that scoring keeps of a run, none of
     it holding the run's step table.  ``visited`` is each walker's group's
     ``UnionSubgraph.nodes``, one array object per group, and ``true`` the
-    h x h hop distances on ``g`` among the starts, one BFS per walker."""
+    h x h hop distances among the starts on the graph the run walked, one
+    BFS per walker."""
     starts = np.array(run.starts, dtype=np.int64)
-    true = np.stack([bfs_distances(g, start)[starts] for start in run.starts])
+    true = np.stack([bfs_distances(run.graph, start)[starts] for start in run.starts])
     return starts, [union.nodes for union in run.unions], true
 
 
@@ -336,19 +337,20 @@ def _scored(g: Graph, runs: list, first: int = 0) -> list[tuple[np.ndarray, np.n
     return scored
 
 
-def score_pairs(g: Graph, run: ProtocolRun) -> tuple[np.ndarray, np.ndarray]:
+def score_pairs(run: ProtocolRun) -> tuple[np.ndarray, np.ndarray]:
     """``(true, discovered)``: h × h int64 hop distances among the walkers' starts.
 
     Entry (i, j) is for the ordered pair i -> j; both diagonals are 0.
-    ``true`` takes one BFS per walker on ``g``, UNREACHABLE where the starts
-    are disconnected.  ``discovered`` routes every walker on its meeting
-    group's union G*, UNREACHABLE unless i and j are in one group.  The run
-    is scored as a block of one by :func:`_scored`, the scorer of
-    ``run_experiment``, so an impossible route raises InvariantViolation
-    naming run 0 and the pair.  Only ``run.unions`` is read, so scoring
-    builds none of the run's protocol accounting.
+    ``true`` takes one BFS per walker on ``run.graph``, the graph the run
+    walked, UNREACHABLE where the starts are disconnected.  ``discovered``
+    routes every walker on its meeting group's union G*, UNREACHABLE
+    unless i and j are in one group.  The run is scored as a block of one
+    by :func:`_scored`, the scorer of ``run_experiment``, so an impossible
+    route raises InvariantViolation naming run 0 and the pair.  Only
+    ``run.unions`` is read, so scoring builds none of the run's protocol
+    accounting.
     """
-    return _scored(g, [_run_scores(g, run)])[0]
+    return _scored(run.graph, [_run_scores(run)])[0]
 
 
 def _one_run_records(g: Graph, cfg: ExperimentConfig, budget: int, members: np.ndarray, run_index: int):
@@ -361,7 +363,7 @@ def _one_run_records(g: Graph, cfg: ExperimentConfig, budget: int, members: np.n
     block by :func:`_block_records`.
     """
     starts = _draw_starts(cfg, members, run_index)
-    return _run_scores(g, run_rwsp(g, starts, budget, seed=walker_seed(cfg.seed, run_index)))
+    return _run_scores(run_rwsp(g, starts, budget, seed=walker_seed(cfg.seed, run_index)))
 
 
 def _block_records(g: Graph, cfg: ExperimentConfig, budget: int, members: np.ndarray, runs: range) -> np.ndarray:
@@ -563,22 +565,18 @@ def crossing_rate(
 # -- report emission -----------------------------------------------------------
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def _csv(header: list[str], rows) -> str:
     """CSV text of the ``header`` cells and then each row's, one line each:
-    float cells (numpy's float64 too) written by :func:`_fmt`, others by ``str``."""
+    float cells (numpy's float64 too) written as ``repr(float(x))``, others by ``str``."""
     lines = [header, *rows]
-    return "".join(",".join(_fmt(x) if isinstance(x, float) else str(x) for x in line) + "\n" for line in lines)
+    return "".join(",".join(repr(float(x)) if isinstance(x, float) else str(x) for x in line) + "\n" for line in lines)
 
 
 def _json_dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def emit_reports(result: ExperimentResult, fmt: str = "csv", destination=None) -> list[Path]:
+def emit_reports(result: ExperimentResult, fmt: str, destination) -> list[Path]:
     """Write plot-ready experiment reports into ``destination``.
 
     csv format: stretch_matrix.csv (row-normalized fractions with INF
@@ -587,8 +585,6 @@ def emit_reports(result: ExperimentResult, fmt: str = "csv", destination=None) -
     Either way a timing.json sidecar carries the wall time, so every other
     file is byte-deterministic for a fixed config and seed.
     """
-    if destination is None:
-        raise ValueError("destination directory is required")
     if result.stretch.total_pairs == 0:
         raise ValueError("refusing to emit an empty stretch matrix")
     if fmt not in ("csv", "json"):

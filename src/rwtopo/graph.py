@@ -446,19 +446,6 @@ def _bool_mask(mask, size: int, what: str) -> np.ndarray:
     return mask
 
 
-def _kept_arcs(g: Graph, edge_mask: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """(indptr, adj) of the arcs of ``g`` whose edge has a true ``edge_mask``
-    entry, under ``g``'s own node ids; ``g``'s own CSR without a mask.
-
-    A masked call keeps the arcs in place, so each node's kept neighbors
-    stay sorted; it costs O(n + m) whatever the mask holds.  Any other mask
-    than a bool array of shape ``(m,)`` raises ValueError.
-    """
-    if edge_mask is None:
-        return g.indptr, g.adj
-    return _arc_subset(g, _bool_mask(edge_mask, g.m, "edge_mask")[g.adj_edge_ids])
-
-
 def _arc_subset(g: Graph, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(indptr, adj) of the arcs of ``g`` with a true entry in ``keep``, a
     bool per arc: one prefix sum, no sort, so every row keeps its arcs in
@@ -524,9 +511,10 @@ def bfs_distances(g: Graph, source: int, edge_mask: np.ndarray | None = None) ->
 
     When ``edge_mask`` (a bool array of shape ``(m,)``, one entry per edge
     id) is given, only edges with a true mask entry are traversed, i.e. the
-    search runs on the arcs :func:`_kept_arcs` keeps, a subgraph of ``g``
-    sharing its node ids, filtered once before the first level.  Any other
-    mask, and a non-integral or out-of-range ``source``, raises ValueError.
+    search runs on a subgraph of ``g`` sharing its node ids, filtered once
+    before the first level in adjacency order; the filter costs O(n + m)
+    whatever the mask keeps.  Any other mask, and a non-integral or
+    out-of-range ``source``, raises ValueError.
 
     Level 1 is the source's own row of the searched arcs, taken by slice: a
     row of a simple graph, masked or not, is distinct, ascending and free of
@@ -549,7 +537,10 @@ def bfs_distances(g: Graph, source: int, edge_mask: np.ndarray | None = None) ->
     # distinct and ascending, and the next level reads indptr and adj in
     # order.
     source = _one_node(source, g.n, "source")
-    indptr, adj = _kept_arcs(g, edge_mask)
+    if edge_mask is None:
+        indptr, adj = g.indptr, g.adj
+    else:
+        indptr, adj = _arc_subset(g, _bool_mask(edge_mask, g.m, "edge_mask")[g.adj_edge_ids])
     dist = np.full(g.n, UNREACHABLE, dtype=np.int64)
     dist[source] = 0
     fresh = np.ones(g.n, dtype=bool)  # the unreached nodes

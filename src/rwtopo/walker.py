@@ -154,10 +154,6 @@ class WalkTrace:
     def covered_edge_count(self) -> int:
         return int(self.edge_count_per_step[-1])
 
-    def visited_nodes(self) -> np.ndarray:
-        """Visited node ids, ascending."""
-        return self.first_visits[0]
-
     @property
     def visited(self) -> np.ndarray:
         """Dense node membership mask (built on access)."""
@@ -166,7 +162,7 @@ class WalkTrace:
     @property
     def covered_edges(self) -> np.ndarray:
         """Dense edge membership mask (built on access)."""
-        return _covered_edge_mask(self.graph, self.visited_nodes())
+        return _covered_edge_mask(self.graph, self.first_visits[0])
 
 
 @dataclass(frozen=True)
@@ -315,9 +311,12 @@ def naive_route(trace_i: WalkTrace, trace_j: WalkTrace):
     node of i's sequence (in walk order) that walker j also visited, then
     follows j's breadcrumbs down to j's start.  Both halves are breadcrumb
     paths, so the route is valid in the graph but typically far from
-    shortest: it inherits the walks' wandering.
+    shortest: it inherits the walks' wandering.  Traces of two different
+    graphs raise ValueError.
     """
-    hits = np.isin(trace_i.steps, trace_j.visited_nodes())
+    if trace_i.graph is not trace_j.graph:
+        raise ValueError("naive_route needs two traces of one graph")
+    hits = np.isin(trace_i.steps, trace_j.first_visits[0])
     if not hits.any():
         return None
     meet = int(trace_i.steps[int(np.argmax(hits))])

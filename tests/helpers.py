@@ -46,7 +46,7 @@ def degree_multiset(g: Graph) -> list[int]:
 
 def discovered_lengths(run) -> dict:
     """(i, j) -> discovered route length for every ordered walker pair of ``run``."""
-    _, discovered = score_pairs(run.graph, run)
+    _, discovered = score_pairs(run)
     return {(i, j): int(discovered[i, j]) for i in range(run.h) for j in range(run.h) if i != j}
 
 

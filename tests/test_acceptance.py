@@ -168,7 +168,7 @@ def test_c4_routing_soundness_sweep():
                 if j in run.direct_peers[i]:
                     assert discovered <= naive_length(run, i, j)
             trace = run.states[i].trace
-            for v in trace.visited_nodes():
+            for v in trace.first_visits[0]:
                 path = retrace_to_start(trace, int(v))
                 assert len(set(path)) == len(path)
                 assert all(g.has_edge(a, b) for a, b in zip(path, path[1:]))

@@ -584,7 +584,7 @@ def test_score_pairs_matches_one_routing_tree_per_walker(kind, h, budget, monkey
 
     for name in calls:
         monkeypatch.setattr(experiments, name, counted(name))
-    true, discovered = score_pairs(g, run)
+    true, discovered = score_pairs(run)
     expected_true, expected_discovered = tree_scored_matrices(g, run)
     assert true.dtype == discovered.dtype == np.int64
     assert np.array_equal(true, expected_true) and np.array_equal(discovered, expected_discovered)
@@ -597,7 +597,7 @@ def test_score_pairs_builds_no_per_walk_tables():
     g = preferential_attachment(1500, 2, seed=11)
     starts = np.random.default_rng(16).choice(g.n, size=16, replace=False)
     run = run_rwsp(g, starts, 60, seed=(3, 16))
-    score_pairs(g, run)
+    score_pairs(run)
     assert any(state.known_peers for state in run.states)
     for state in run.states:
         assert not {"first_visits", "edge_count_per_step"} & vars(state.trace).keys()
@@ -612,7 +612,7 @@ def test_scoring_builds_no_protocol_accounting(monkeypatch):
     g = preferential_attachment(1500, 2, seed=11)
     starts = np.random.default_rng(16).choice(g.n, size=16, replace=False)
     run = run_rwsp(g, starts, 60, seed=(3, 16))
-    true, discovered = score_pairs(g, run)
+    true, discovered = score_pairs(run)
     assert ((discovered != UNREACHABLE) & ~np.eye(16, dtype=bool)).any()
     # Nor does it build the walkers' traces.
     assert not {"_accounting", "_traces"} & vars(run).keys()
@@ -670,9 +670,9 @@ def test_block_invariant_names_the_lowest_bad_run(monkeypatch, workers):
         run_experiment(g, cfg)
 
 
-def alone_records(g, run):
+def alone_records(run):
     """One run's records from score_pairs of that run alone, i-major."""
-    true, discovered = score_pairs(g, run)
+    true, discovered = score_pairs(run)
     off_diagonal = ~np.eye(run.h, dtype=bool)
     return np.column_stack((true[off_diagonal], discovered[off_diagonal]))
 
@@ -695,7 +695,7 @@ def test_each_run_scores_in_its_block_as_alone(h, fixed, budget):
         in_blocks.append(experiments._block_records(g, cfg, budget, members, block))
         for r in block:
             run = run_rwsp(g, experiments._draw_starts(cfg, members, r), budget, walker_seed(cfg.seed, r))
-            alone.append(alone_records(g, run))
+            alone.append(alone_records(run))
     assert np.array_equal(np.concatenate(in_blocks), np.concatenate(alone))
     assert sum(map(len, alone)) == cfg.runs * h * (h - 1)
     expected = StretchMatrix.from_pairs(np.concatenate(alone)).counts
@@ -707,7 +707,7 @@ def test_each_run_scores_in_its_block_as_alone(h, fixed, budget):
 def test_a_block_keeps_no_step_table_of_its_runs():
     g = preferential_attachment(300, 2, seed=4)
     run = run_rwsp(g, [0, 5, 9, 40], 80, seed=2)
-    starts, visited, true = experiments._run_scores(g, run)
+    starts, visited, true = experiments._run_scores(run)
     assert starts.tolist() == list(run.starts)
     assert [v is u.nodes for v, u in zip(visited, run.unions)] == [True] * 4
     assert not any(np.shares_memory(a, run.steps) for a in [starts, *visited, true])
@@ -783,7 +783,7 @@ def test_names_patched_by_the_benchmark_exist():
     assert type(trace.budget) is int and type(trace.start) is int
     assert (trace.start, trace.budget) == (0, 12)
     assert (bc.visited == trace.visited).all()
-    for v in trace.visited_nodes().tolist():
+    for v in trace.first_visits[0].tolist():
         assert bc.predecessor[v] == (retrace_to_start(trace, v) + [-1])[1]
     assert (experiments.bfs_distances(g, 0, None) == bfs_distances(g, 0)).all()
     run = experiments.run_rwsp(g, [0, 20, 40], 15, (3, 4))

@@ -6,7 +6,8 @@ purpose carries ``# noqa: F401`` on its line.  The package top level
 re-exports only the names the README quickstart, the demos and the
 benchmark import from it; everything else is imported from its submodule.
 Scalar inputs are read by ``graph``'s readers, so only ``graph`` imports
-``numbers``.
+``numbers``.  The package's one declared dependency is numpy, so its
+modules import nothing else outside the standard library.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import ast
 import importlib
 import inspect
+import sys
 from pathlib import Path
 
 import pytest
@@ -196,3 +198,41 @@ def test_the_check_sees_numbers_imports_and_bool_checks():
         "c": "def h(x):\n    return isinstance(x, int)\n",
     }
     assert scalar_checks(sources) == ({"a", "b"}, {("a", "f"), ("b", "g")})
+
+
+def undeclared_imports(source: str) -> list[tuple[int, str]]:
+    """(line, top-level module) of every import in ``source`` of a module
+    other than numpy, rwtopo and the standard library's."""
+    declared = {"numpy", "rwtopo", *sys.stdlib_module_names}
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            modules = [node.module]
+        else:
+            continue
+        found += [(node.lineno, top) for top in (m.split(".")[0] for m in modules) if top not in declared]
+    return sorted(found)
+
+
+def test_the_package_imports_only_numpy_beyond_the_standard_library():
+    # scipy and networkx may be installed where the tests run; pyproject.toml
+    # declares numpy alone, so an import of either would break an install.
+    package = ROOT / "src" / "rwtopo"
+    found = {path.stem: undeclared_imports(path.read_text(encoding="utf-8")) for path in package.glob("*.py")}
+    assert {module: lines for module, lines in found.items() if lines} == {}
+
+
+def test_the_check_sees_undeclared_imports():
+    source = (
+        "from __future__ import annotations\n"
+        "import os, numpy as np\n"
+        "import scipy.sparse\n"
+        "from networkx import Graph\n"
+        "from . import graph\n"
+        "from rwtopo.walker import run_walk\n"
+        "def f():\n"
+        "    import scipy\n"
+    )
+    assert undeclared_imports(source) == [(3, "scipy"), (4, "networkx"), (8, "scipy")]

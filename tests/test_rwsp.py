@@ -416,7 +416,7 @@ def loop_protocol(g: Graph, starts, budget: int, seed) -> types.SimpleNamespace:
 
     index = np.concatenate([tr.first_visits[1] for tr in traces])
     walker = np.repeat(np.arange(h), [tr.unique_nodes for tr in traces])
-    node = np.concatenate([tr.visited_nodes() for tr in traces])
+    node = np.concatenate([tr.first_visits[0] for tr in traces])
     order = np.lexsort((walker, index))
     events = zip(index[order].tolist(), walker[order].tolist(), node[order].tolist())
 

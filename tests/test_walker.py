@@ -66,7 +66,7 @@ class TestRunWalk:
         g = path_graph(2)
         trace, _ = run_walk(g, 0, 3, seed=1)
         assert trace.steps.tolist() == [0, 1, 0]
-        assert trace.visited_nodes().tolist() == [0, 1]
+        assert trace.first_visits[0].tolist() == [0, 1]
         assert trace.covered_edge_count == 1
 
     def test_leaf_start_forces_the_hub(self):
@@ -96,7 +96,7 @@ class TestRunWalk:
         for g in (triangle(), star(5), cycle(8), two_triangles()):
             for seed in range(8):
                 trace, _ = run_walk(g, 0, 12, seed=seed)
-                expected = brute_covered_edges(g, trace.visited_nodes())
+                expected = brute_covered_edges(g, trace.first_visits[0])
                 assert set(np.flatnonzero(trace.covered_edges).tolist()) == expected
                 assert trace.covered_edge_count == len(expected)
 
@@ -190,7 +190,7 @@ class TestRetrace:
         g = Graph(6, [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [5, 0], [1, 4]])
         for seed in range(60):
             trace, _ = run_walk(g, 0, 10, seed=seed)
-            for v in trace.visited_nodes():
+            for v in trace.first_visits[0]:
                 path = retrace_to_start(trace, int(v))
                 assert len(set(path)) == len(path)
                 assert path[0] == v and path[-1] == 0
@@ -222,6 +222,14 @@ class TestNaiveRoute:
         ti, _ = run_walk(g, 0, 5, seed=1)
         tj, _ = run_walk(g, 3, 5, seed=2)
         assert naive_route(ti, tj) is None
+
+    def test_traces_of_two_graphs_are_refused(self):
+        # Node ids of one graph name other nodes in another: this pair's
+        # "route" began 0-168, which is no edge of the first graph.
+        ti, _ = run_walk(preferential_attachment(300, 2, seed=4), 0, 60, seed=1)
+        tj, _ = run_walk(preferential_attachment(300, 2, seed=5), 5, 60, seed=2)
+        with pytest.raises(ValueError, match="two traces of one graph"):
+            naive_route(ti, tj)
 
     def test_route_is_valid_and_never_beats_true_distance(self):
         g = cycle(10)
@@ -331,7 +339,7 @@ def test_edge_counts_equal_the_sorted_kernel(case):
         assert counts.dtype == np.int64 and not counts.flags.writeable
         assert counts.tolist() == sorted_edge_counts(trace).tolist()
         mask = np.zeros(trace.graph.n, dtype=bool)
-        mask[trace.visited_nodes()] = True
+        mask[trace.first_visits[0]] = True
         assert np.array_equal(trace.visited, mask)
         if case == "star":
             assert trace.unique_nodes < trace.budget // 20
