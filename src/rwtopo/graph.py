@@ -157,9 +157,7 @@ class Graph:
     @property
     def edges(self) -> np.ndarray:
         """Edge k as row k, (lo, hi): the arcs with tail < head, in adj order; derived on every read."""
-        tail = np.repeat(np.arange(self.n), self.degrees)
-        up = tail < self.adj
-        return np.stack([tail[up], self.adj[up]], axis=1)
+        return np.stack(_edge_ends(self), axis=1)
 
     @property
     def adj_edge_ids(self) -> np.ndarray:
@@ -213,6 +211,13 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     for a in arrays:
         a.flags.writeable = False
     return arrays
+
+
+def _edge_ends(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """The two columns of ``g.edges``, each a contiguous array."""
+    tail = np.repeat(np.arange(g.n), g.degrees)
+    up = tail < g.adj
+    return tail[up], g.adj[up]
 
 
 def _arc_positions(indptr: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -506,15 +511,19 @@ def _pull(indptr: np.ndarray, adj: np.ndarray, fresh: np.ndarray) -> np.ndarray:
     return candidates[joined]
 
 
-def bfs_distances(g: Graph, source: int, edge_mask: np.ndarray | None = None) -> np.ndarray:
+def bfs_distances(
+    g: Graph, source: int, edge_mask: np.ndarray | None = None, *, max_level: int | None = None
+) -> np.ndarray:
     """Breadth-first hop distances from ``source`` (UNREACHABLE where no path exists).
 
     When ``edge_mask`` (a bool array of shape ``(m,)``, one entry per edge
     id) is given, only edges with a true mask entry are traversed, i.e. the
     search runs on a subgraph of ``g`` sharing its node ids, filtered once
     before the first level in adjacency order; the filter costs O(n + m)
-    whatever the mask keeps.  Any other mask, and a non-integral or
-    out-of-range ``source``, raises ValueError.
+    whatever the mask keeps.  Given ``max_level``, nodes more than
+    ``max_level`` hops away are UNREACHABLE too.  Any other mask,
+    a non-integral or out-of-range ``source`` and a ``max_level`` that is no
+    integer of at least 0 raise ValueError.
 
     Level 1 is the source's own row of the searched arcs, taken by slice: a
     row of a simple graph, masked or not, is distinct, ascending and free of
@@ -527,7 +536,8 @@ def bfs_distances(g: Graph, source: int, edge_mask: np.ndarray | None = None) ->
     Otherwise it pulls (:func:`_pull`): every unreached node with an arc
     into a reached node joins, each stopping at its first such arc.  A
     pulled frontier comes out ascending.  The search ends at a level that
-    reaches nothing, or once no unreached node has an arc left.
+    reaches nothing, once no unreached node has an arc left, or after level
+    ``max_level``.
     """
     # One source would fill one bit of pair_distances' 64-bit words, whose
     # levels pull over every arc of their block's G*; this search keeps
@@ -537,6 +547,7 @@ def bfs_distances(g: Graph, source: int, edge_mask: np.ndarray | None = None) ->
     # distinct and ascending, and the next level reads indptr and adj in
     # order.
     source = _one_node(source, g.n, "source")
+    max_level = g.n if max_level is None else _one_int(max_level, "max_level", lo=0)  # no path has n hops
     if edge_mask is None:
         indptr, adj = g.indptr, g.adj
     else:
@@ -548,7 +559,7 @@ def bfs_distances(g: Graph, source: int, edge_mask: np.ndarray | None = None) ->
     frontier = adj[indptr[source] : indptr[source + 1]]
     unreached = adj.size - frontier.size
     level = 1
-    while frontier.size:
+    while frontier.size and level <= max_level:
         fresh[frontier] = False
         dist[frontier] = level
         starts = indptr[frontier]
@@ -571,6 +582,8 @@ def bfs_distances(g: Graph, source: int, edge_mask: np.ndarray | None = None) ->
             # level: any earlier one would have reached it already.
             frontier = _pull(indptr, adj, fresh)
         level += 1
+    if level > max_level:  # stopped by the cap: the next level, maybe parked in dist, stays unreached
+        dist[frontier] = UNREACHABLE
     return dist
 
 
@@ -684,27 +697,31 @@ def pair_distances(g: Graph, nodes, visited=None) -> np.ndarray:
     return dist
 
 
-def _components(n: int, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Connected components of nodes ``0..n-1`` linked by the pairs
-    ``(a[k], b[k])``, as (labels, sizes) numbered by smallest member.
+def _components(parent: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Connected components of nodes ``0..n-1`` joined by the forest
+    ``parent`` and linked by the pairs ``(a[k], b[k])``, as (labels, sizes)
+    numbered by smallest member.
 
-    ``a`` and ``b`` are int arrays; their pairs may come in any order,
-    repeat, or link a node to itself.  Each round hooks roots by the classic
-    hook-and-shortcut scheme (Shiloach & Vishkin, J. Algorithms 1982): the
-    larger root of every pair of distinct roots points at the smallest root
-    it is paired with, full pointer jumping flattens every tree back to one
-    level, and every pair becomes its two roots, the pairs inside one tree
-    dropped.
+    ``parent[v]`` is v's root, so every tree is one level deep, and a
+    tree's root is its smallest member: ``np.arange(n)`` is n one-node
+    trees.  Every node a pair names must be a root.  ``a`` and ``b`` are
+    int arrays; their pairs may come in any order, repeat, or link a node
+    to itself.  Each round hooks roots by the classic hook-and-shortcut
+    scheme (Shiloach & Vishkin, J. Algorithms 1982): the larger root of
+    every pair of distinct roots points at the smallest root it is paired
+    with, full pointer jumping flattens every tree back to one level, and
+    every pair becomes its two roots, the pairs inside one tree dropped.
 
     A root only ever hooks under a smaller root, so every parent pointer
-    decreases and each tree's root is its smallest member; numbering the
+    decreases and each tree's root stays its smallest member; numbering the
     roots in id order therefore numbers components by smallest member.  A
     tree with a neighbor hooks or is hooked within two rounds, so the trees
     of a component at least halve every two rounds: O(log n) rounds, each
     one pass over the pairs plus a few jumping passes over the nodes,
-    whatever the number or shape of the components.
+    whatever the number or shape of the components.  ``parent`` may be
+    overwritten.
     """
-    parent = np.arange(n)
+    n = parent.size
     while a.size:
         np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
         while not np.array_equal(grand := parent[parent], parent):
@@ -720,11 +737,31 @@ def component_labels(g: Graph) -> tuple[np.ndarray, np.ndarray]:
 
     Labels are numbered in order of each component's smallest node id;
     ``sizes[c]`` is the node count of component ``c``.  The graph is
-    labelled by :func:`_components` over its edges on the first call only,
-    and the pair is kept on it.
+    labelled on the first call only, and the pair is kept on it.
+
+    A search from the highest-degree node settles its component first
+    (Afforest's idea; Sutton, Ben-Nun & Barak, IPDPS 2018).  If it runs out
+    within ``n.bit_length()`` levels, as in a small-world giant component,
+    the component becomes one tree rooted at its smallest member and
+    :func:`_components` hooks only the other nodes' arcs, none of which
+    reach it.  Otherwise, as on a grid or a long path, more levels would
+    cost more than the O(log n) hooking rounds they save, and every edge
+    is hooked.
     """
     if g._components is None:  # threads that label at once store equal pairs
-        g._components = _read_only(*_components(g.n, *g.edges.T))
+        cap = g.n.bit_length()
+        dist = bfs_distances(g, int(np.argmax(g.degrees)), max_level=cap)
+        if dist.max() < cap:  # the search ran out within the hub's component
+            members, rest = np.flatnonzero(dist != UNREACHABLE), np.flatnonzero(dist == UNREACHABLE)
+            arcs, counts = _arc_positions(g.indptr, rest)
+            a, b = np.repeat(rest, counts), g.adj[arcs]
+            parent = np.arange(g.n)
+            parent[members] = members[0]
+        else:
+            del dist  # deriving the edge columns is the peak; keep no n-sized array through it
+            a, b = _edge_ends(g)
+            parent = np.arange(g.n)
+        g._components = _read_only(*_components(parent, a, b))
     return g._components
 
 

@@ -193,7 +193,7 @@ class ProtocolRun:
         codes = codes[_run_starts(codes)]
         visit_node, walker = np.divmod(codes, h)
         link = np.flatnonzero(visit_node[1:] == visit_node[:-1])
-        labels, sizes = _components(h, walker[link], walker[link + 1])
+        labels, sizes = _components(np.arange(h), walker[link], walker[link + 1])
         members = np.split(np.argsort(labels, kind="stable"), np.cumsum(sizes)[:-1])
         # Within a group the codes already ascend, which a stable sort exploits.
         code = np.sort(labels[walker] * n + visit_node, kind="stable")

@@ -42,6 +42,7 @@ ENTRY_POINTS = [
     ("Graph.neighbors", ValueError, "node id", lambda v: G.neighbors(v)),
     ("Graph.has_edge", ValueError, "node id", lambda v: G.has_edge(0, v)),
     ("bfs_distances source", ValueError, "source", lambda v: bfs_distances(G, v)),
+    ("bfs_distances max_level", ValueError, "max_level", lambda v: bfs_distances(G, 0, max_level=v)),
     ("walker_seed id", ValueError, "walker id", lambda v: walker_seed(1, v)),
     ("retrace_to_start node", ValueError, "node", lambda v: retrace_to_start(TRACE, v)),
     ("ExperimentConfig h", ConfigError, "h", lambda v: ExperimentConfig(seed=1, h=v)),
@@ -74,8 +75,10 @@ ENTRY_POINTS = [
 ]
 # Corpus values that are valid for a row: a sequence of non-negative
 # integers is a seed, 1.5 is an alpha, a tau, a power-law beta and, with the
-# rows' other inputs, a c, and None is crossing_rate's default delta.
+# rows' other inputs, a c, and None is crossing_rate's default delta and
+# bfs_distances' default max_level.
 VALID = {row: {"[1]", "np.array([1])"} for row, _, what, _ in ENTRY_POINTS if what == "seed"} | {
+    "bfs_distances max_level": {"None"},
     "PowerLawParams alpha": {"1.5"},
     "crossing_rate c": {"1.5"},
     "crossing_rate delta": {"None"},

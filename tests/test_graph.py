@@ -3,6 +3,7 @@ import io
 import re
 import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -331,6 +332,42 @@ class TestGiantComponent:
         elapsed = time.perf_counter() - start
         assert np.array_equal(labels, np.arange(200_000) // 2) and (sizes == 2).all()
         assert elapsed < 1.0, f"{elapsed:.2f} s to label 100,000 two-node components"
+
+    def test_a_200k_node_path_is_labelled_in_under_a_second(self):
+        # The hub's search is capped at n.bit_length() levels; uncapped, it
+        # would run one level per node before the path is hooked.
+        g = Graph(200_000, np.stack([np.arange(199_999), np.arange(1, 200_000)], axis=1))
+        start = time.perf_counter()
+        labels, sizes = component_labels(g)
+        elapsed = time.perf_counter() - start
+        assert not labels.any() and sizes.tolist() == [200_000]
+        assert elapsed < 1.0, f"{elapsed:.2f} s to label a 200,000-node path"
+
+    def test_the_hubs_star_is_settled_and_the_path_beside_it_hooked(self):
+        # Path 0..39; star on 40..52 with its hub at 52, so the star's tree
+        # must be rooted at 40, its smallest member, not at the hub.
+        path = [[v, v + 1] for v in range(39)]
+        g = Graph(53, path + [[52, leaf] for leaf in range(40, 52)])
+        hooked, components = [], graph_module._components
+
+        def spy(parent, a, b):
+            hooked.append(np.union1d(a, b).tolist())
+            return components(parent, a, b)
+
+        with mock.patch.object(graph_module, "_components", spy):
+            labels, sizes = component_labels(g)
+        assert hooked == [list(range(40))]  # only the path's arcs are hooked
+        assert labels.tolist() == [0] * 40 + [1] * 13 and sizes.tolist() == [40, 13]
+        gc, mapping = giant_component(g)
+        assert (gc.n, gc.m) == (40, 39) and mapping.tolist() == list(range(40)) + [-1] * 13
+
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_an_edgeless_graph_has_one_component_per_node(self, n):
+        g = Graph(n, [])
+        labels, sizes = component_labels(g)
+        assert labels.tolist() == list(range(n)) and sizes.tolist() == [1] * n
+        gc, mapping = giant_component(g)
+        assert gc.n == 1 and mapping.tolist() == [0] + [-1] * (n - 1)
 
     def test_tie_break_prefers_component_of_node_zero(self):
         g = Graph(4, [[0, 1], [2, 3]])

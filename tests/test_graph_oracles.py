@@ -259,7 +259,7 @@ def test_levels_push_or_pull_by_their_share_of_the_arcs(g, nodes, visited, pushe
 
 
 @settings(max_examples=100, deadline=None)
-@given(graphs() | mostly_isolated_graphs() | hub_heavy_graphs())
+@given(graphs() | mostly_isolated_graphs() | path_like_graphs() | hub_heavy_graphs())
 def test_component_labels_match_networkx(g):
     labels, sizes = component_labels(g)
     components = sorted(nx.connected_components(to_nx(g)), key=min)
@@ -285,7 +285,7 @@ def node_pairs(draw):
 def test_components_of_any_pairs_match_networkx(case):
     n, pairs = case
     a, b = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-    labels, sizes = graph_module._components(n, a, b)
+    labels, sizes = graph_module._components(np.arange(n), a, b)
     multigraph = nx.MultiGraph(pairs)
     multigraph.add_nodes_from(range(n))
     components = sorted(nx.connected_components(multigraph), key=min)

@@ -4,7 +4,8 @@
 falls back to a per-line parse for anything else; ``Graph`` deduplicates and
 orders arcs by sorting; ``bfs_distances`` pulls into the unreached nodes,
 one arc of each per round, once the frontier outweighs them, and
-``component_labels`` hooks roots instead of flooding.  The oracles below
+``component_labels`` settles the hub's component with one search and
+hooks roots over the rest instead of flooding.  The oracles below
 are the earlier implementations, kept verbatim: a per-line parser with a
 dict remap, a constructor built on ``np.unique`` and ``np.lexsort``, and a
 flood that only pushes, run from each unlabelled node in id order to label
@@ -490,6 +491,17 @@ def test_bfs_distances_pull_and_match_the_push_only_flood(family, kind):
     # reach but in the unreached arcs, so those searches only push.
     if kind == "none" or family not in ("grid", "path"):
         assert pulls(lambda: bfs_distances(g, source, mask)) >= 1
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("kind", ["none", "random"])
+def test_a_search_capped_at_k_levels_is_the_full_search_cut_at_k(family, kind):
+    g, source = FAMILIES[family]
+    mask = edge_mask(g, kind, seed=11)
+    source = int(np.flatnonzero(g.degrees == 1)[0]) if source is None else source
+    full = reference_bfs(g, source, mask)
+    for k in range(int(full.max()) + 2):
+        assert np.array_equal(bfs_distances(g, source, mask, max_level=k), np.where(full > k, UNREACHABLE, full)), k
 
 
 @pytest.mark.parametrize("family", FAMILIES)
