@@ -122,11 +122,12 @@ class Graph:
         External labels for nodes, kept for reporting when the graph was
         remapped from an arbitrary id space; ``0..n-1`` when not given.
 
-    One sort of the codes ``u*n + v`` and ``v*n + u`` builds ``indptr`` and
-    ``adj``, all that is stored; ``edges`` is derived on every read.  The
-    arcs' edge ids, the connected components and the degree-oriented arc
-    table are built on first use and kept with the graph (see
-    :func:`component_labels` and :func:`oriented_arcs`).
+    Self-loops are dropped from the pairs first, and one sort of the codes
+    ``u*n + v`` and ``v*n + u`` builds ``indptr`` and ``adj``, all that is
+    stored; ``edges`` is derived on every read.  The arcs' edge ids, the
+    connected components and the degree-oriented arc table are built on
+    first use and kept with the graph (see :func:`component_labels` and
+    :func:`oriented_arcs`).
     """
 
     __slots__ = ("n", "m", "indptr", "adj", "original_ids", "_edge_ids", "_components", "_oriented")
@@ -136,23 +137,41 @@ class Graph:
         pairs = _node_ids(edges, self.n, "edge endpoints")
         if pairs.size and (pairs.ndim != 2 or pairs.shape[1] != 2):
             raise ValueError(f"edge endpoints must be an array of shape (k, 2), got shape {pairs.shape}")
-        self.original_ids = np.arange(self.n) if original_ids is None else _int64s(original_ids, "original_ids")
-        if self.original_ids.shape != (self.n,):
+        original_ids = np.arange(self.n) if original_ids is None else _int64s(original_ids, "original_ids")
+        if original_ids.shape != (self.n,):
             raise ValueError("original_ids must have one entry per node")
-        self._edge_ids = self._components = self._oriented = None
 
         # Sort, then mask repeats: np.unique may hash, several times slower here.
         n, pairs = np.int64(self.n), pairs.reshape(-1, 2)
-        code = np.concatenate([pairs[:, 0] * n + pairs[:, 1], pairs[:, 1] * n + pairs[:, 0]])
-        code.sort()
-        tail, head = np.divmod(code[_run_starts(code)], n)
-        del code
-        keep = tail != head  # no self-loops
+        u, v = pairs[:, 0], pairs[:, 1]
+        keep = u != v  # no self-loops
         if not keep.all():
-            tail, head = tail[keep], head[keep]
-        self.indptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(tail, minlength=self.n), out=self.indptr[1:])
-        self.adj, self.m = head, head.size // 2
+            u, v = u[keep], v[keep]
+        code = np.empty(2 * u.size, dtype=np.int64)
+        np.multiply(u, n, out=code[: u.size])
+        code[: u.size] += v
+        np.multiply(v, n, out=code[u.size :])
+        code[u.size :] += u
+        code.sort()
+        head = code[_run_starts(code)]
+        del code
+        tail = head // n
+        head -= tail * n
+        indptr = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(tail, minlength=self.n), out=indptr[1:])
+        self._from_csr(indptr, head, original_ids)
+
+    def _from_csr(self, indptr: np.ndarray, adj: np.ndarray, original_ids: np.ndarray) -> Graph:
+        """Fill this graph from a CSR pair, unchecked and unsorted, and return it.
+
+        Each row must ascend and hold no repeat or self-loop, with every
+        arc's reverse present; ``Graph.__new__(Graph)._from_csr(...)`` wraps
+        such a CSR, say a slice of another graph's, without the sort.
+        """
+        self.n, self.m = indptr.size - 1, adj.size // 2
+        self.indptr, self.adj, self.original_ids = indptr, adj, original_ids
+        self._edge_ids = self._components = self._oriented = None
+        return self
 
     @property
     def edges(self) -> np.ndarray:
@@ -293,7 +312,7 @@ _INLINE_HASH = re.compile(r"^[^\S\n]*[^\s#][^\n]*#", re.MULTILINE)
 _INT64 = np.iinfo(np.int64)
 
 
-def _parse_whole(text: str) -> np.ndarray | None:
+def _parse_whole(text: str, path: str | None = None) -> np.ndarray | None:
     """Every line's two labels as a (k, 2) array, parsed in one pass by
     np.loadtxt, or None where that parse might differ from
     :func:`_parse_lines` or fails.
@@ -302,6 +321,13 @@ def _parse_whole(text: str) -> np.ndarray | None:
     above).  Anything it rejects (a bad token, an id beyond int64, a line of
     another arity, or no edge lines) is left to the per-line parse, which
     alone words the error.
+
+    Given ``path``, the file ``text`` was read from, np.loadtxt reads the
+    file itself, in chunks; it feeds any other source to its tokenizer one
+    Python line at a time, which takes about 1.5 times as long.  The screen
+    above still reads ``text``, so the file is read twice (about 0.5 ms for
+    1.6 MB), and a file rewritten between the two reads is parsed as its
+    new content.
     """
     if (
         not text.isascii()
@@ -315,7 +341,10 @@ def _parse_whole(text: str) -> np.ndarray | None:
             # Input with no data only warns, and numpy before 2.0 reads
             # "1.5" as 1 with only a DeprecationWarning.
             warnings.simplefilter("error")
-            labels = np.loadtxt(io.StringIO(text), dtype=np.int64, ndmin=2, comments="#")
+            labels = np.loadtxt(
+                io.StringIO(text) if path is None else path,
+                dtype=np.int64, ndmin=2, comments="#", encoding="utf-8-sig",
+            )
     except (ValueError, Warning):
         return None
     return labels if labels.shape[0] > 0 and labels.shape[1] == 2 else None
@@ -392,7 +421,9 @@ def load_edge_list(source: Source) -> Graph:
     ASCII input is parsed in one vectorized pass when its lines split alike
     for np.loadtxt and for Python; any other input, and every input that
     parse rejects, goes through a per-line parse that gives the same graph
-    and words every error.
+    and words every error.  A path is handed to np.loadtxt, which reads the
+    file itself in chunks (see :func:`_parse_whole`), unless its name ends
+    in a suffix numpy would decompress.
 
     Raises
     ------
@@ -401,7 +432,13 @@ def load_edge_list(source: Source) -> Graph:
         or if the input contains no edge lines at all.
     """
     text = _read_text(source)
-    labels = _parse_whole(text)
+    path = None
+    if isinstance(source, (str, os.PathLike)):
+        # np.loadtxt opens a str path with numpy's DataSource, which decompresses
+        # by suffix and would fetch a name that parses as a URL; no absolute path does.
+        path = os.path.abspath(os.fsdecode(source))
+        path = None if path.endswith((".gz", ".bz2", ".xz", ".lzma")) else path
+    labels = _parse_whole(text, path)
     if labels is None:
         labels = _parse_lines(text)
     del text  # the constructor's sort is the load's peak; keep only the ids
@@ -718,14 +755,16 @@ def _components(parent: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.nd
     tree with a neighbor hooks or is hooked within two rounds, so the trees
     of a component at least halve every two rounds: O(log n) rounds, each
     one pass over the pairs plus a few jumping passes over the nodes,
-    whatever the number or shape of the components.  ``parent`` may be
-    overwritten.
+    whatever the number or shape of the components.  ``parent`` is
+    overwritten: jumps alternate between it and one more n-sized buffer, so
+    no other forest is allocated while the caller holds ``parent``.
     """
-    n = parent.size
+    n, grand = parent.size, np.empty_like(parent)
     while a.size:
         np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
-        while not np.array_equal(grand := parent[parent], parent):
-            parent = grand
+        # Every index is in range, so "clip" takes what "raise" would, without buffering ``out``.
+        while not (parent.take(parent, out=grand, mode="clip") == parent).all():
+            parent, grand = grand, parent
         cross = parent[a] != parent[b]
         a, b = parent[a[cross]], parent[b[cross]]
     labels = (np.cumsum(parent == np.arange(n)) - 1)[parent]  # roots numbered in id order
@@ -803,15 +842,20 @@ def giant_component(g: Graph) -> tuple[Graph, np.ndarray]:
 
     Returns the subgraph plus an old-to-new id mapping (-1 for nodes outside
     it).  A connected graph is its own giant component: ``g`` itself comes
-    back, with the identity mapping.
+    back, with the identity mapping.  Otherwise the subgraph is sliced from
+    ``g``'s CSR, with no sort: a member's arcs all lead to members, and the
+    mapping ascends on them, so the member rows, their heads mapped, are
+    the subgraph's rows in order.
     """
     members = giant_members(g)
     if members.size == g.n:
         return g, members  # 0..n-1: the identity mapping
     mapping = np.full(g.n, -1, dtype=np.int64)
     mapping[members] = np.arange(members.size)
-    sub_edges = mapping[g.edges]  # an edge has both ends in the component or neither
-    return Graph(members.size, sub_edges[sub_edges[:, 0] >= 0], original_ids=g.original_ids[members]), mapping
+    arcs, counts = _arc_positions(g.indptr, members)
+    indptr = np.zeros(members.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    return Graph.__new__(Graph)._from_csr(indptr, mapping[g.adj[arcs]], g.original_ids[members]), mapping
 
 
 def stats_report(g: Graph) -> dict:

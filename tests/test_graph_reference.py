@@ -1,9 +1,11 @@
 """Differential tests of graph set-up and search against the code they replaced.
 
 ``load_edge_list`` parses plain ASCII edge lists in one vectorized pass and
-falls back to a per-line parse for anything else; ``Graph`` deduplicates and
-orders arcs by sorting; ``bfs_distances`` pulls into the unreached nodes,
-one arc of each per round, once the frontier outweighs them, and
+falls back to a per-line parse for anything else, and every input must load
+alike as bytes, from a path and from an open file; ``Graph`` deduplicates
+and orders arcs by sorting, and ``giant_component`` slices its CSR;
+``bfs_distances`` pulls into the unreached nodes, one arc of each per
+round, once the frontier outweighs them, and
 ``component_labels`` settles the hub's component with one search and
 hooks roots over the rest instead of flooding.  The oracles below
 are the earlier implementations, kept verbatim: a per-line parser with a
@@ -14,6 +16,8 @@ malformed input must raise the same error.
 """
 
 import io
+import pathlib
+import tempfile
 import tracemalloc
 import warnings
 from unittest import mock
@@ -43,6 +47,8 @@ from rwtopo.graph import (
     _span_positions,
     bfs_distances,
     component_labels,
+    giant_component,
+    giant_members,
 )
 
 
@@ -122,6 +128,21 @@ def outcome(load, data: bytes):
         return "error", (type(exc), str(exc))
 
 
+def assert_loaded_alike_from_a_path_and_a_file(data: bytes, want):
+    """``data`` written to a file loads as ``want``, the outcome of loading
+    it as bytes, both from the file's path and from the open binary file."""
+    with tempfile.TemporaryDirectory() as tmp:  # hypothesis reuses a function-scoped tmp_path
+        path = pathlib.Path(tmp, "edges.txt")
+        path.write_bytes(data)
+        with open(path, "rb") as fh:
+            for got_kind, got in (outcome(load_edge_list, path), outcome(load_edge_list, fh)):
+                assert got_kind == want[0]
+                if got_kind == "graph":
+                    assert_same_arrays(arrays(got), arrays(want[1]))
+                else:
+                    assert got == want[1]
+
+
 _BEYOND_INT64 = "99999999999999999999"
 _ODD_TOKENS = ["+5", "-0", "007", "1_000", "٣", "1.5", "x", "-", "+", _BEYOND_INT64,
                "-9223372036854775808", "9223372036854775807"]
@@ -174,6 +195,7 @@ def out_of_range(token: str) -> bool:
 def test_load_edge_list_matches_the_per_line_parser(data):
     got_kind, got = outcome(load_edge_list, data)
     want_kind, want = outcome(reference_load, data)
+    assert_loaded_alike_from_a_path_and_a_file(data, (got_kind, got))
     if got_kind == "graph":
         assert want_kind == "graph", want
         assert_same_arrays(arrays(got), want)
@@ -237,6 +259,30 @@ def test_load_edge_list_matches_the_per_line_parser_on_edge_cases(data):
         assert_same_arrays(arrays(got), want)
     else:
         assert got == want
+    assert_loaded_alike_from_a_path_and_a_file(data, (got_kind, got))
+
+
+def test_a_clean_path_is_parsed_by_numpys_file_reader(tmp_path):
+    path = tmp_path / "edges.txt"
+    path.write_bytes(b"# c\n1 2\r\n2 3\n3 1\n")
+    handed, loadtxt = [], np.loadtxt
+
+    def spy(fname, *args, **kwargs):
+        handed.append(fname)
+        return loadtxt(fname, *args, **kwargs)
+
+    with mock.patch.object(np, "loadtxt", spy), mock.patch.object(rwtopo.graph, "_parse_lines") as per_line:
+        g = load_edge_list(path)
+    assert handed == [str(path)]
+    per_line.assert_not_called()
+    assert_same_arrays(arrays(g), reference_load(path.read_bytes()))
+
+
+@pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+def test_a_path_numpy_would_decompress_is_read_as_text(tmp_path, suffix):
+    path = tmp_path / f"edges{suffix}"
+    path.write_bytes(b"1 2\n2 3\n")
+    assert_same_arrays(arrays(load_edge_list(path)), reference_load(path.read_bytes()))
 
 
 def test_comment_only_input_raises_without_warnings():
@@ -282,6 +328,22 @@ def test_graph_matches_the_unique_and_lexsort_constructor(case):
     assert_same_arrays(arrays(Graph(n, edges, original_ids=originals)), reference_graph(n, edges, originals))
 
 
+@settings(max_examples=300, deadline=None)
+@given(multigraphs(), st.integers(0, 3))
+def test_a_giant_component_is_the_graph_of_its_members_edges(case, isolated):
+    n, edges, originals = case
+    if originals is not None:
+        originals += [10**7 + i for i in range(isolated)]
+    g = Graph(n + isolated, edges, original_ids=originals)
+    members = giant_members(g)
+    mapping = np.full(g.n, -1, dtype=np.int64)
+    mapping[members] = np.arange(members.size)
+    mapped = mapping[g.edges]
+    want = Graph(members.size, mapped[mapped[:, 0] >= 0], original_ids=g.original_ids[members])
+    got, got_mapping = giant_component(g)
+    assert_same_arrays(arrays(got) + (got_mapping,), arrays(want) + (mapping,))
+
+
 def traced_peak(call, *args) -> int:
     """Peak bytes traced by tracemalloc during ``call(*args)``."""
     tracemalloc.start()
@@ -312,6 +374,15 @@ def test_loading_frees_the_text_and_labels_before_the_graph_is_built():
     g = load_edge_list(data)
     graph_bytes = sum(a.nbytes for a in arrays(g)[2:])
     assert traced_peak(load_edge_list, data) < 2.9 * graph_bytes
+
+
+def test_loading_a_path_frees_the_text_and_labels_before_the_graph_is_built(tmp_path):
+    # The path-source twin of the test above, with the same bound.
+    path = tmp_path / "pa.edges"
+    write_edge_list(from_spec("pa:n=20000,m0=3", 5), path)
+    g = load_edge_list(path)
+    graph_bytes = sum(a.nbytes for a in arrays(g)[2:])
+    assert traced_peak(load_edge_list, path) < 2.9 * graph_bytes
 
 
 def test_a_wide_label_span_is_relabelled_without_a_span_sized_table():
