@@ -497,6 +497,14 @@ def _arc_subset(g: Graph, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return kept_before[g.indptr], g.adj[keep]
 
 
+def _either_end(g: Graph, per_node: np.ndarray) -> np.ndarray:
+    """``per_node[u] | per_node[v]`` for every arc u->v of ``g``: G*'s rule, since
+    a walk that visits either end reads the arc off that end's neighbor list.
+    ``per_node`` holds a bool (one node set) or a uint64 word of sources."""
+    arcs = np.repeat(per_node, g.degrees)
+    return np.bitwise_or(arcs, per_node[g.adj], out=arcs)
+
+
 # A level of bfs_distances that pushes at least this share of n arcs marks
 # their heads in an n-sized bool table and takes its frontier with one
 # np.flatnonzero; a smaller one dedupes its heads with _distinct instead.
@@ -522,7 +530,7 @@ def _pull(indptr: np.ndarray, adj: np.ndarray, fresh: np.ndarray) -> np.ndarray:
     candidates = np.flatnonzero(fresh)
     pos = indptr[candidates]
     end = indptr[candidates + 1]
-    armed = pos < end  # a candidate with no arc, say masked away, cannot join
+    armed = pos < end  # a candidate with no arc, an isolated node, cannot join
     if not armed.all():
         candidates, pos, end = candidates[armed], pos[armed], end[armed]
     joined = np.zeros(candidates.size, dtype=bool)
@@ -548,33 +556,25 @@ def _pull(indptr: np.ndarray, adj: np.ndarray, fresh: np.ndarray) -> np.ndarray:
     return candidates[joined]
 
 
-def bfs_distances(
-    g: Graph, source: int, edge_mask: np.ndarray | None = None, *, max_level: int | None = None
-) -> np.ndarray:
+def bfs_distances(g: Graph, source: int, max_level: int | None = None) -> np.ndarray:
     """Breadth-first hop distances from ``source`` (UNREACHABLE where no path exists).
 
-    When ``edge_mask`` (a bool array of shape ``(m,)``, one entry per edge
-    id) is given, only edges with a true mask entry are traversed, i.e. the
-    search runs on a subgraph of ``g`` sharing its node ids, filtered once
-    before the first level in adjacency order; the filter costs O(n + m)
-    whatever the mask keeps.  Given ``max_level``, nodes more than
-    ``max_level`` hops away are UNREACHABLE too.  Any other mask,
-    a non-integral or out-of-range ``source`` and a ``max_level`` that is no
-    integer of at least 0 raise ValueError.
+    Given ``max_level``, nodes more than ``max_level`` hops away are
+    UNREACHABLE too.  A non-integral or out-of-range ``source`` and a
+    ``max_level`` that is no integer of at least 0 raise ValueError.
 
-    Level 1 is the source's own row of the searched arcs, taken by slice: a
-    row of a simple graph, masked or not, is distinct, ascending and free of
-    the source.  Every later level either pushes or pulls (Beamer et al.,
-    SC'12).  The search keeps the count of the unreached nodes' arcs: the
-    searched arcs minus the arcs of every node reached so far.  While the
-    frontier's arcs are at most that count the level pushes: it gathers the
-    frontier's neighbors and keeps the unreached ones, deduplicated in an
-    n-sized bool table once they number ``_TABLE_SHARE * n`` or more.
-    Otherwise it pulls (:func:`_pull`): every unreached node with an arc
-    into a reached node joins, each stopping at its first such arc.  A
-    pulled frontier comes out ascending.  The search ends at a level that
-    reaches nothing, once no unreached node has an arc left, or after level
-    ``max_level``.
+    Level 1 is the source's own row, taken by slice: a row of a simple graph
+    is distinct, ascending and free of the source.  Every later level either
+    pushes or pulls (Beamer et al., SC'12).  The search keeps the count of
+    the unreached nodes' arcs: all arcs minus the arcs of every node reached
+    so far.  While the frontier's arcs are at most that count the level
+    pushes: it gathers the frontier's neighbors and keeps the unreached
+    ones, deduplicated in an n-sized bool table once they number
+    ``_TABLE_SHARE * n`` or more.  Otherwise it pulls (:func:`_pull`): every
+    unreached node with an arc into a reached node joins, each stopping at
+    its first such arc.  A pulled frontier comes out ascending.  The search
+    ends at a level that reaches nothing, once no unreached node has an arc
+    left, or after level ``max_level``.
     """
     # One source would fill one bit of pair_distances' 64-bit words, whose
     # levels pull over every arc of their block's G*; this search keeps
@@ -585,10 +585,7 @@ def bfs_distances(
     # order.
     source = _one_node(source, g.n, "source")
     max_level = g.n if max_level is None else _one_int(max_level, "max_level", lo=0)  # no path has n hops
-    if edge_mask is None:
-        indptr, adj = g.indptr, g.adj
-    else:
-        indptr, adj = _arc_subset(g, _bool_mask(edge_mask, g.m, "edge_mask")[g.adj_edge_ids])
+    indptr, adj = g.indptr, g.adj
     dist = np.full(g.n, UNREACHABLE, dtype=np.int64)
     dist[source] = 0
     fresh = np.ones(g.n, dtype=bool)  # the unreached nodes
@@ -658,14 +655,15 @@ def pair_distances(g: Graph, nodes, visited=None) -> np.ndarray:
     Up to 64 sources are searched at once, one bit per source in a
     ``uint64`` word (Then et al., "The More the Merrier", PVLDB 2014).
     ``allowed[u]`` ORs the bits of the sources whose set holds u, and arc
-    u->v carries the word ``allowed[u] | allowed[v]``, the sources that may
-    cross it.  A block keeps only the arcs with a nonzero word, the union of
-    its sources' discovered subgraphs, under ``g``'s node ids, and searches
-    nothing else.  A level with few frontier arcs pushes each frontier word
-    over its node's arcs, ANDed with theirs; a larger one pulls
-    ``frontier & word`` over every kept arc into the arc's tail (Beamer et
-    al., SC'12).  A block of sources stops once every one of ``nodes`` holds
-    all of its allowed bits, or once a level reaches nothing new.
+    u->v carries the word ``allowed[u] | allowed[v]`` (:func:`_either_end`),
+    the sources that may cross it.  A block keeps only the arcs with a
+    nonzero word, the union of its sources' discovered subgraphs, under
+    ``g``'s node ids, and searches nothing else.  A level with few frontier
+    arcs pushes each frontier word over its node's arcs, ANDed with theirs;
+    a larger one pulls ``frontier & word`` over every kept arc into the
+    arc's tail (Beamer et al., SC'12).  A block of sources stops once every
+    one of ``nodes`` holds all of its allowed bits, or once a level reaches
+    nothing new.
 
     Raises ValueError when ``nodes[a]`` is not in ``visited[a]``.
     """
@@ -691,8 +689,7 @@ def pair_distances(g: Graph, nodes, visited=None) -> np.ndarray:
             a = lo + int(outside[0])
             raise ValueError(f"node {nodes[a]} (entry {a}) is not in its visited set")
         need = allowed[nodes]
-        word = np.repeat(allowed, g.degrees)
-        word |= allowed[g.adj]
+        word = _either_end(g, allowed)
         indptr, adj = _arc_subset(g, word != 0)
         word = word[word != 0]  # no full-length array outlives the set-up
         kept_deg = np.diff(indptr)
@@ -845,7 +842,7 @@ def giant_component(g: Graph) -> tuple[Graph, np.ndarray]:
     back, with the identity mapping.  Otherwise the subgraph is sliced from
     ``g``'s CSR, with no sort: a member's arcs all lead to members, and the
     mapping ascends on them, so the member rows, their heads mapped, are
-    the subgraph's rows in order.
+    the subgraph's rows in order.  It is connected, so it comes labelled.
     """
     members = giant_members(g)
     if members.size == g.n:
@@ -855,7 +852,9 @@ def giant_component(g: Graph) -> tuple[Graph, np.ndarray]:
     arcs, counts = _arc_positions(g.indptr, members)
     indptr = np.zeros(members.size + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
-    return Graph.__new__(Graph)._from_csr(indptr, mapping[g.adj[arcs]], g.original_ids[members]), mapping
+    sub = Graph.__new__(Graph)._from_csr(indptr, mapping[g.adj[arcs]], g.original_ids[members])
+    sub._components = _read_only(np.zeros(sub.n, dtype=np.int64), np.array([sub.n]))
+    return sub, mapping
 
 
 def stats_report(g: Graph) -> dict:

@@ -45,8 +45,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graph import Graph, _components, _int64s, _read_only, _run_starts, bfs_distances
-from .walker import WalkTrace, _covered_edge_mask, run_walks, walker_seed
+from .graph import Graph, _arc_subset, _components, _either_end, _int64s, _one_node, _read_only, _run_starts
+from .graph import bfs_distances
+from .walker import WalkTrace, _covered_edge_mask, _mask, run_walks, walker_seed
 
 @dataclass(frozen=True)
 class MeetingEvent:
@@ -80,11 +81,11 @@ class UnionSubgraph:
     run's first-visit table, and every member holds this same object.  A
     walker reads the whole neighbor list of each node it visits, so G* is
     ``nodes`` and every edge incident to one of them, the union of the
-    walks' covered edges.  Scoring's pair-distance search reads ``nodes``
-    as the group's visited set.  ``edge_mask``, the dense mask that
-    :func:`routing_tree` reads, is built from ``nodes`` on each access by
+    walks' covered edges.  Scoring's pair-distance search and
+    :func:`routing_tree` read ``nodes`` alone.  ``edge_mask``, G*'s edges
+    as a dense mask by edge id, is built from ``nodes`` on each access by
     the rule of :attr:`WalkTrace.covered_edges`, so a union keeps nothing
-    m-sized.
+    m-sized; routing does not read it.
     Covered edges may lead to unvisited endpoints; those are
     legitimate route hops because a walker read them off a visited node's
     neighbor list.
@@ -97,15 +98,6 @@ class UnionSubgraph:
     @property
     def edge_mask(self) -> np.ndarray:
         return _covered_edge_mask(self.graph, self.nodes)
-
-
-@dataclass(frozen=True)
-class RoutingTree:
-    """Breadth-first depths of a union subgraph from ``root``: the G* hop
-    distance of every node, UNREACHABLE where G* has no route."""
-
-    root: int
-    depth: np.ndarray
 
 
 class _Accounting(NamedTuple):
@@ -284,12 +276,14 @@ def run_rwsp(g: Graph, starts, budget: int, seed) -> ProtocolRun:
     return ProtocolRun(graph=g, steps=run_walks(g, starts, budget, [walker_seed(seed, i) for i in range(h)]))
 
 
-def routing_tree(union: UnionSubgraph, root: int) -> RoutingTree:
-    """Breadth-first search of G* from ``root``, a node some walk of the group visited.
-
-    The graph is unweighted, so the depths are the hop-minimal route
-    lengths on the discovered topology.
-    """
-    if root not in union.nodes:
+def routing_tree(union: UnionSubgraph, root: int) -> np.ndarray:
+    """Breadth-first depths of G* from ``root``, a node some walk of the group
+    visited, UNREACHABLE where G* has no route.  G* is searched as a graph of
+    its own under the graph's node ids: the arcs with an end in ``union.nodes``."""
+    g = union.graph
+    root = _one_node(root, g.n, "root")
+    inside = _mask(g.n, union.nodes)
+    if not inside[root]:
         raise ValueError(f"root {root} is not part of the union subgraph")
-    return RoutingTree(root=int(root), depth=bfs_distances(union.graph, root, union.edge_mask))
+    gstar = Graph.__new__(Graph)._from_csr(*_arc_subset(g, _either_end(g, inside)), g.original_ids)
+    return bfs_distances(gstar, root)

@@ -34,6 +34,13 @@ def two_triangles() -> Graph:
     return Graph(6, [[0, 1], [1, 2], [2, 0], [3, 4], [4, 5], [5, 3]])
 
 
+def masked(g: Graph, mask) -> Graph:
+    """The subgraph of ``g`` on the edges that the bool ``mask`` keeps, one
+    entry per edge id, under ``g``'s node ids, built by the constructor;
+    ``g`` itself when ``mask`` is None."""
+    return g if mask is None else Graph(g.n, g.edges[mask])
+
+
 def assert_valid_path(g: Graph, path) -> None:
     assert len(path) >= 1
     for a, b in zip(path, path[1:]):

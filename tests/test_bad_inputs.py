@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 from rwtopo import ConfigError, ExperimentConfig, PowerLawParams, configuration_model, coverage_validation
-from rwtopo import crossing_rate, from_spec, grid_2d, power_law_degrees, preferential_attachment, walker_seed
+from rwtopo import crossing_rate, from_spec, grid_2d, power_law_degrees, preferential_attachment, run_rwsp, walker_seed
 from rwtopo.coverage import CrossingBoundParams, coverage_points, powerlaw_edge_coverage
 from rwtopo.graph import DegreeMoments, bfs_distances
+from rwtopo.rwsp import routing_tree
 from rwtopo.walker import retrace_to_start, run_walk
 from helpers import star
 
@@ -32,6 +33,7 @@ CORPUS = {
 }
 G = star(4)
 TRACE = run_walk(G, 0, 4, 1)[0]
+UNION = run_rwsp(G, [1, 2], 4, 1).unions[0]
 PAIRS = ExperimentConfig(seed=1, h=2, beta=0.4, runs=2)
 MOMENTS = DegreeMoments(2.0, 5.0)
 POWER_LAW = PowerLawParams(2.5, 2, 50)
@@ -43,6 +45,7 @@ ENTRY_POINTS = [
     ("Graph.has_edge", ValueError, "node id", lambda v: G.has_edge(0, v)),
     ("bfs_distances source", ValueError, "source", lambda v: bfs_distances(G, v)),
     ("bfs_distances max_level", ValueError, "max_level", lambda v: bfs_distances(G, 0, max_level=v)),
+    ("routing_tree root", ValueError, "root", lambda v: routing_tree(UNION, v)),
     ("walker_seed id", ValueError, "walker id", lambda v: walker_seed(1, v)),
     ("retrace_to_start node", ValueError, "node", lambda v: retrace_to_start(TRACE, v)),
     ("ExperimentConfig h", ConfigError, "h", lambda v: ExperimentConfig(seed=1, h=v)),

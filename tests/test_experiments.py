@@ -23,7 +23,7 @@ from rwtopo import (
     score_pairs,
     walker_seed,
 )
-from rwtopo.graph import Graph, bfs_distances, giant_component, stats_report
+from rwtopo.graph import Graph, bfs_distances, component_labels, giant_component, stats_report
 from rwtopo.coverage import expected_edge_fraction
 from rwtopo.walker import retrace_to_start
 from rwtopo.experiments import StretchMatrix
@@ -759,6 +759,17 @@ def test_a_rebuilt_giant_component_is_labelled_at_most_once(component_labellings
         run_every_driver(gc)
     assert component_labellings(raw) == 1
     assert component_labellings(gc) <= 1
+
+
+def test_a_sliced_giant_component_comes_labelled(component_labellings):
+    pa = preferential_attachment(200, 2, seed=6)
+    raw = Graph(203, np.concatenate([pa.edges, [[200, 201]]]))
+    gc, _ = giant_component(raw)
+    run_every_driver(gc)
+    assert component_labellings(gc) == 0
+    labels, sizes = component_labels(gc)
+    assert labels.tolist() == [0] * gc.n and sizes.tolist() == [gc.n]
+    assert not labels.flags.writeable and not sizes.flags.writeable
 
 
 def test_names_patched_by_the_benchmark_exist():

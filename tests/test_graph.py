@@ -26,7 +26,7 @@ from rwtopo import (
 from rwtopo import graph as graph_module
 from rwtopo.graph import DegreeMoments, bfs_distances, component_labels, oriented_arcs, pair_distances
 from rwtopo.walker import retrace_to_start, run_walk, run_walks
-from helpers import adjacency_lists, degree_multiset, path_graph, queue_bfs, star, triangle, two_triangles
+from helpers import adjacency_lists, degree_multiset, masked, path_graph, queue_bfs, star, triangle, two_triangles
 
 
 class TestLoadEdgeList:
@@ -429,18 +429,15 @@ class TestBfs:
     def test_edge_mask_restricts_traversal(self):
         g = triangle()
         mask = np.array([True, False, False])  # only edge (0,1) usable
-        dist = bfs_distances(g, 0, edge_mask=mask)
+        dist = bfs_distances(masked(g, mask), 0)
         assert dist.tolist() == [0, 1, UNREACHABLE]
 
-    @pytest.mark.parametrize(
-        "mask",
-        [np.ones(4, dtype=int), np.ones(5, dtype=bool), np.ones(3, dtype=bool), np.ones((2, 2), dtype=bool)],
-        ids=["int", "longer", "shorter", "2d"],
-    )
-    def test_edge_mask_other_than_bool_of_shape_m_is_rejected(self, mask):
+    def test_a_mask_in_the_third_place_is_read_as_max_level(self):
+        # The third parameter was once an edge mask; a mask passed there now
+        # must fail on max_level, not search anything.
         g = Graph(5, [[0, 1], [1, 2], [2, 3], [3, 4]])
-        with pytest.raises(ValueError, match=r"edge_mask must be a bool array of shape \(4,\)"):
-            bfs_distances(g, 0, mask)
+        with pytest.raises(ValueError, match="^max_level "):
+            bfs_distances(g, 0, np.array([True, False, True, False]))
 
     @pytest.mark.parametrize("source", [1.5, np.float64(0.5), "1"])
     def test_non_integral_source_is_rejected(self, source):
@@ -453,16 +450,16 @@ class TestBfs:
             bfs_distances(star(4), source)
 
     @pytest.mark.parametrize(
-        "source, masked",
+        "source, cut",
         [(7, False), (6, False), (0, True), (np.int32(2), False), (np.array(3), True)],
         ids=["isolated", "degree-1", "masked-row-empty", "numpy-int", "0-d-array"],
     )
-    def test_level_one_slice_matches_queue_bfs(self, source, masked):
+    def test_level_one_slice_matches_queue_bfs(self, source, cut):
         # Node 7 has no edge, node 6 one, and the mask drops both of node 0's.
         g = Graph(8, [[0, 1], [0, 2], [1, 2], [2, 3], [3, 4], [4, 5], [5, 1], [5, 6]])
-        mask = ~(g.edges == 0).any(axis=1) if masked else np.ones(g.m, dtype=bool)
+        mask = ~(g.edges == 0).any(axis=1) if cut else np.ones(g.m, dtype=bool)
         expected = queue_bfs(adjacency_lists(g.n, g.edges[mask]), int(source))
-        assert np.array_equal(bfs_distances(g, source, mask if masked else None), expected)
+        assert np.array_equal(bfs_distances(masked(g, mask if cut else None), source), expected)
 
     def test_subgraph_distances_never_beat_full_graph(self):
         g = load_edge_list(b"0 1\n1 2\n2 3\n3 0\n0 2\n2 4\n4 5\n5 0\n")
@@ -470,7 +467,7 @@ class TestBfs:
         rng = np.random.default_rng(3)
         for _ in range(20):
             mask = rng.random(g.m) < 0.6
-            sub = bfs_distances(g, 0, edge_mask=mask)
+            sub = bfs_distances(masked(g, mask), 0)
             for v in range(g.n):
                 if sub[v] != UNREACHABLE:
                     assert sub[v] >= full[v]

@@ -2,8 +2,9 @@
 
 Random G(n, p) graphs run from edgeless to dense, so they carry isolated
 nodes, many small components and equal-size largest components; some have
-remapped original ids, and searches run under edge masks: random ones,
-and G*-shaped ones holding every edge incident to a random node set.
+remapped original ids, and searches run on subgraphs cut by edge masks:
+random ones, and G*-shaped ones holding every edge incident to a random
+node set.
 Hub-heavy graphs (small preferential-attachment graphs and stars) make the
 single-source search pull.  Component labelling also runs on raw node pairs
 in any order.
@@ -23,6 +24,7 @@ from rwtopo import UNREACHABLE, Graph, giant_component, preferential_attachment
 from rwtopo.graph import bfs_distances, component_labels
 from rwtopo import graph as graph_module
 from rwtopo.graph import giant_members, pair_distances
+from helpers import masked
 
 nx = pytest.importorskip("networkx")
 
@@ -142,12 +144,13 @@ def test_bfs_distances_match_networkx_on_the_masked_subgraph(case):
     expected = np.full(g.n, UNREACHABLE)
     for v, d in nx.single_source_shortest_path_length(to_nx(g, mask), source).items():
         expected[v] = d
-    assert bfs_distances(g, source, mask).tolist() == expected.tolist()
+    assert bfs_distances(masked(g, mask), source).tolist() == expected.tolist()
 
 
 def one_search_per_source(g: Graph, nodes, visited) -> list[list[int]]:
-    """pair_distances' reference: a masked BFS from each source over the
-    edges incident to its visited set, UNREACHABLE at nodes outside the set."""
+    """pair_distances' reference: a BFS from each source over the subgraph
+    of the edges incident to its visited set, UNREACHABLE at nodes outside
+    the set."""
     rows = []
     for a, source in enumerate(nodes):
         if visited is None:
@@ -155,7 +158,7 @@ def one_search_per_source(g: Graph, nodes, visited) -> list[list[int]]:
             continue
         inside = np.zeros(g.n, dtype=bool)
         inside[np.asarray(visited[a], dtype=np.int64)] = True
-        row = bfs_distances(g, int(source), inside[g.edges].any(axis=1))[nodes]
+        row = bfs_distances(masked(g, inside[g.edges].any(axis=1)), int(source))[nodes]
         row[~inside[nodes]] = UNREACHABLE
         rows.append(row.tolist())
     return rows

@@ -50,6 +50,7 @@ from rwtopo.graph import (
     giant_component,
     giant_members,
 )
+from helpers import masked
 
 
 def reference_graph(n, edges, original_ids=None):
@@ -529,7 +530,7 @@ def edge_mask(g: Graph, kind: str, seed: int):
 def test_bfs_distances_match_the_push_only_flood(g, kind, seed):
     mask = edge_mask(g, kind, seed)
     source = int(np.random.default_rng(seed).integers(g.n))
-    assert np.array_equal(bfs_distances(g, source, mask), reference_bfs(g, source, mask))
+    assert np.array_equal(bfs_distances(masked(g, mask), source), reference_bfs(g, source, mask))
 
 
 @settings(max_examples=100, deadline=None)
@@ -557,11 +558,12 @@ def test_bfs_distances_pull_and_match_the_push_only_flood(family, kind):
         source = int(np.flatnonzero(g.degrees == 1)[0])
     if kind == "gstar":  # an endpoint of a kept edge
         source = int(g.edges[mask][0, 0])
-    assert np.array_equal(bfs_distances(g, source, mask), reference_bfs(g, source, mask))
+    sub = masked(g, mask)
+    assert np.array_equal(bfs_distances(sub, source), reference_bfs(g, source, mask))
     # A mask that cuts a grid or a path into pieces leaves the pieces out of
     # reach but in the unreached arcs, so those searches only push.
     if kind == "none" or family not in ("grid", "path"):
-        assert pulls(lambda: bfs_distances(g, source, mask)) >= 1
+        assert pulls(lambda: bfs_distances(sub, source)) >= 1
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -570,9 +572,9 @@ def test_a_search_capped_at_k_levels_is_the_full_search_cut_at_k(family, kind):
     g, source = FAMILIES[family]
     mask = edge_mask(g, kind, seed=11)
     source = int(np.flatnonzero(g.degrees == 1)[0]) if source is None else source
-    full = reference_bfs(g, source, mask)
+    full, sub = reference_bfs(g, source, mask), masked(g, mask)
     for k in range(int(full.max()) + 2):
-        assert np.array_equal(bfs_distances(g, source, mask, max_level=k), np.where(full > k, UNREACHABLE, full)), k
+        assert np.array_equal(bfs_distances(sub, source, k), np.where(full > k, UNREACHABLE, full)), k
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -597,12 +599,14 @@ def test_a_star_searched_from_a_leaf_pulls_once_at_level_2():
 
 
 def test_a_masked_pull_skips_candidates_with_no_kept_arcs():
-    # Leaves 5 and 9 keep no arc; 9 is the last node, so reading its first
-    # arc would run off adj, and reading 5's would read 6's arc to the hub.
+    # Leaves 5 and 9 keep no arc, so they are isolated in the subgraph; 9 is
+    # the last node, so reading its first arc would run off adj, and reading
+    # 5's would read 6's arc to the hub.
     g = Graph(10, [[0, i] for i in range(1, 10)])
     mask = ~np.isin(g.edges[:, 1], [5, 9])
-    assert pulls(lambda: bfs_distances(g, 1, mask)) == 1
-    dist = bfs_distances(g, 1, mask)
+    sub = masked(g, mask)
+    assert pulls(lambda: bfs_distances(sub, 1)) == 1
+    dist = bfs_distances(sub, 1)
     assert np.array_equal(dist, reference_bfs(g, 1, mask))
     assert dist[[5, 9]].tolist() == [UNREACHABLE, UNREACHABLE]
 

@@ -139,7 +139,7 @@ SUBMODULE_ONLY = {
         "linear_edge_coverage", "node_coverage", "powerlaw_edge_coverage",
     ],
     "walker": ["BreadcrumbTable", "WalkTrace", "retrace_to_start", "run_walks"],
-    "rwsp": ["MeetingEvent", "ProtocolRun", "RoutingTree", "UnionSubgraph", "WalkerState", "routing_tree"],
+    "rwsp": ["MeetingEvent", "ProtocolRun", "UnionSubgraph", "WalkerState", "routing_tree"],
     "experiments": ["CoverageValidationRow", "CrossingRateResult", "ExperimentResult", "StretchMatrix"],
 }
 
