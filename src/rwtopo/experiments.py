@@ -40,12 +40,12 @@ from .graph import (
 )
 from .rwsp import ProtocolRun, run_rwsp
 from .rwsp import routing_tree  # noqa: F401  (not called here; rwbench/tracing.py wraps it by name)
-from .walker import WalkTrace, _as_seed_tuple, _start_nodes, run_walk, run_walks, walker_seed
+from .walker import WalkTrace, _as_seed_tuple, _rng, _start_nodes, run_walk, run_walks, walker_seed
 
 # Stream tag for start-node sampling; must not collide with walker ids, so h
-# may not exceed it.  Run r's seed is walker_seed(cfg.seed, r): walker i
-# draws from walker_seed(run seed, i), its starts from
-# walker_seed(run seed, _START_STREAM).
+# may not exceed it.  Run r's walker i draws from the stream at (cfg.seed,
+# r, i), its starts from (cfg.seed, r, _START_STREAM), and the coverage walk
+# of run r from (cfg.seed, r).
 _START_STREAM = 0xBEEF
 
 # Cap on what one block of walks holds at once, so its memory does not grow
@@ -293,8 +293,7 @@ def _draw_starts(cfg: ExperimentConfig, members: np.ndarray, run_index: int, k: 
     k = cfg.h if k is None else k
     if cfg.fixed_starts is not None:
         return list(cfg.fixed_starts[:k])
-    rng = np.random.default_rng(walker_seed(walker_seed(cfg.seed, run_index), _START_STREAM))
-    return [int(s) for s in rng.choice(members, size=k, replace=False)]
+    return [int(s) for s in _rng(cfg.seed, run_index, _START_STREAM).choice(members, size=k, replace=False)]
 
 
 def _run_scores(run: ProtocolRun) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
@@ -533,7 +532,7 @@ def crossing_rate(
     for lo in range(0, cfg.runs, block):
         runs = range(lo, min(lo + block, cfg.runs))
         starts = [s for r in runs for s in _draw_starts(cfg, members, r)]
-        seeds = [walker_seed(walker_seed(cfg.seed, r), w) for r in runs for w in (0, 1)]
+        seeds = [walker_seed(cfg.seed, r, w) for r in runs for w in (0, 1)]
         steps = run_walks(g, starts, budget, seeds)
         for steps_i, steps_j in zip(steps[0::2], steps[1::2]):
             trace_i = WalkTrace(walker_id=0, steps=steps_i, graph=g)

@@ -4,8 +4,8 @@ These provide desk-scale stand-ins for the large social/AS snapshots that
 heavy-tailed crawling behaviour is usually studied on: i.i.d. power-law
 degree sequences, an erased configuration model, preferential-attachment
 growth, and a 2D grid as a low-variance negative control.  All generators
-are pure functions of ``(params, seed)``; a seed is checked as a walk seed
-is (:func:`rwtopo.walker._as_seed_tuple`), then handed to numpy unchanged.
+are pure functions of ``(params, seed)``; a seed opens its stream as a walk
+seed does, through :func:`rwtopo.walker._rng`.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph, _int64s, _one_int, _one_real
-from .walker import _as_seed_tuple
+from .walker import _as_seed_tuple, _rng
 
 
 @dataclass(frozen=True)
@@ -53,9 +53,8 @@ def power_law_degrees(params: PowerLawParams, seed) -> np.ndarray:
     sum is odd the last entry is incremented by one (an O(1/n) perturbation of
     the moments, which may push that single entry one above the cutoff).
     """
-    _as_seed_tuple(seed)
     # Draw first, so that an impossible n fails before the k_cap-sized tables.
-    uniform = np.random.default_rng(seed).random(params.n)
+    uniform = _rng(seed).random(params.n)
     support = np.arange(params.k_min, params.k_cap + 1, dtype=np.int64)
     # Normalize against the smallest k so huge alphas underflow gracefully.
     weights = (support / params.k_min) ** (-params.alpha)
@@ -89,8 +88,7 @@ def configuration_model(degrees, seed) -> Graph:
         raise ValueError("degrees must be non-negative")
     if int(degrees.sum()) % 2 == 1:
         raise ValueError("degree sum must be even")
-    _as_seed_tuple(seed)
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     stubs = np.repeat(np.arange(degrees.size, dtype=np.int64), degrees)
     stubs = rng.permutation(stubs)
     return Graph(degrees.size, stubs.reshape(-1, 2))
@@ -119,7 +117,7 @@ def preferential_attachment(n: int, m0: int, seed) -> Graph:
     n, m0 = _one_int(n, "n"), _one_int(m0, "m0", lo=1)
     if n <= m0:
         raise ValueError("n must exceed m0")
-    _as_seed_tuple(seed)
+    rng = _rng(seed)
     clique = m0 + 1
     width = 2 * m0  # entries each new node adds to `repeated`
     start = clique * m0
@@ -131,7 +129,6 @@ def preferential_attachment(n: int, m0: int, seed) -> Graph:
     # Node j draws from the first start + width * (j - clique) entries.
     grown = repeated[start:].reshape(n - clique, width)
     grown[:, m0:] = np.arange(clique, n, dtype=np.int64)[:, None]
-    rng = np.random.default_rng(seed)
     row, block = 0, _PA_BLOCK_MIN
     while row < n - clique:
         rows = min(block, n - clique - row)

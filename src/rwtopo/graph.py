@@ -205,16 +205,6 @@ class Graph:
         v = _one_node(v, self.n, "node id")
         return self.adj[self.indptr[v] : self.indptr[v + 1]]
 
-    def arcs(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Positions in ``adj``/``adj_edge_ids`` of the arcs leaving ``nodes``.
-
-        Arcs come grouped by node in the order of ``nodes``; the second
-        array holds each node's degree, so ``np.repeat(x, counts)`` aligns a
-        per-node value ``x`` with the arcs.  ``nodes`` must hold integers in
-        ``0..n-1``; anything else raises ValueError.
-        """
-        return _arc_positions(self.indptr, _node_ids(nodes, self.n, "node ids"))
-
     def has_edge(self, u: int, v: int) -> bool:
         v = _one_node(v, self.n, "node id")
         nbrs = self.neighbors(u)
@@ -240,7 +230,13 @@ def _edge_ends(g: Graph) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _arc_positions(indptr: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:meth:`Graph.arcs` over any CSR row pointer ``indptr``."""
+    """Positions in the CSR row pointer ``indptr``'s arrays of the arcs
+    leaving ``nodes``, unchecked ids.
+
+    Arcs come grouped by node in the order of ``nodes``; the second array
+    holds each node's arc count, so ``np.repeat(x, counts)`` aligns a
+    per-node value ``x`` with the arcs.
+    """
     starts = indptr[nodes]
     counts = indptr[nodes + 1] - starts
     return _span_positions(starts, counts, int(counts.sum())), counts
@@ -498,9 +494,10 @@ def _arc_subset(g: Graph, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _either_end(g: Graph, per_node: np.ndarray) -> np.ndarray:
-    """``per_node[u] | per_node[v]`` for every arc u->v of ``g``: G*'s rule, since
-    a walk that visits either end reads the arc off that end's neighbor list.
-    ``per_node`` holds a bool (one node set) or a uint64 word of sources."""
+    """``per_node[u] | per_node[v]`` for every arc u->v of ``g``: the one
+    covered-edge rule, of a walk and of G*, since a walk that visits either
+    end reads the arc off that end's neighbor list.  ``per_node`` holds a
+    bool (one node set) or a uint64 word of sources."""
     arcs = np.repeat(per_node, g.degrees)
     return np.bitwise_or(arcs, per_node[g.adj], out=arcs)
 

@@ -47,7 +47,7 @@ import numpy as np
 
 from .graph import Graph, _arc_subset, _components, _either_end, _int64s, _one_node, _read_only, _run_starts
 from .graph import bfs_distances
-from .walker import WalkTrace, _covered_edge_mask, _mask, run_walks, walker_seed
+from .walker import WalkTrace, _mask, run_walks, walker_seed
 
 @dataclass(frozen=True)
 class MeetingEvent:
@@ -81,23 +81,16 @@ class UnionSubgraph:
     run's first-visit table, and every member holds this same object.  A
     walker reads the whole neighbor list of each node it visits, so G* is
     ``nodes`` and every edge incident to one of them, the union of the
-    walks' covered edges.  Scoring's pair-distance search and
-    :func:`routing_tree` read ``nodes`` alone.  ``edge_mask``, G*'s edges
-    as a dense mask by edge id, is built from ``nodes`` on each access by
-    the rule of :attr:`WalkTrace.covered_edges`, so a union keeps nothing
-    m-sized; routing does not read it.
-    Covered edges may lead to unvisited endpoints; those are
-    legitimate route hops because a walker read them off a visited node's
-    neighbor list.
+    walks' covered edges (:func:`rwtopo.graph._either_end`), and a union
+    keeps nothing m-sized.  Scoring's pair-distance search and
+    :func:`routing_tree` read ``nodes`` alone.  Covered edges may lead to
+    unvisited endpoints; those are legitimate route hops because a walker
+    read them off a visited node's neighbor list.
     """
 
     graph: Graph
     members: tuple[int, ...]
     nodes: np.ndarray
-
-    @property
-    def edge_mask(self) -> np.ndarray:
-        return _covered_edge_mask(self.graph, self.nodes)
 
 
 class _Accounting(NamedTuple):

@@ -17,12 +17,13 @@ appearance):
 Budgets count sequence entries (``len(steps) == B``), so a budget-1 walk is
 just the start node.
 
-A trace caches two budget-sized tables, the first-visit table and the
-per-step covered-edge counts, and builds every other view on access.  The
-edge counts sort nothing: a transient node-indexed table takes each node's
-first visit with ``np.minimum.at``.  A first visit adds the node's
-degree, and an edge between two visited nodes, counted at both ends, is
-taken off at the later one; the graph's degree-oriented arc table
+A trace caches three budget-sized tables, the first-visit table, the
+per-step covered-edge counts and the breadcrumb map (node -> breadcrumb),
+and builds every other view on access.  The edge counts sort nothing: a
+transient node-indexed table takes each node's first visit with
+``np.minimum.at``.  A first visit adds the node's degree, and an edge
+between two visited nodes, counted at both ends, is taken off at the later
+one; the graph's degree-oriented arc table
 (:func:`rwtopo.graph.oriented_arcs`) yields each such edge once, in a few
 arcs a node even at the hubs.  One ``bincount`` and one ``cumsum`` give
 the count after every step.  The visited mask is written from the steps.
@@ -32,6 +33,8 @@ that lane's own seed and picks its stepping from the lane count, a loop over
 plain ints, written into a preallocated row, for a few lanes and one array
 operation per move for all lanes from ``_LOCKSTEP_LANES`` on.  The stepping
 never changes the steps, and :func:`run_walk` is its one-lane case.
+:func:`_rng` opens every random stream of the package, named by its path
+below a master seed (:func:`walker_seed`).
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from math import floor
 
 import numpy as np
 
-from .graph import Graph, _arc_positions, _bool_mask, _node_ids, _one_int, _one_node, _read_only, oriented_arcs
+from .graph import Graph, _arc_positions, _bool_mask, _either_end, _node_ids, _one_int, _one_node, _read_only, oriented_arcs
 
 
 def _as_seed_tuple(seed) -> tuple[int, ...]:
@@ -61,13 +64,21 @@ def _as_seed_tuple(seed) -> tuple[int, ...]:
     raise ValueError(f"seed must be a non-negative integer or a sequence of them, got {seed!r}")
 
 
-def walker_seed(seed, walker_id: int) -> tuple[int, ...]:
-    """Derive walker ``walker_id``'s private RNG seed from a master seed.
+def walker_seed(seed, *path: int) -> tuple[int, ...]:
+    """The seed of the stream at ``path`` below a master seed, say
+    ``walker_seed(seed, r, i)`` for walker ``i`` of run ``r``.
 
-    The derivation depends only on (master seed, walker id), so walks produce
+    The derivation depends only on (master seed, path), so walks produce
     identical traces whether they are run serially or in parallel.
     """
-    return _as_seed_tuple(seed) + (_one_int(walker_id, "walker id", lo=0),)
+    return _as_seed_tuple(seed) + tuple(_one_int(i, "walker id", lo=0) for i in path)
+
+
+def _rng(seed, *path: int) -> np.random.Generator:
+    """The generator of the stream at ``path`` below ``seed`` (see
+    :func:`walker_seed`); numpy draws the same stream from ``s`` as from
+    ``(s,)``, so an empty path reads ``seed`` itself."""
+    return np.random.default_rng(walker_seed(seed, *path))
 
 
 def _mask(size: int, ids: np.ndarray) -> np.ndarray:
@@ -77,22 +88,17 @@ def _mask(size: int, ids: np.ndarray) -> np.ndarray:
     return mask
 
 
-def _covered_edge_mask(g: Graph, nodes: np.ndarray) -> np.ndarray:
-    """Dense mask of the edges of ``g`` with an endpoint in ``nodes``: what a
-    walker that visited ``nodes`` read off their neighbor lists."""
-    return _mask(g.m, g.adj_edge_ids[g.arcs(nodes)[0]])
-
-
 @dataclass(frozen=True)
 class WalkTrace:
     """One finished walk: its step sequence and the views derived from it.
 
     Only ``steps`` is stored; ``start`` and ``budget`` are its first entry
     and its length.  ``first_visits`` and ``edge_count_per_step`` (at most
-    ``budget`` entries each) are cached read-only on first use; every other
-    view is built on access, including ``node_count_per_step`` and the
-    dense ``visited`` and ``covered_edges`` masks indexed by node id / edge
-    id.  ``edge_count_per_step[t-1]`` and ``node_count_per_step[t-1]`` give
+    ``budget`` entries each) are cached read-only on first use, and
+    ``_breadcrumbs``, a dict from each visited node to the node it was
+    first entered from (-1 at the start), is cached too.  Every other view
+    is built on access, including ``node_count_per_step`` and the dense
+    ``visited`` and ``covered_edges`` masks indexed by node id / edge id.  ``edge_count_per_step[t-1]`` and ``node_count_per_step[t-1]`` give
     the covered-edge and visited-node counts after step ``t``, which is what
     coverage-curve measurements read.  ``edge_count_per_step`` needs one
     transient node-indexed first-visit table, filled by ``np.minimum.at``,
@@ -161,8 +167,16 @@ class WalkTrace:
 
     @property
     def covered_edges(self) -> np.ndarray:
-        """Dense edge membership mask (built on access)."""
-        return _covered_edge_mask(self.graph, self.first_visits[0])
+        """Dense edge membership mask (built on access): the edges of the
+        arcs with a visited end, G*'s rule (:func:`rwtopo.graph._either_end`)."""
+        g = self.graph
+        return _mask(g.m, g.adj_edge_ids[_either_end(g, self.visited)])
+
+    @cached_property
+    def _breadcrumbs(self) -> dict[int, int]:
+        steps = self.steps.tolist()
+        # Walked backwards, a node's earliest entry is written last and stays.
+        return dict(zip(reversed(steps), reversed([-1] + steps[:-1])))
 
 
 @dataclass(frozen=True)
@@ -180,9 +194,9 @@ class BreadcrumbTable:
         """Dense node-indexed breadcrumbs (built on access): the node visited
         just before each node's first visit, -1 for the start and unvisited
         nodes."""
-        nodes, first = self.trace.first_visits
+        crumbs = self.trace._breadcrumbs
         pred = np.full(self.trace.graph.n, -1, dtype=np.int64)
-        pred[nodes] = np.where(first > 0, self.trace.steps[first - 1], -1)
+        pred[list(crumbs)] = list(crumbs.values())
         return pred
 
 
@@ -254,7 +268,7 @@ def run_walks(g: Graph, starts, budget: int, seeds) -> np.ndarray:
         steps = np.empty((len(starts), budget), dtype=np.int64)
         steps[:, 0] = starts
         for row, cur, seed in zip(steps, starts, seeds):
-            rng = np.random.default_rng(_as_seed_tuple(seed))
+            rng = _rng(seed)
             # Chunked draws concatenate to the same stream as one draw.
             for t0 in range(1, budget, _DRAW_CHUNK):
                 chunk = []
@@ -268,7 +282,7 @@ def run_walks(g: Graph, starts, budget: int, seeds) -> np.ndarray:
 
     drawn = np.empty((len(starts), budget - 1))
     for row, seed in zip(drawn, seeds):
-        np.random.default_rng(_as_seed_tuple(seed)).random(out=row)
+        _rng(seed).random(out=row)
     uniform = np.ascontiguousarray(drawn.T)  # one row per move
     del drawn
     indptr, adj, deg = g.indptr, g.adj, g.degrees
@@ -287,19 +301,17 @@ def retrace_to_start(trace: WalkTrace, node: int) -> list[int]:
     """Follow the walk's breadcrumbs from ``node`` back to its start.
 
     A node's breadcrumb is the step before its first visit, read off the
-    trace's first-visit table.  The result is a loop-free path (consecutive
+    trace's breadcrumb map.  The result is a loop-free path (consecutive
     entries graph-adjacent) beginning at ``node`` and ending at the start;
     retracing from the start itself yields the single-node path.
     """
     node = _one_node(node, trace.graph.n, "node")
-    nodes, first = trace.first_visits
-    k = int(np.searchsorted(nodes, node))
-    if k == nodes.size or nodes[k] != node:
+    crumbs = trace._breadcrumbs
+    if node not in crumbs:
         raise ValueError(f"node {node} was not visited by this walker")
     path = [node]
-    while first[k]:
-        path.append(int(trace.steps[first[k] - 1]))
-        k = int(np.searchsorted(nodes, path[-1]))
+    while crumbs[path[-1]] != -1:
+        path.append(crumbs[path[-1]])
     return path
 
 
@@ -316,10 +328,10 @@ def naive_route(trace_i: WalkTrace, trace_j: WalkTrace):
     """
     if trace_i.graph is not trace_j.graph:
         raise ValueError("naive_route needs two traces of one graph")
-    hits = np.isin(trace_i.steps, trace_j.first_visits[0])
-    if not hits.any():
+    crumbs_j = trace_j._breadcrumbs
+    meet = next((v for v in trace_i.steps.tolist() if v in crumbs_j), None)
+    if meet is None:
         return None
-    meet = int(trace_i.steps[int(np.argmax(hits))])
     out = retrace_to_start(trace_i, meet)[::-1]
     back = retrace_to_start(trace_j, meet)
     return out + back[1:]

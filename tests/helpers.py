@@ -7,7 +7,7 @@ from collections import deque
 import numpy as np
 
 from rwtopo import Graph, naive_route, score_pairs
-from rwtopo.graph import _read_only
+from rwtopo.graph import _arc_positions, _read_only
 
 
 def triangle() -> Graph:
@@ -41,6 +41,24 @@ def masked(g: Graph, mask) -> Graph:
     return g if mask is None else Graph(g.n, g.edges[mask])
 
 
+def brute_covered_edges(g: Graph, nodes) -> set[int]:
+    """Independent recomputation: the ids of every edge (row of ``g.edges``)
+    with an endpoint in ``nodes``."""
+    visited = set(int(v) for v in nodes)
+    return {
+        eid
+        for eid, (u, v) in enumerate(g.edges.tolist())
+        if u in visited or v in visited
+    }
+
+
+def union_graph(union) -> Graph:
+    """A union's G*, built by the constructor from :func:`brute_covered_edges`
+    of its nodes, under the graph's node ids."""
+    g = union.graph
+    return Graph(g.n, g.edges[sorted(brute_covered_edges(g, union.nodes))])
+
+
 def assert_valid_path(g: Graph, path) -> None:
     assert len(path) >= 1
     for a, b in zip(path, path[1:]):
@@ -67,7 +85,7 @@ def sorted_edge_counts(trace) -> np.ndarray:
     """The sorted kernel that ``WalkTrace.edge_count_per_step`` replaced: first
     visits from ``np.unique``, then one ``bincount`` of the counted arcs."""
     nodes, first = np.unique(trace.steps, return_index=True)
-    arc_idx, counts = trace.graph.arcs(nodes)
+    arc_idx, counts = _arc_positions(trace.graph.indptr, nodes)
     near = np.repeat(first, counts)
     # An edge is first covered at the earlier first visit of its two
     # endpoints, so exactly one of its arcs counts: the one leaving that

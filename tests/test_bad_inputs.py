@@ -47,6 +47,8 @@ ENTRY_POINTS = [
     ("bfs_distances max_level", ValueError, "max_level", lambda v: bfs_distances(G, 0, max_level=v)),
     ("routing_tree root", ValueError, "root", lambda v: routing_tree(UNION, v)),
     ("walker_seed id", ValueError, "walker id", lambda v: walker_seed(1, v)),
+    ("walker_seed last path id", ValueError, "walker id", lambda v: walker_seed(1, 0, v)),
+    ("walker_seed first path id", ValueError, "walker id", lambda v: walker_seed(1, v, 0xBEEF)),
     ("retrace_to_start node", ValueError, "node", lambda v: retrace_to_start(TRACE, v)),
     ("ExperimentConfig h", ConfigError, "h", lambda v: ExperimentConfig(seed=1, h=v)),
     ("ExperimentConfig beta", ConfigError, "beta", lambda v: ExperimentConfig(seed=1, beta=v)),

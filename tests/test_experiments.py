@@ -356,6 +356,16 @@ class TestCrossingRate:
         res = crossing_rate(two_triangles(), cfg, delta=1)
         assert res.non_crossing_rate == 1.0
 
+    @pytest.mark.parametrize("beta, rate", [(0.002, 0.9725), (0.006, 0.7825), (0.012, 0.34)])
+    def test_pairs_never_cross_exactly_when_eval_finds_no_route(self, beta, rate):
+        # With h = 2 both drivers walk run r's walker w from the stream at
+        # (seed, r, w) and draw its starts from (seed, r, 0xBEEF).  On a
+        # connected graph both of a run's pairs are INF exactly when the two
+        # walks share no node, so eval's INF fraction is the non-crossing rate.
+        g = preferential_attachment(5000, 3, seed=11)
+        cfg = ExperimentConfig(seed=7, h=2, beta=beta, runs=400)
+        assert run_experiment(g, cfg).summary["inf_fraction"] == crossing_rate(g, cfg).non_crossing_rate == rate
+
     def test_requires_pairs(self):
         cfg = ExperimentConfig(seed=1, h=3, beta=0.4, runs=5)
         with pytest.raises(ConfigError):
@@ -592,15 +602,15 @@ def test_score_pairs_matches_one_routing_tree_per_walker(kind, h, budget, monkey
 
 
 def test_score_pairs_builds_no_per_walk_tables():
-    # Each group's G* comes from its steps alone: scoring caches neither a
-    # member's first-visit table nor its covered-edge table.
+    # Each group's G* comes from its steps alone: scoring caches no member's
+    # first-visit table, covered-edge counts or breadcrumb map.
     g = preferential_attachment(1500, 2, seed=11)
     starts = np.random.default_rng(16).choice(g.n, size=16, replace=False)
     run = run_rwsp(g, starts, 60, seed=(3, 16))
     score_pairs(run)
     assert any(state.known_peers for state in run.states)
     for state in run.states:
-        assert not {"first_visits", "edge_count_per_step"} & vars(state.trace).keys()
+        assert not {"first_visits", "edge_count_per_step", "_breadcrumbs"} & vars(state.trace).keys()
 
 
 def test_scoring_builds_no_protocol_accounting(monkeypatch):
@@ -799,7 +809,7 @@ def test_names_patched_by_the_benchmark_exist():
     assert (experiments.bfs_distances(g, 0, None) == bfs_distances(g, 0)).all()
     run = experiments.run_rwsp(g, [0, 20, 40], 15, (3, 4))
     for union in run.unions:
-        assert union.graph is g and union.edge_mask.shape == (g.m,)
+        assert union.graph is g
     assert run.meetings and run.direct_peers
     assert isinstance(run.pair_advertise_hops, dict) and isinstance(run.pair_transfer_hops, dict)
     for state in run.states:

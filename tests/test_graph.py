@@ -1,6 +1,5 @@
 import gc
 import io
-import re
 import time
 import tracemalloc
 from unittest import mock
@@ -135,29 +134,9 @@ class TestGraphStructure:
             query(g, v)
         assert g.degree(np.int64(3)) == 1 and g.has_edge(np.int32(2), 3) and g.degree(np.float64(2.0)) == 2
 
-    @pytest.mark.parametrize(
-        "nodes, message",
-        [
-            ([-2], "node ids out of range 0..3, got -2"),
-            ([-1], "node ids out of range 0..3, got -1"),
-            ([1, 4], "node ids out of range 0..3, got 4"),
-            ([1.5], "node ids must be integral, got 1.5"),
-            (["1"], "node ids must be integral, got '1'"),
-        ],
-        ids=repr,
-    )
-    def test_arcs_of_node_ids_outside_the_graph_or_not_integral_are_rejected(self, nodes, message):
-        # On this path arcs([-2]) read node 3's arc, arcs([-1]) raised numpy's
-        # "negative dimensions" error and arcs([4]) an IndexError.
-        g = path_graph(4)
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            g.arcs(np.array(nodes))
-        arcs, counts = g.arcs(np.array([2.0, 0.0]))  # whole floats read as ids, as elsewhere
-        assert g.adj[arcs].tolist() == [1, 3, 1] and counts.tolist() == [2, 1]
-
     def test_edge_ids_partition_incident_sets(self):
         g = star(4)
-        arcs, counts = g.arcs(np.arange(g.n))
+        arcs, counts = graph_module._arc_positions(g.indptr, np.arange(g.n))
         incident = np.split(g.adj_edge_ids[arcs], np.cumsum(counts)[:-1])
         assert sorted(incident[0].tolist()) == [0, 1, 2, 3]
         for leaf in range(1, 5):
@@ -201,7 +180,6 @@ class TestGraphStructure:
         flags = np.array([True, False, True])
         entry_points = [
             ("node ids", lambda: pair_distances(g, flags)),
-            ("node ids", lambda: g.arcs(flags)),
             ("visited node ids", lambda: pair_distances(g, [0, 2], [flags, [2]])),
             ("source", lambda: bfs_distances(g, np.True_)),
             ("start nodes", lambda: run_walks(g, np.array([True]), 3, [1])),

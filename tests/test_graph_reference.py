@@ -635,6 +635,20 @@ def test_a_pull_whose_first_round_mostly_misses_scans_the_rest():
     assert dist[0] == 3 and set(dist[1:11].tolist()) == {2}
 
 
+def test_an_unreachable_hub_is_scanned_once_not_pulled_arc_by_arc():
+    # A 500-leaf star beside PA 2000 is never reached from node 0, so every
+    # pull tests its hub, whose arcs all lead to unreached leaves.  The
+    # rounds end once most candidates miss, and one span scan covers the
+    # hub's untested arcs; rounds alone would test one of its arcs each.
+    pa = preferential_attachment(2000, 3, seed=11)
+    g = Graph(2501, np.concatenate([pa.edges, [[2000, leaf] for leaf in range(2001, 2501)]]))
+    assert pull_scans(lambda: bfs_distances(pa, 0)) == [0]
+    assert pull_scans(lambda: bfs_distances(g, 0)) == [1]
+    dist = bfs_distances(g, 0)
+    assert np.array_equal(dist, reference_bfs(g, 0))
+    assert (dist[2000:] == UNREACHABLE).all()
+
+
 def test_a_candidate_that_runs_out_of_arcs_in_the_rounds_joins_a_later_level():
     # Source 0 joined to 1..10, each joined to all of 11..30; node 31 hangs
     # off 11 through 32 and 33.  The level-2 pull hits 11..30 on their arc

@@ -6,7 +6,7 @@ purpose carries ``# noqa: F401`` on its line.  The package top level
 re-exports only the names the README quickstart, the demos and the
 benchmark import from it; everything else is imported from its submodule.
 Scalar inputs are read by ``graph``'s readers, so only ``graph`` imports
-``numbers``.  The package's one declared dependency is numpy, so its
+``numbers``, and every random stream is opened by ``walker._rng``.  The package's one declared dependency is numpy, so its
 modules import nothing else outside the standard library.
 """
 
@@ -198,6 +198,38 @@ def test_the_check_sees_numbers_imports_and_bool_checks():
         "c": "def h(x):\n    return isinstance(x, int)\n",
     }
     assert scalar_checks(sources) == ({"a", "b"}, {("a", "f"), ("b", "g")})
+
+
+def rng_constructions(sources: dict[str, str]) -> set[tuple[str, str | None]]:
+    """The (module, innermost enclosing function or None) of every call of
+    ``default_rng`` in ``sources`` (module -> text), by attribute or by name."""
+    found = set()
+    for module, source in sources.items():
+        owner = {}
+        for node in ast.walk(ast.parse(source)):  # outer functions come first
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((inner, node.name) for inner in ast.walk(node))
+            elif isinstance(node, ast.Call):
+                if getattr(node.func, "attr", getattr(node.func, "id", None)) == "default_rng":
+                    found.add((module, owner.get(node)))
+    return found
+
+
+def test_only_walker_rng_opens_a_random_stream():
+    # A stream is named by its path below a master seed, and walker._rng
+    # is the one place that turns a path into a generator.
+    package = ROOT / "src" / "rwtopo"
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(package.glob("*.py"))}
+    assert rng_constructions(sources) == {("walker", "_rng")}
+
+
+def test_the_check_sees_rng_constructions():
+    sources = {
+        "a": "import numpy as np\nrng = np.random.default_rng(1)\n",
+        "b": "from numpy.random import default_rng\ndef f():\n    def g():\n        return default_rng(2)\n    return g\n",
+        "c": "def h(rng):\n    return rng.random()\n",
+    }
+    assert rng_constructions(sources) == {("a", None), ("b", "g")}
 
 
 def undeclared_imports(source: str) -> list[tuple[int, str]]:

@@ -19,6 +19,7 @@ from rwtopo.walker import retrace_to_start
 from rwtopo import rwsp
 from rwtopo.rwsp import MeetingEvent, ProtocolRun, UnionSubgraph, WalkerState, routing_tree
 from helpers import (
+    brute_covered_edges,
     cycle,
     discovered_lengths,
     naive_length,
@@ -26,6 +27,7 @@ from helpers import (
     star,
     triangle,
     two_triangles,
+    union_graph,
 )
 
 
@@ -38,7 +40,7 @@ class TestStarMeeting:
         assert 0 in run.states[0].contact_points
         assert 0 in run.states[1].contact_points
         # the whole star is discovered by either walker alone
-        assert run.unions[0].edge_mask.all()
+        assert brute_covered_edges(g, run.unions[0].nodes) == set(range(g.m))
         assert discovered_lengths(run)[(0, 1)] == 2
         assert naive_length(run, 0, 1) == 2
 
@@ -61,13 +63,13 @@ class TestStarMeeting:
 
 class TestDisconnected:
     def test_walkers_keep_their_own_triangles(self):
-        run = run_rwsp(two_triangles(), [0, 3], 4, seed=7)
+        g = two_triangles()
+        run = run_rwsp(g, [0, 3], 4, seed=7)
         assert run.states[0].known_peers == frozenset()
         assert run.states[1].known_peers == frozenset()
         assert discovered_lengths(run)[(0, 1)] == UNREACHABLE
-        assert int(run.unions[0].edge_mask.sum()) == 3
-        assert int(run.unions[1].edge_mask.sum()) == 3
-        assert not (run.unions[0].edge_mask & run.unions[1].edge_mask).any()
+        first, second = (brute_covered_edges(g, union.nodes) for union in run.unions)
+        assert len(first) == len(second) == 3 and not first & second
 
 
 class TestRoutingTree:
@@ -81,8 +83,7 @@ class TestRoutingTree:
         for i in range(3):
             union = run.unions[i]
             depth = routing_tree(union, run.starts[i])
-            materialized = Graph(g.n, g.edges[union.edge_mask])
-            assert (depth == bfs_distances(materialized, run.starts[i])).all()
+            assert (depth == bfs_distances(union_graph(union), run.starts[i])).all()
 
     def test_root_must_be_in_the_union(self):
         run = run_rwsp(two_triangles(), [0, 3], 4, seed=7)
@@ -122,16 +123,15 @@ class TestPathLengths:
         run = run_rwsp(g, [0, 10, 20], 30, seed=78)
         for i in range(3):
             for j in run.states[i].known_peers:
-                assert (run.unions[i].edge_mask == run.unions[j].edge_mask).all()
-                assert np.array_equal(run.unions[i].nodes, run.unions[j].nodes)
+                assert run.unions[i] is run.unions[j]
 
     def test_union_edges_are_incident_to_group_visits(self):
         g = preferential_attachment(40, 2, seed=5)
         run = run_rwsp(g, [0, 11], 15, seed=6)
-        group_visited = set(run.unions[0].nodes.tolist())
-        for eid in np.flatnonzero(run.unions[0].edge_mask):
-            u, v = g.edges[eid].tolist()
-            assert u in group_visited or v in group_visited
+        union = run.unions[0]
+        # The members' covered edges are the edges with an end in G*'s nodes.
+        covered = np.any([run.states[i].trace.covered_edges for i in union.members], axis=0)
+        assert set(np.flatnonzero(covered).tolist()) == brute_covered_edges(g, union.nodes)
 
     def test_self_pair_rejected(self):
         run = run_rwsp(triangle(), [0, 1, 2], 2, seed=0)
@@ -183,7 +183,8 @@ class TestProtocolDeterminismAndScheduling:
             assert (a.states[i].trace.steps == b.states[i].trace.steps).all()
             assert a.states[i].known_peers == b.states[i].known_peers
             assert a.states[i].contact_points == b.states[i].contact_points
-            assert (a.unions[i].edge_mask == b.unions[i].edge_mask).all()
+            assert a.unions[i].members == b.unions[i].members
+            assert np.array_equal(a.unions[i].nodes, b.unions[i].nodes)
         assert a.pair_advertise_hops == b.pair_advertise_hops
         assert a.pair_transfer_hops == b.pair_transfer_hops
 
@@ -230,7 +231,7 @@ class TestProtocolDeterminismAndScheduling:
         assert 2 not in run.direct_peers[0]
         assert 2 in run.states[0].known_peers
         assert 0 in run.states[2].known_peers
-        assert (run.unions[0].edge_mask == run.unions[2].edge_mask).all()
+        assert run.unions[0] is run.unions[2]
 
     def test_validation_errors(self):
         g = triangle()
@@ -399,7 +400,7 @@ def test_first_visit_replay_matches_the_per_step_scan():
         assert run.pair_transfer_hops == ref["pair_transfer_hops"]
         for i, union in enumerate(run.unions):
             assert np.array_equal(union.nodes, np.flatnonzero(ref["node_masks"][i]))
-            assert (union.edge_mask == ref["edge_masks"][i]).all()
+            assert set(np.flatnonzero(ref["edge_masks"][i]).tolist()) == brute_covered_edges(g, union.nodes)
     assert ties >= 20  # same-round, lower-id-first collisions are exercised
 
 
@@ -492,12 +493,14 @@ def assert_same_protocol_run(run: ProtocolRun, ref: ProtocolRun) -> None:
     for union, expected in zip(run.unions, ref.unions, strict=True):
         assert union.graph is expected.graph and union.members == expected.members
         assert union.nodes.dtype == expected.nodes.dtype and np.array_equal(union.nodes, expected.nodes)
-        # G* from the run's table equals the OR of its members' own views.
+        # G*'s nodes from the run's table are the union of its members'
+        # visited nodes, and its edges, found by brute force from those
+        # nodes, the union of their covered edges.
         traces = [run.states[i].trace for i in union.members]
         visited = np.any([tr.visited for tr in traces], axis=0)
         covered = np.any([tr.covered_edges for tr in traces], axis=0)
         assert np.array_equal(union.nodes, np.flatnonzero(visited))
-        assert np.array_equal(union.edge_mask, covered)
+        assert set(np.flatnonzero(covered).tolist()) == brute_covered_edges(union.graph, union.nodes)
 
     def shared(r):  # which walkers hold the same union object
         return [[u is v for v in r.unions] for u in r.unions]

@@ -24,6 +24,7 @@ from rwtopo.graph import bfs_distances, oriented_arcs
 from rwtopo.walker import retrace_to_start, run_walks
 from helpers import (
     assert_valid_path,
+    brute_covered_edges,
     cycle,
     path_graph,
     sorted_edge_counts,
@@ -31,16 +32,6 @@ from helpers import (
     triangle,
     two_triangles,
 )
-
-
-def brute_covered_edges(g: Graph, nodes) -> set[int]:
-    """Independent recomputation: every edge with an endpoint in ``nodes``."""
-    visited = set(int(v) for v in nodes)
-    return {
-        eid
-        for eid, (u, v) in enumerate(g.edges.tolist())
-        if u in visited or v in visited
-    }
 
 
 def exact_walk_distribution(g: Graph, start: int, budget: int):
